@@ -4,7 +4,8 @@ Gassmann equivalence of subgroups."""
 
 from .errors import (ExtensionError, FieldError, GossliftError, GroupError,
                      LaurentError, PolyError, WittError, ZetaError)
-from .field import FIELD_SIZE_BOUND, FiniteField, ResidueField, gf_create
+from .field import (FIELD_SIZE_BOUND, FiniteField, ResidueField, ZechField,
+                    gf_create)
 from .poly import (MonicPoly, enumerate_monic, enumerate_monic_irreducibles,
                    factor_monic, poly_factor_degrees)
 from .laurent import LaurentSeries, laurent_inv_pow
@@ -12,7 +13,7 @@ from .textforms import (format_terms, format_tpoly, format_xt_poly,
                         parse_monic, parse_tpoly, parse_xt_poly)
 from .extension import (ExtensionSpec, SplittingType, builtin_extension,
                         discriminant, parse_extension, parse_extension_file,
-                        splitting_type, trivial_extension)
+                        splitting_type, splitting_types, trivial_extension)
 from .zeta import (DirichletTable, WeilSeries, ZetaVerdict, compare_zeta,
                    dirichlet_table, dump_table, goss_eval, load_table,
                    local_counts, pgalois_check, prime_power_residues,

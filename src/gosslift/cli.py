@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .demos import DEMOS, run_demo
-from .errors import GossliftError
+from .errors import GossliftError, ZetaError
 from .extension import parse_extension_file, splitting_type
 from .gassmann import (PermGroup, builtin_group, cayley_komatsu,
                        gassmann_by_cycle_type, gassmann_check,
@@ -42,6 +42,8 @@ def _cmd_table(args):
 
 
 def _cmd_zeta(args):
+    if args.kind != "weil" and args.prec < 0:
+        raise ZetaError(f"--prec {args.prec} must be nonnegative")
     ext = parse_extension_file(args.ext)
     table = dirichlet_table(ext, args.max_degree)
     if args.kind == "weil":

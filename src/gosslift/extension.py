@@ -2,12 +2,18 @@
 
 An ExtensionSpec is a monic defining polynomial f in X over A = F_q[T]
 together with override data for the finitely many primes where reduction
-mod a prime does not tell the truth.  At every prime not dividing the
-discriminant, the factorization type of f over the residue field gives the
-splitting type (all ramification indices 1); ramified primes, and any
-prime the user cannot vouch for, must carry an explicit override or the
-query fails loudly.  Nothing here computes integral closures: an override
-is trusted as given.
+mod a prime does not tell the truth.  A prime pi not dividing the
+discriminant is unramified, f mod pi is squarefree, and the degrees of
+its irreducible factors are the inertia degrees above pi.  Primes that
+divide the discriminant, and any prime the user cannot vouch for, must
+carry an explicit override or the query fails loudly.  Nothing here
+computes integral closures: an override is trusted as given.
+
+Two paths read off the factor degrees.  splitting_type, for one prime
+given from outside, checks the prime and factors f over the residue
+field A/(pi).  splitting_types, for all primes of one degree in a table,
+factors f(alpha, X) over the base field's model of F_{q^d}, with alpha
+the root of pi kept by enumerate_monic_irreducibles.
 
 Config files are sectioned key=value text,
 
@@ -254,9 +260,10 @@ def _bareiss_det(K, mat):
 def splitting_type(ext, prime):
     """Splitting type of a prime of F_q[T] in the extension.
 
-    Overridden primes return their override; listed bad primes without an
-    override fail; everywhere else the type is read off the squarefree
-    factorization of the defining polynomial over the residue field.
+    Overridden primes return their override; listed bad primes and primes
+    dividing the discriminant fail without an override; everywhere else
+    the type is read off the distinct-degree factorization of the
+    defining polynomial over the residue field.
     """
     st = ext.overrides.get(prime)
     if st is not None:
@@ -265,21 +272,58 @@ def splitting_type(ext, prime):
     if cached is not None:
         return cached
     _require_prime(ext.field, prime)
+    disc = _disc_coeffs(ext)
+    _check_unramified(ext, prime, disc and poly.pmod(ext.field, disc, prime.coeffs))
+    R = ResidueField(ext.field, prime.coeffs)
+    fbar = tuple(R.project(c) for c in ext.xt_coeffs)
+    st = _unramified_type(poly.distinct_degree_counts(R, fbar))
+    ext._splitting_cache[prime] = st
+    return st
+
+
+def splitting_types(ext, d):
+    """(prime, splitting type) for every prime of degree d, in enumeration order.
+
+    Overrides win.  Every other prime must be unramified, and its type is
+    read off the distinct-degree factorization of f(alpha, X) over the
+    base field's model F of F_{q^d}, where alpha is the root of the prime
+    that F keeps.  The first prime that fails raises the same error as
+    splitting_type.
+    """
+    F = ext.field.zech_field(d)
+    disc = _disc_coeffs(ext)
+    out = []
+    for prime, alpha in zip(*F.irreducibles()):
+        st = ext.overrides.get(prime)
+        if st is None:
+            _check_unramified(ext, prime, disc and poly.peval(F, disc, alpha))
+            fbar = tuple(poly.peval(F, c, alpha) for c in ext.xt_coeffs)
+            st = _unramified_type(poly.distinct_degree_counts(F, fbar))
+        out.append((prime, st))
+    return out
+
+
+def _disc_coeffs(ext):
+    """Coefficients of the discriminant, or () when f is inseparable:
+    every prime divides a zero discriminant."""
+    try:
+        return discriminant(ext).coeffs
+    except ExtensionError:
+        return ()
+
+
+def _check_unramified(ext, prime, disc_mod_prime):
+    """Fail for a bad prime, or where the discriminant reduces to zero."""
     if prime in ext.bad_primes:
         raise ExtensionError(
             f"prime {prime} is marked bad for {ext.name} and has no override")
-    R = ResidueField(ext.field, prime.coeffs)
-    fbar = poly.ptrim(R, tuple(R.project(c) for c in ext.xt_coeffs))
-    if poly.pdeg(fbar) != ext.degree:
-        raise ExtensionError(
-            f"defining polynomial of {ext.name} degenerates mod {prime}")
-    degs = poly.poly_factor_degrees(R, fbar)
-    if any(mult > 1 for _, mult in degs):
+    if not disc_mod_prime:
         raise ExtensionError(
             f"prime {prime} ramifies in {ext.name}; supply an override")
-    st = SplittingType(tuple((1, d) for d, _ in degs))
-    ext._splitting_cache[prime] = st
-    return st
+
+
+def _unramified_type(counts):
+    return SplittingType(tuple((1, f) for f, c in counts.items() for _ in range(c)))
 
 
 # --- config parsing ---

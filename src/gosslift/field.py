@@ -7,9 +7,16 @@ where g is the residue class of the modulus variable.  All element
 operations are precomputed lookup tables, so they never allocate; the
 size bound FIELD_SIZE_BOUND keeps the tables small.
 
-ResidueField models F_q[T]/(pi) for pi irreducible over a table field.
-Its elements are fixed-width tuples of base-field ints; there is no size
-bound beyond memory, so arithmetic is coordinatewise rather than tabled.
+ZechField models F_{q^d} over a FiniteField F_q, one per degree d, built
+on first use and cached on the base field.  Elements are again ints,
+whose base-q digits are coordinates over F_q, and arithmetic goes through
+exp/log/Zech tables of length q^d.  Its Frobenius orbits are the monic
+irreducibles of degree d over F_q, each kept with one root, which is how
+ideal-count tables read off splitting types.
+
+ResidueField models F_q[T]/(pi) for one irreducible pi over a table
+field.  Its elements are fixed-width tuples of base-field ints, with
+coordinatewise arithmetic; it serves single-prime queries.
 
 The default modulus for F_{p^m} is the lexicographically smallest monic
 irreducible of degree m, comparing coefficient sequences low to high with
@@ -64,7 +71,7 @@ class FiniteField:
         self.one = 1
         self.generator = p if m > 1 else None
         self._build_tables()
-        self._irreducible_cache = {}
+        self._zech_cache = {}
 
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
@@ -177,6 +184,13 @@ class FiniteField:
                 a = self._mul[a][a]
         return r
 
+    def zech_field(self, d):
+        """The model of F_{q^d} over this field, built on first use."""
+        model = self._zech_cache.get(d)
+        if model is None:
+            model = self._zech_cache[d] = ZechField(self, d)
+        return model
+
     def __eq__(self, other):
         return (isinstance(other, FiniteField)
                 and self.p == other.p and self.m == other.m
@@ -193,28 +207,221 @@ def _smallest_irreducible(p, m):
     """Lexicographically first monic irreducible of degree m over F_p."""
     base = FiniteField(p)
     for lower in itertools.product(range(p), repeat=m):
-        f = poly.ptrim(base, lower + (1,))
-        if _is_irreducible_trial(base, f):
+        if _rabin_irreducible(base, lower + (1,)):
             return lower + (1,)
     raise FieldError("no irreducible modulus found")  # unreachable
-
-
-def _is_irreducible_trial(K, f):
-    d = poly.pdeg(f)
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for lower in itertools.product(range(K.q), repeat=e):
-            g = lower + (1,)
-            if not poly.pmod(K, f, g):
-                return False
-    return True
 
 
 @functools.lru_cache(maxsize=None)
 def gf_create(p, m=1):
     """The canonical F_{p^m} with the lexicographically smallest modulus."""
     return FiniteField(p, m)
+
+
+def _prime_factors(n):
+    out = []
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            out.append(k)
+            while n % k == 0:
+                n //= k
+        k += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _rabin_irreducible(K, g):
+    """Rabin's test: monic g of degree d is irreducible over K exactly when
+    Y^(q^d) = Y mod g and gcd(Y^(q^(d/r)) - Y, g) = 1 for each prime r | d."""
+    d = poly.pdeg(g)
+    rows = poly._reduction_rows(K, g, max(d - 1, (d - 1) * K.p))
+    y = poly.pmod(K, (K.zero, K.one), g)
+    powers = [y]
+    for _ in range(d):
+        powers.append(poly.field_power_mod(K, powers[-1], g, rows))
+    return powers[d] == y and all(
+        poly.pdeg(poly.pgcd(K, poly.psub(K, powers[d // r], y), g)) == 0
+        for r in _prime_factors(d))
+
+
+def _primitive_modulus(K, d):
+    """Lexicographically first monic g of degree d over K in which Y has
+    order q^d - 1: the first candidate that passes Rabin's test and whose
+    Y^((q^d - 1)/r) differs from 1 for every prime r dividing q^d - 1.
+
+    A candidate is skipped untested when (-1)^d g(0), the norm of Y down
+    to F_q, does not generate F_q^*: the norm of a generator of
+    F_{q^d}^* generates F_q^*.
+    """
+    n = K.q ** d - 1
+    cofactors = [n // r for r in _prime_factors(n)]
+    generators = {a for a in range(1, K.q)
+                  if all(K.pow_(a, (K.q - 1) // r) != K.one
+                         for r in _prime_factors(K.q - 1))}
+    sign = K.one if d % 2 == 0 else K.neg(K.one)
+    y = (K.zero, K.one)
+    for lower in itertools.product(range(K.q), repeat=d):
+        g = lower + (K.one,)
+        if (K.mul(sign, lower[0]) in generators and _rabin_irreducible(K, g)
+                and all(poly.ppow_mod(K, y, e, g) != (K.one,) for e in cofactors)):
+            return g
+    raise FieldError("no primitive modulus found")  # unreachable
+
+
+class ZechField:
+    """F_{q^d} over a table field F_q, with exp/log/Zech arithmetic.
+
+    An element is an int whose base-q digits, low to high, are its
+    coordinates in F_q[Y]/(g), where g is the modulus chosen by
+    _primitive_modulus.  The ints below q are then exactly the elements of
+    F_q in the base field's own encoding, so polynomials over F_q evaluate
+    here unchanged and minimal polynomials come out as base-field tuples.
+    Y generates the multiplicative group: exp[k] = Y^k for
+    0 <= k < q^d - 1, log inverts exp on nonzero elements, and zech[k] is
+    the log of 1 + Y^k, or -1 where that sum is zero (Huber, "Some
+    comments on Zech's logarithms", IEEE Trans. IT 1990).  Implements the
+    element protocol of poly.py.
+    """
+
+    def __init__(self, base, d):
+        if d < 1:
+            raise FieldError("extension degree must be positive")
+        q = base.q
+        self.base = base
+        self.deg = d
+        self.p = base.p
+        self.order = q ** d
+        self.zero = 0
+        self.one = 1
+        self.modulus = _primitive_modulus(base, d)
+        n = self.order - 1
+        self._n = n
+        self._half = n // 2 if self.p != 2 else 0  # log of -1
+        self._proot = pow(self.p, base.m * d - 1, n)  # inverse of p mod n
+        add, mul, neg = base._add, base._mul, base._neg
+        # Y * x shifts the digits of x up one place and subtracts top * g
+        # from the low digits, of which only the nonzero ones of g change.
+        low = [(q ** i, neg[c]) for i, c in enumerate(self.modulus[:-1]) if c]
+        top_place = q ** (d - 1)
+        # int arrays, not lists: no int object per entry (q^d < 2^31 always).
+        # array is a shared library; loading it here spares every CLI start.
+        from array import array
+        exp = array('i', [0]) * n
+        log = array('i', [0]) * self.order
+        x = 1
+        for k in range(n):
+            exp[k] = x
+            log[x] = k
+            top, rest = divmod(x, top_place)
+            x = rest * q
+            if top:
+                row = mul[top]
+                for place, c in low:
+                    digit = x // place % q
+                    x += (add[digit][row[c]] - digit) * place
+        # 1 + x changes the constant digit only
+        plus_one = [add[c][1] for c in range(q)]
+        zech = array('i', [-1]) * n
+        for k, x in enumerate(exp):
+            c = x % q
+            y = x - c + plus_one[c]
+            if y:
+                zech[k] = log[y]
+        self._exp, self._log, self._zech = exp, log, zech
+        self._irreducibles = None
+
+    def elements(self):
+        return range(self.order)
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        log, n = self._log, self._n
+        la = log[a]
+        z = self._zech[(log[b] - la) % n]
+        return 0 if z < 0 else self._exp[(la + z) % n]
+
+    def neg(self, a):
+        if not a:
+            return 0
+        return self._exp[(self._log[a] + self._half) % self._n]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        log = self._log
+        return self._exp[(log[a] + log[b]) % self._n]
+
+    def inv(self, a):
+        if not a:
+            raise FieldError("inverse of zero")
+        return self._exp[-self._log[a] % self._n]
+
+    def from_int(self, k):
+        return k % self.p
+
+    def pth_power(self, a):
+        if not a:
+            return 0
+        return self._exp[self._log[a] * self.p % self._n]
+
+    def pth_root(self, a):
+        if not a:
+            return 0
+        return self._exp[self._log[a] * self._proot % self._n]
+
+    def irreducibles(self):
+        """The monic irreducibles of degree d over the base, with one root each.
+
+        Returns (primes, roots): primes as MonicPoly in enumeration order
+        and roots[i] a root of primes[i] in this field.  The nonzero
+        elements of degree d are the Y^k whose Frobenius orbit
+        k, qk, q^2 k, ... mod q^d - 1 has length exactly d, and each orbit
+        is the root set of one prime.  In degree 1, T joins with root 0.
+        """
+        if self._irreducibles is None:
+            q, n, d, exp = self.base.q, self._n, self.deg, self._exp
+            found = [((0, 1), 0)] if d == 1 else []
+            seen = bytearray(n)
+            for k in range(n):
+                if seen[k]:
+                    continue
+                orbit = [k]
+                j = k * q % n
+                while j != k:
+                    orbit.append(j)
+                    j = j * q % n
+                for j in orbit:
+                    seen[j] = 1
+                if len(orbit) == d:
+                    found.append((self._minpoly(orbit), exp[k]))
+            found.sort()
+            self._irreducibles = ([poly.MonicPoly(self.base, c) for c, _ in found],
+                                  [root for _, root in found])
+        return self._irreducibles
+
+    def _minpoly(self, logs):
+        """The product of X - Y^k over the given logs, as a coefficient tuple."""
+        add, mul, exp, n = self.add, self.mul, self._exp, self._n
+        c = [1]
+        for k in logs:
+            # c * (X - Y^k): shift c up one place, then add -Y^k * c
+            minus_root = exp[(k + self._half) % n]
+            shifted = [0] + c
+            for i, ci in enumerate(c):
+                shifted[i] = add(shifted[i], mul(ci, minus_root))
+            c = shifted
+        return tuple(c)
+
+    def __repr__(self):
+        return f"ZechField({self.base!r}, deg={self.deg})"
 
 
 class ResidueField:

@@ -502,7 +502,12 @@ def parse_group_text(text, n=None, default_name=""):
         key = key.strip()
         value = value.strip()
         if key == "n":
-            declared = int(value)
+            try:
+                declared = int(value)
+            except ValueError:
+                raise GroupError(f"point count {value!r} is not an integer") from None
+            if declared < 1:
+                raise GroupError(f"point count {declared} must be positive")
             if n is not None and declared != n:
                 raise GroupError(
                     f"point count {declared} does not match expected {n}")

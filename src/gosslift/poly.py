@@ -3,7 +3,8 @@
 Polynomials are tuples of field elements, constant term first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Every function
 takes the coefficient field K as its first argument and only uses the
-small protocol shared by field.FiniteField and field.ResidueField:
+small protocol shared by field.FiniteField, field.ZechField and
+field.ResidueField:
 
     K.zero, K.one, K.p, K.order
     K.add(a, b), K.sub(a, b), K.neg(a), K.mul(a, b), K.inv(a)
@@ -418,41 +419,12 @@ def factor_monic(field, coeffs):
     return tuple(out)
 
 
-def _encode(coeffs, q, d):
-    k = 0
-    for i in range(d - 1, -1, -1):
-        k = k * q + coeffs[i]
-    return k
-
-
 def enumerate_monic_irreducibles(field, d):
     """All monic irreducible degree-d polynomials, same order as enumerate_monic.
 
-    Computed by sieving: a composite of degree d has an irreducible factor
-    of degree at most d // 2, so products of such a factor with arbitrary
-    monic cofactors mark every composite.  Requires table-field elements
-    (plain ints), which all base fields here provide.
+    Read off the Frobenius orbits of the field's model of F_{q^d} (see
+    field.ZechField.irreducibles), which also keeps a root of each prime.
     """
     if d < 1:
         raise PolyError("irreducibles have degree at least 1")
-    cache = field._irreducible_cache
-    if d in cache:
-        return cache[d]
-    q = field.q
-    if d == 1:
-        out = enumerate_monic(field, 1)
-        cache[1] = out
-        return out
-    composite = set()
-    for e in range(1, d // 2 + 1):
-        for g in enumerate_monic_irreducibles(field, e):
-            gc = g.coeffs
-            for h in itertools.product(range(q), repeat=d - e):
-                prod = pmul(field, gc, h + (1,))
-                composite.add(_encode(prod, q, d))
-    out = []
-    for lower in itertools.product(range(q), repeat=d):
-        if _encode(lower, q, d) not in composite:
-            out.append(MonicPoly(field, lower + (1,)))
-    cache[d] = out
-    return out
+    return field.zech_field(d).irreducibles()[0]

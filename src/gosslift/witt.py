@@ -300,6 +300,8 @@ def lifted_goss_eval(table, s, M, N):
     witt_structure_polys(K.p, N)  # validates the (p, N) range up front
     if s < 0:
         raise WittError("the lifted zeta is defined for s >= 0 only")
+    if M < 0:
+        raise WittError(f"precision {M} must be nonnegative")
     fops = FieldOps(K)
     if s == 0:
         pN = K.p ** N

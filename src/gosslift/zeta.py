@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 from . import poly, textforms
-from .errors import ZetaError
-from .extension import splitting_type
+from .errors import GossliftError, ZetaError
+from .extension import splitting_types
 from .laurent import LaurentSeries, laurent_inv_pow
-from .poly import MonicPoly, enumerate_monic_irreducibles
+from .poly import MonicPoly
 
 
 def local_counts(st, kmax):
@@ -76,8 +76,8 @@ def dirichlet_table(ext, bound):
     entries = {one.coeffs: 1}
     by_degree = {0: [one.coeffs]}
     for d in range(1, bound + 1):
-        for prime in enumerate_monic_irreducibles(K, d):
-            counts = local_counts(splitting_type(ext, prime), bound // d)
+        for prime, st in splitting_types(ext, d):
+            counts = local_counts(st, bound // d)
             # snapshot: everything present so far is coprime to this prime
             snapshot = [(deg, list(polys)) for deg, polys in by_degree.items()
                         if deg + d <= bound]
@@ -132,6 +132,8 @@ def goss_eval(table, s, M):
     vanish identically, otherwise the evaluation fails.
     """
     K = table.field
+    if M < 0:
+        raise ZetaError(f"precision {M} must be nonnegative")
     if s >= 1:
         need = -(-M // s)
         if table.bound < need:
@@ -211,6 +213,8 @@ def compare_zeta(table_a, table_b, kind):
         raise ZetaError("cannot compare tables over different base fields")
     if table_a.bound != table_b.bound:
         raise ZetaError("cannot compare tables with different bounds")
+    if table_a.entries.keys() != table_b.entries.keys():
+        raise ZetaError("cannot compare tables over different sets of moduli")
     bound = table_a.bound
     if kind == "weil":
         for d, (x, y) in enumerate(zip(table_a.block_sums(), table_b.block_sums())):
@@ -355,7 +359,12 @@ def dump_table(table, path=None):
 
 
 def load_table(text_or_path, from_path=False):
-    from .field import gf_create
+    """Parse dump_table text back into a table.
+
+    A malformed header or line, a modulus of degree above the bound or
+    listed twice, or a table that does not hold all (q^(D+1) - 1)/(q - 1)
+    monic moduli of degree <= D raises ZetaError.
+    """
     if from_path:
         try:
             with open(text_or_path, "r", encoding="utf-8") as fh:
@@ -365,21 +374,50 @@ def load_table(text_or_path, from_path=False):
     else:
         text = text_or_path
     header = None
-    entries = []
-    for line in text.splitlines():
+    lines = []
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             if header is None:
-                header = dict(tok.split("=", 1) for tok in line[1:].split())
-            continue
-        body, count = line.rsplit(None, 1)
-        entries.append((body, int(count)))
+                header = _parse_header(line)
+        elif line:
+            lines.append((lineno, line))
     if header is None:
         raise ZetaError("table text is missing its header line")
-    K = gf_create(int(header["p"]), int(header.get("m", "1")))
+    name, K, bound = header
     table = {}
-    for body, count in entries:
-        table[textforms.parse_monic(K, body)] = count
-    return DirichletTable(header.get("ext", "?"), K, int(header["D"]), table)
+    for lineno, line in lines:
+        try:
+            body, count = line.rsplit(None, 1)
+            n = textforms.parse_monic(K, body)
+            b = int(count)
+        except (ValueError, GossliftError):
+            raise ZetaError(f"malformed table line {lineno}: {line!r}") from None
+        if b < 0:
+            raise ZetaError(f"table line {lineno}: count {b} is negative")
+        if n.degree > bound:
+            raise ZetaError(f"table line {lineno}: {n} has degree above D={bound}")
+        if n in table:
+            raise ZetaError(f"table line {lineno}: {n} is listed twice")
+        table[n] = b
+    expected = (K.q ** (bound + 1) - 1) // (K.q - 1)
+    if len(table) != expected:
+        raise ZetaError(
+            f"table holds {len(table)} moduli; D={bound} needs all {expected} "
+            f"monic polynomials of degree <= {bound}")
+    entries = dict(sorted(table.items(), key=lambda item: item[0].sort_key()))
+    return DirichletTable(name, K, bound, entries)
+
+
+def _parse_header(line):
+    """(ext name, field, bound) from a '# ext=NAME p=P m=M D=D' line."""
+    from .field import gf_create
+    try:
+        fields = dict(tok.split("=", 1) for tok in line[1:].split())
+        K = gf_create(int(fields["p"]), int(fields.get("m", "1")))
+        bound = int(fields["D"])
+    except (ValueError, KeyError, GossliftError):
+        raise ZetaError(f"malformed table header {line!r}") from None
+    if bound < 0:
+        raise ZetaError(f"table header {line!r} has a negative bound")
+    return fields.get("ext", "?"), K, bound

@@ -243,3 +243,25 @@ def test_usage_errors_exit_2(capsys):
         main(["demo", "no_such_demo"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_zeta_negative_precision_exits_3(tmp_path, capsys):
+    f = write_cfg(tmp_path, "F.cfg", CFG_F)
+    for kind in ("goss", "lifted"):
+        assert main(["zeta", "--kind", kind, "--ext", f, "--prec", "-3",
+                     "--max-degree", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[zeta]:")
+
+
+def test_group_file_with_non_integer_n_exits_3(tmp_path, capsys):
+    g = tmp_path / "g.grp"
+    g.write_text("n = x\ngen=(1 2 3)\n")
+    h = tmp_path / "h.grp"
+    h.write_text("gen=(1 2 3)\n")
+    assert main(["gassmann", "--group", str(g), "--h1", str(h),
+                 "--h2", str(h)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[group]:")
+    assert "Traceback" not in err

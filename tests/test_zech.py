@@ -1,0 +1,185 @@
+"""The log/Zech model of F_{q^d}, primes as Frobenius orbits, and the
+table path of splitting types, checked against independent references:
+residue-field arithmetic, trial division, and per-prime splitting_type."""
+
+import itertools
+import random
+
+import pytest
+
+from gosslift import poly
+from gosslift.errors import ExtensionError
+from gosslift.extension import (ExtensionSpec, SplittingType, builtin_extension,
+                                splitting_type, splitting_types,
+                                trivial_extension)
+from gosslift.field import ResidueField, gf_create
+from gosslift.poly import MonicPoly, enumerate_monic, enumerate_monic_irreducibles
+from gosslift.textforms import parse_monic, parse_xt_poly
+from gosslift.zeta import dirichlet_table, local_counts
+
+# (p, m, degree bound) for each base field F_q, q = p^m
+FIELDS = ((2, 1, 6), (3, 1, 5), (2, 2, 4), (5, 1, 3), (3, 2, 3), (2, 4, 2))
+
+
+def digits(F, a):
+    out = []
+    for _ in range(F.deg):
+        a, c = divmod(a, F.base.q)
+        out.append(c)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p, m, d", [(2, 1, 1), (2, 1, 4), (3, 1, 3), (2, 2, 2),
+                                     (3, 2, 2), (5, 1, 2), (2, 4, 1), (3, 1, 9)])
+def test_model_matches_residue_field(p, m, d):
+    """Every operation agrees with coordinatewise F_q[Y]/(g) arithmetic,
+    on all elements of small models and a sample of the F_3^9 one."""
+    K = gf_create(p, m)
+    F = K.zech_field(d)
+    assert F.order == K.q ** d
+    assert K.zech_field(d) is F
+    R = ResidueField(K, F.modulus)
+    enc = {digits(F, a): a for a in F.elements()}
+    assert len(enc) == F.order
+    elements = list(F.elements())
+    if len(elements) > 100:
+        elements = [0, 1] + random.Random(d).sample(elements, 100)
+    for a in elements:
+        ra = digits(F, a)
+        assert digits(F, F.neg(a)) == R.neg(ra)
+        assert digits(F, F.pth_power(a)) == R.pth_power(ra)
+        assert F.pth_power(F.pth_root(a)) == a
+        if a:
+            assert digits(F, F.inv(a)) == R.inv(ra)
+        for b in elements:
+            rb = digits(F, b)
+            assert digits(F, F.add(a, b)) == R.add(ra, rb)
+            assert digits(F, F.sub(a, b)) == R.sub(ra, rb)
+            assert digits(F, F.mul(a, b)) == R.mul(ra, rb)
+    # the base field sits inside as the ints below q
+    for a, b in itertools.product(K.elements(), repeat=2):
+        assert F.add(a, b) == K.add(a, b)
+        assert F.mul(a, b) == K.mul(a, b)
+
+
+def test_model_modulus_is_first_primitive():
+    """Y generates F_{q^d}^*, and no earlier candidate in order does."""
+    for p, m, d in ((2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1), (3, 2, 1)):
+        K = gf_create(p, m)
+        g = K.zech_field(d).modulus
+        n = K.q ** d - 1
+
+        def y_order(f):
+            if not poly.pmod(K, (0, 1), f):
+                return None
+            x, k = poly.pmod(K, (0, 1), f), 1
+            while x != (1,):
+                x, k = poly.pmod(K, poly.pmul(K, x, (0, 1)), f), k + 1
+                if k > n:
+                    return None
+            return k
+
+        candidates = [lower + (1,) for lower in itertools.product(range(K.q), repeat=d)]
+        first = next(f for f in candidates if y_order(f) == n)
+        assert g == first
+
+
+def trial_division_irreducibles(K, d):
+    out = []
+    for f in enumerate_monic(K, d):
+        if not any(poly.pmod(K, f.coeffs, g.coeffs) == ()
+                   for e in range(1, d // 2 + 1) for g in enumerate_monic(K, e)):
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("p, m, bound", [(2, 1, 6), (3, 1, 4), (2, 2, 3),
+                                         (5, 1, 3), (3, 2, 2), (2, 4, 2)])
+def test_irreducibles_match_trial_division(p, m, bound):
+    K = gf_create(p, m)
+    for d in range(1, bound + 1):
+        assert enumerate_monic_irreducibles(K, d) == trial_division_irreducibles(K, d)
+
+
+def test_irreducibles_over_f2_degree_one():
+    """q^d - 1 = 1: a single Frobenius orbit, plus T with root 0."""
+    K = gf_create(2)
+    F = K.zech_field(1)
+    primes, roots = F.irreducibles()
+    assert [f.coeffs for f in primes] == [(0, 1), (1, 1)]
+    assert roots == [0, 1]
+
+
+@pytest.mark.parametrize("p, m, bound", FIELDS)
+def test_roots_are_roots(p, m, bound):
+    K = gf_create(p, m)
+    for d in range(1, bound + 1):
+        F = K.zech_field(d)
+        primes, roots = F.irreducibles()
+        assert len(primes) == len(roots)
+        for prime, alpha in zip(primes, roots):
+            assert poly.peval(F, prime.coeffs, alpha) == 0
+
+
+def covers(K):
+    """A trivial extension, an Artin-Schreier cover and a quadratic cover
+    carrying overrides.  In characteristic 2, where kummer_sqrt does not
+    exist, X^2 + T*X + 1 (ramified at T only) stands in for it."""
+    m = 5 if K.p == 3 else 3
+    out = [trivial_extension(K), builtin_extension(K, "artin_schreier", m=m)]
+    if K.p == 2:
+        t = MonicPoly(K, (0, 1))
+        out.append(ExtensionSpec("Q2", K, parse_xt_poly(K, "X^2 + T*X + 1"),
+                                 overrides={t: SplittingType(((2, 1),))}))
+    else:
+        out.append(builtin_extension(K, "kummer_sqrt", c="T^3 - T"))
+    return out
+
+
+@pytest.mark.parametrize("p, m, bound", FIELDS)
+def test_table_types_match_splitting_type(p, m, bound):
+    K = gf_create(p, m)
+    for ext in covers(K):
+        table = dirichlet_table(ext, bound)
+        seen = set()
+        for d in range(1, bound + 1):
+            got = splitting_types(ext, d)
+            assert [prime for prime, _ in got] == enumerate_monic_irreducibles(K, d)
+            for prime, st in got:
+                assert st == splitting_type(ext, prime)
+                seen.add(st.pairs)
+                counts = local_counts(st, bound // d)
+                for k in range(1, bound // d + 1):
+                    assert table.entries[prime ** k] == counts[k]
+        if ext.degree > 1:
+            assert len(seen) > 1
+
+
+def test_table_ramified_without_override_raises_first_prime():
+    """The first ramified prime in enumeration order is named, as by splitting_type."""
+    K = gf_create(3)
+    cases = (
+        ("bare", "X^2 - T^2 - 2", (), "T + 1", "ramifies in bare; supply an override"),
+        ("cubic", "X^2 - T^3 - T^2 - T - 2", (), "T^3 + T^2 + T + 2",
+         "ramifies in cubic; supply an override"),
+        ("insep", "X^3 - T", (), "T", "ramifies in insep; supply an override"),
+        ("badp", "X^2 - T - 1", (parse_monic(K, "T"),), "T",
+         "is marked bad for badp and has no override"),
+    )
+    for name, f, bad, prime, reason in cases:
+        ext = ExtensionSpec(name, K, parse_xt_poly(K, f), bad_primes=bad)
+        message = f"prime {prime} {reason}"
+        with pytest.raises(ExtensionError) as table_err:
+            dirichlet_table(ext, 4)
+        assert str(table_err.value) == message
+        with pytest.raises(ExtensionError) as single_err:
+            splitting_type(ext, parse_monic(K, prime))
+        assert str(single_err.value) == message
+
+
+def test_splitting_type_routes_ramified_primes_to_overrides():
+    K = gf_create(5)
+    ext = ExtensionSpec("K", K, parse_xt_poly(K, "X^2 - T^2 - T"))
+    with pytest.raises(ExtensionError, match="ramifies in K; supply an override"):
+        splitting_type(ext, parse_monic(K, "T + 1"))
+    assert splitting_type(ext, parse_monic(K, "T + 2")).degree == 2

@@ -350,3 +350,55 @@ def test_load_table_errors(tmp_path):
     table = dirichlet_table(trivial_extension(K3), 1)
     with pytest.raises(ZetaError):
         dump_table(table, str(tmp_path / "no" / "such" / "dir.txt"))
+
+
+def test_load_table_malformed_header_or_line_is_zeta_error():
+    text = dump_table(dirichlet_table(trivial_extension(K3), 2))
+    header = "# ext=F p=3 m=1 D=2"
+    broken = [
+        text.replace(header, "# ext=F p=three m=1 D=2"),  # ValueError before
+        text.replace(header, "# ext=F m=1 D=2"),          # KeyError before
+        text.replace(header, "# ext=F p=3 junk D=2"),
+        text.replace(header, "# ext=F p=3 m=1 D=-1"),
+        text + "T\n",                                   # no count
+        text.replace("T + 2 1", "T + 2 one"),
+        text.replace("T + 2 1", "T + % 1"),
+        text.replace("T + 2 1", "T + 2 -1"),
+    ]
+    for bad in broken:
+        with pytest.raises(ZetaError):
+            load_table(bad)
+
+
+def test_load_table_rejects_incomplete_or_padded_tables():
+    table = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 2)
+    lines = dump_table(table).splitlines()
+    assert load_table("\n".join(lines)) == table
+    missing = "\n".join(lines[:5] + lines[6:])
+    repeated = "\n".join(lines + [lines[5]])
+    too_deep = "\n".join(lines + ["T^3 1"])
+    for bad in (missing, repeated, too_deep):
+        with pytest.raises(ZetaError):
+            load_table(bad)
+    # order on disk does not matter; entries come back in enumeration order
+    shuffled = load_table("\n".join([lines[0]] + lines[:0:-1]))
+    assert list(shuffled.entries) == list(table.entries)
+
+
+def test_compare_zeta_rejects_different_moduli():
+    full = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 2)
+    entries = dict(full.entries)
+    entries.pop(parse_monic(K3, "T^2 + 1"))
+    partial = DirichletTable(full.ext_name, K3, 2, entries)
+    for kind in ("weil", "goss", "lifted"):
+        with pytest.raises(ZetaError):
+            compare_zeta(partial, full, kind)
+        with pytest.raises(ZetaError):
+            compare_zeta(full, partial, kind)
+
+
+def test_goss_eval_rejects_negative_precision():
+    table = dirichlet_table(trivial_extension(K3), 3)
+    for s in (1, 0):
+        with pytest.raises(ZetaError):
+            goss_eval(table, s, -3)
