@@ -20,16 +20,16 @@ from .zeta import (DirichletTable, WeilSeries, ZetaVerdict, compare_zeta,
                    reconstruct_splitting, weil_series)
 from .witt import (FieldOps, LaurentOps, WittPolys, WittVector, int_to_witt,
                    lifted_goss_eval, teichmuller, witt_add, witt_mul,
-                   witt_neg, witt_structure_exprs, witt_structure_polys,
-                   witt_sub, witt_text, witt_zero)
+                   witt_neg, witt_structure_polys, witt_sub, witt_text,
+                   witt_zero)
 from .gassmann import (GassmannReport, PermGroup, all_subgroups_of_order,
                        are_conjugate, builtin_group, cayley_komatsu,
                        compose, conjugacy_classes_of, coset_cycle_type,
                        coset_types, cycle_type, cyclic_subgroup_classes,
                        format_perm, gassmann_by_cycle_type, gassmann_check,
-                       inverse, klein4, parse_group_file, parse_group_text,
-                       parse_perm, perm_order, psl27, subgroups_of_order,
-                       symmetric_group)
+                       inverse, klein4, klein4_pair, parse_group_file,
+                       parse_group_text, parse_perm, perm_order, psl27,
+                       psl27_pair, subgroups_of_order, symmetric_group)
 from .demos import DEMOS, run_demo, standard_extensions
 
 __version__ = "0.1.0"

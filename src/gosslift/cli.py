@@ -13,9 +13,9 @@ import sys
 from .demos import DEMOS, run_demo
 from .errors import GossliftError, ZetaError
 from .extension import parse_extension_file, splitting_type
-from .gassmann import (PermGroup, builtin_group, cayley_komatsu,
-                       gassmann_by_cycle_type, gassmann_check,
-                       parse_group_file, parse_perm, subgroups_of_order)
+from .gassmann import (cayley_komatsu, gassmann_by_cycle_type,
+                       gassmann_check, klein4_pair, parse_group_file,
+                       psl27_pair)
 from .textforms import parse_monic
 from .witt import FieldOps, LaurentOps, lifted_goss_eval, witt_text
 from .zeta import (compare_zeta, dirichlet_table, dump_table, goss_eval,
@@ -68,20 +68,7 @@ def _cmd_compare(args):
     return 0
 
 
-def _psl27_report():
-    G = builtin_group("psl27")
-    reps = subgroups_of_order(G, 24)
-    if len(reps) != 2:
-        raise GossliftError(
-            f"expected 2 classes of order-24 subgroups, found {len(reps)}")
-    return gassmann_check(G, reps[0], reps[1])
-
-
-def _klein4_report():
-    G = builtin_group("klein4")
-    h1 = PermGroup(4, [parse_perm("(1 2)", 4)], name="H1")
-    h2 = PermGroup(4, [parse_perm("(3 4)", 4)], name="H2")
-    return gassmann_check(G, h1, h2)
+_PAIRS = {"psl27": psl27_pair, "klein4": klein4_pair}
 
 
 def _komatsu_text():
@@ -97,15 +84,11 @@ def _komatsu_text():
 
 
 def _cmd_gassmann(args):
+    if args.builtin == "komatsu3":
+        print(_komatsu_text())
+        return 0
     if args.builtin:
-        if args.builtin == "komatsu3":
-            print(_komatsu_text())
-        elif args.builtin == "psl27":
-            print(_psl27_report().text())
-        elif args.builtin == "klein4":
-            print(_klein4_report().text())
-        else:
-            raise GossliftError(f"unknown builtin scenario {args.builtin!r}")
+        print(gassmann_check(*_PAIRS[args.builtin]()).text())
         return 0
     if not (args.group and args.h1 and args.h2):
         raise GossliftError(
@@ -166,7 +149,14 @@ def _build_parser():
     p.add_argument("--h2", metavar="FILE")
     p.set_defaults(func=_cmd_gassmann)
 
-    p = sub.add_parser("demo", help="run a scripted scenario")
+    stories = [f"  {name:<12} " + (fn.__doc__ or "").partition("\n")[0]
+               for name, fn in sorted(DEMOS.items())]
+    p = sub.add_parser(
+        "demo", help="run a scripted scenario",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Run a scripted scenario. It prints one PASS or FAIL "
+                    "line per check\nand exits 4 if any check fails.\n\n"
+                    + "\n".join(stories))
     p.add_argument("name", choices=sorted(DEMOS))
     p.set_defaults(func=_cmd_demo)
 

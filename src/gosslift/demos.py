@@ -12,10 +12,9 @@ from . import textforms
 from .extension import (ExtensionSpec, SplittingType, builtin_extension,
                         splitting_type, trivial_extension)
 from .field import gf_create
-from .gassmann import (PermGroup, cayley_komatsu, coset_cycle_type,
-                       coset_types, cyclic_subgroup_classes, gassmann_check,
-                       gassmann_by_cycle_type, klein4, parse_perm, psl27,
-                       subgroups_of_order)
+from .gassmann import (cayley_komatsu, coset_cycle_type, coset_types,
+                       cyclic_subgroup_classes, gassmann_by_cycle_type,
+                       gassmann_check, klein4_pair, psl27_pair)
 from .poly import enumerate_monic_irreducibles
 from .zeta import (compare_zeta, dirichlet_table, goss_eval, pgalois_check,
                    prime_power_residues, reconstruct_splitting, weil_series)
@@ -78,10 +77,7 @@ def demo_malakie():
     r.check("integer tables differ first at n=T",
             not vl.equal and str(vl.witness) == "T"
             and (vl.left, vl.right) == (1, 2))
-    G = klein4()
-    h1 = PermGroup(4, [parse_perm("(1 2)", 4)], name="H1")
-    h2 = PermGroup(4, [parse_perm("(3 4)", 4)], name="H2")
-    rep = gassmann_check(G, h1, h2)
+    rep = gassmann_check(*klein4_pair())
     r.note(rep.text())
     r.check("the two quadratic-side subgroups are not Gassmann equivalent",
             not rep.gassmann)
@@ -176,16 +172,15 @@ def demo_psl27():
     coset types agree for every cyclic subgroup.
     """
     r = DemoReport("order-168 group: Gassmann equivalent but not conjugate")
-    G = psl27()
+    # psl27_pair raises unless the order-24 subgroups form exactly 2 classes
+    G, h1, h2 = psl27_pair()
     r.check("group order is 168", G.order == 168)
     sizes = tuple(sorted(G.class_sizes()))
     r.note(f"class sizes: {sizes}")
     r.check("conjugacy class sizes are 1,21,24,24,42,56",
             sizes == (1, 21, 24, 24, 42, 56))
-    reps = subgroups_of_order(G, 24)
     r.check("order-24 subgroups fall into exactly 2 conjugacy classes",
-            len(reps) == 2)
-    h1, h2 = reps[0], reps[1]
+            h1.order == h2.order == 24)
     rep = gassmann_check(G, h1, h2)
     r.note(rep.text())
     r.check("cross-class pair is Gassmann equivalent", rep.gassmann)

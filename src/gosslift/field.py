@@ -50,13 +50,14 @@ class FiniteField:
     """F_q, q = p^m <= FIELD_SIZE_BOUND, elements encoded as ints 0..q-1."""
 
     def __init__(self, p, m=1, modulus=None):
-        if not _is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree {m} must be positive")
+        # before the primality test (trial division); m > 8 is past 2^8 anyway
+        if p >= 2 and (m > 8 or p ** m > FIELD_SIZE_BOUND):
+            raise FieldError(f"field size {p}^{m} exceeds bound {FIELD_SIZE_BOUND}")
+        if not _is_prime(p):
+            raise FieldError(f"characteristic {p} is not prime")
         q = p ** m
-        if q > FIELD_SIZE_BOUND:
-            raise FieldError(f"field size {q} exceeds bound {FIELD_SIZE_BOUND}")
         self.p = p
         self.m = m
         self.q = q

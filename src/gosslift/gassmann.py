@@ -127,11 +127,13 @@ class PermGroup:
             if sorted(g) != list(range(n)):
                 raise GroupError(f"{g} is not a permutation of 0..{n - 1}")
         closure = close_generators(gens, n, bound)
+        if closure is None:
+            raise GroupError(f"closure exceeded {bound} elements")
         self.n = n
         self.name = name
         self.gens = gens
         self.elements = tuple(sorted(closure))
-        self._set = frozenset(closure)
+        self._set = closure
         self._classes = None
 
     @property
@@ -171,7 +173,9 @@ class PermGroup:
         return f"<{label} on {self.n} points, order {self.order}>"
 
 
-def close_generators(gens, n, bound=CLOSURE_BOUND):
+def close_generators(gens, n, limit):
+    """The group generated by gens as a frozenset, or None as soon as it
+    grows past limit elements."""
     e = identity_perm(n)
     seen = {e}
     frontier = [e]
@@ -181,13 +185,12 @@ def close_generators(gens, n, bound=CLOSURE_BOUND):
             for g in gens:
                 y = compose(g, x)
                 if y not in seen:
+                    if len(seen) >= limit:
+                        return None
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > bound:
-                        raise GroupError(
-                            f"closure exceeded {bound} elements")
         frontier = nxt
-    return seen
+    return frozenset(seen)
 
 
 # --- Gassmann machinery ---
@@ -304,25 +307,6 @@ def gassmann_by_cycle_type(H1, H2):
 # --- subgroup enumeration ---
 
 
-def _close_bounded(gens, n, limit):
-    """Closure, or None as soon as it grows past limit."""
-    e = identity_perm(n)
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(g, x)
-                if y not in seen:
-                    if len(seen) >= limit:
-                        return None
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def all_subgroups_of_order(G, k):
     """All subgroups of order k generated by at most two elements.
 
@@ -340,11 +324,11 @@ def all_subgroups_of_order(G, k):
     found = {}
     for i, a in enumerate(cands):
         if orders[a] == k:
-            cl = _close_bounded([a], G.n, k + 1)
+            cl = close_generators([a], G.n, k + 1)
             if cl is not None and len(cl) == k and cl not in found:
                 found[cl] = (a,)
         for b in cands[i + 1:]:
-            cl = _close_bounded([a, b], G.n, k + 1)
+            cl = close_generators([a, b], G.n, k + 1)
             if cl is not None and len(cl) == k and cl not in found:
                 found[cl] = (a, b)
     out = []
@@ -380,7 +364,7 @@ def cyclic_subgroup_classes(G):
     """Conjugacy classes of cyclic subgroups (the trivial one included)."""
     found = {}
     for a in G.elements:
-        cl = _close_bounded([a], G.n, G.order + 1)
+        cl = close_generators([a], G.n, G.order + 1)
         if cl not in found:
             found[cl] = a
     subs = [PermGroup(G.n, [] if len(cl) == 1 else [found[cl]])
@@ -415,6 +399,26 @@ def klein4():
     """
     return PermGroup(4, [parse_perm("(1 2)", 4),
                          parse_perm("(3 4)", 4)], name="V4")
+
+
+def klein4_pair():
+    """V4 with its subgroups <(1 2)> and <(3 4)>: not Gassmann equivalent."""
+    h1 = PermGroup(4, [parse_perm("(1 2)", 4)], name="H1")
+    h2 = PermGroup(4, [parse_perm("(3 4)", 4)], name="H2")
+    return klein4(), h1, h2
+
+
+def psl27_pair():
+    """PSL(2,7) with one order-24 subgroup from each of its two classes.
+
+    The two are Gassmann equivalent but not conjugate.
+    """
+    G = psl27()
+    reps = subgroups_of_order(G, 24)
+    if len(reps) != 2:
+        raise GroupError(
+            f"expected 2 classes of order-24 subgroups, found {len(reps)}")
+    return G, reps[0], reps[1]
 
 
 def symmetric_group(n):

@@ -5,9 +5,10 @@ multiplication given by universal integer polynomials; the length-N ghost
 map (w_0, ..., w_{N-1}), w_n = sum p^i X_i^{p^(n-i)}, turns both laws into
 the componentwise ones over any ring where p is invertible, which pins
 the polynomials uniquely.  We generate them once per (p, N) by solving
-the ghost recursion exactly over the integers (sympy does the expansion,
-and every division by p^n is checked to be exact), then freeze them to
-plain term lists evaluated with ring callbacks.
+the ghost recursion exactly over the integers, with polynomials held as
+dicts from exponent tuples to int coefficients (every division by p^n is
+checked to be exact), then freeze them to plain term lists evaluated
+with ring callbacks.
 
 The rings that matter here are a finite field (Witt vectors of integers,
 Teichmuller representatives) and Laurent series at the infinite place
@@ -31,7 +32,8 @@ class WittPolys:
     """Frozen structure polynomials for W_N in characteristic p.
 
     add[n], mul[n], add_tail[n] are tuples of (coeff, exponents) terms in
-    the 2N variables x_0..x_{N-1}, y_0..y_{N-1}; add_tail[n] is add[n]
+    the 2N variables x_0..x_{N-1}, y_0..y_{N-1}, sorted by exponent tuple
+    in descending order, with no zero coefficients; add_tail[n] is add[n]
     minus its two linear leading terms x_n + y_n, and only involves
     variables of index below n.
     """
@@ -43,16 +45,33 @@ class WittPolys:
     add_tail: tuple
 
 
-def _freeze(expr, gens):
-    import sympy
+def _padd(a, b, k=1):
+    """a + k*b for polynomials held as {exponent tuple: int coefficient}."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + k * c
+    return {e: c for e, c in out.items() if c}
 
-    poly = sympy.Poly(expr, *gens, domain="QQ")
-    out = []
-    for exps, coeff in poly.terms():
-        if coeff.q != 1:
-            raise WittError("structure polynomial has a fractional coefficient")
-        out.append((int(coeff), tuple(int(e) for e in exps)))
-    return tuple(out)
+
+def _pmul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ppow(a, k):
+    """a**k for k >= 1, by repeated squaring."""
+    if k == 1:
+        return a
+    half = _ppow(_pmul(a, a), k // 2)
+    return _pmul(half, a) if k & 1 else half
+
+
+def _freeze(poly):
+    return tuple((poly[e], e) for e in sorted(poly, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -66,53 +85,35 @@ def witt_structure_polys(p, N):
         raise WittError(
             f"Witt length {N} over p={p} is out of the supported range "
             f"(lengths up to 3, or 4 when p = 2)")
-    import sympy
-
-    xs = sympy.symbols(f"x:{N}")
-    ys = sympy.symbols(f"y:{N}")
-    gens = xs + ys
+    gens = [{tuple(int(j == i) for j in range(2 * N)): 1}
+            for i in range(2 * N)]
+    xs, ys = gens[:N], gens[N:]
 
     def ghost(vs, n):
-        return sum(p**i * vs[i] ** (p ** (n - i)) for i in range(n + 1))
+        acc = {}
+        for i in range(n + 1):
+            acc = _padd(acc, _ppow(vs[i], p ** (n - i)), p**i)
+        return acc
 
     def solve(targets):
         comps = []
         for n in range(N):
-            lower = sum(p**i * comps[i] ** (p ** (n - i)) for i in range(n))
-            num = sympy.expand(targets[n] - lower)
-            # exactness of this division is rechecked when freezing
-            comps.append(sympy.expand(num / sympy.Integer(p) ** n))
+            num = targets[n]
+            for i in range(n):
+                num = _padd(num, _ppow(comps[i], p ** (n - i)), -p**i)
+            if any(c % p**n for c in num.values()):
+                raise WittError(
+                    "structure polynomial has a fractional coefficient")
+            comps.append({e: c // p**n for e, c in num.items()})
         return comps
 
-    add_exprs = solve([ghost(xs, n) + ghost(ys, n) for n in range(N)])
-    mul_exprs = solve([ghost(xs, n) * ghost(ys, n) for n in range(N)])
-    add = tuple(_freeze(e, gens) for e in add_exprs)
-    mul = tuple(_freeze(e, gens) for e in mul_exprs)
-    tails = tuple(_freeze(add_exprs[n] - xs[n] - ys[n], gens)
-                  for n in range(N))
-    return WittPolys(p, N, add, mul, tails)
-
-
-def witt_structure_exprs(p, N):
-    """Sympy form of the structure data, for independent ghost checks."""
-    import sympy
-
-    polys = witt_structure_polys(p, N)
-    xs = sympy.symbols(f"x:{N}")
-    ys = sympy.symbols(f"y:{N}")
-    gens = xs + ys
-
-    def unfreeze(terms):
-        return sympy.Add(*[
-            coeff * sympy.Mul(*[g**e for g, e in zip(gens, exps) if e])
-            for coeff, exps in terms])
-
-    return {
-        "xs": xs,
-        "ys": ys,
-        "add": [unfreeze(t) for t in polys.add],
-        "mul": [unfreeze(t) for t in polys.mul],
-    }
+    add_polys = solve([_padd(ghost(xs, n), ghost(ys, n)) for n in range(N)])
+    mul_polys = solve([_pmul(ghost(xs, n), ghost(ys, n)) for n in range(N)])
+    tails = [_padd(_padd(add_polys[n], xs[n], -1), ys[n], -1)
+             for n in range(N)]
+    return WittPolys(p, N, tuple(_freeze(a) for a in add_polys),
+                     tuple(_freeze(m) for m in mul_polys),
+                     tuple(_freeze(t) for t in tails))
 
 
 # --- ring adapters ---

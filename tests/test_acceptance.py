@@ -23,11 +23,11 @@ from gosslift.gassmann import (PermGroup, cayley_komatsu, coset_cycle_type,
 from gosslift.poly import (MonicPoly, enumerate_monic,
                            enumerate_monic_irreducibles)
 from gosslift.witt import (FieldOps, WittVector, int_to_witt,
-                           lifted_goss_eval, teichmuller, witt_mul,
-                           witt_structure_exprs)
+                           lifted_goss_eval, teichmuller, witt_mul)
 from gosslift.zeta import (DirichletTable, compare_zeta, dirichlet_table,
                            goss_eval, pgalois_check, prime_power_residues,
                            reconstruct_splitting, weil_series)
+from witt_oracle import witt_structure_exprs
 
 T0 = time.monotonic()
 

@@ -1,8 +1,13 @@
 """End-to-end tests for the command line interface.
 
-Each test drives gosslift.cli.main in process and checks the printed
-text and exit code exactly.
+Each test drives gosslift.cli.main and checks the printed text and exit
+code exactly: in process, or in a fresh interpreter where a test needs
+one (a timeout, or a clean sys.modules).
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,10 +47,33 @@ poly=X - T
 """
 
 
+CFG_F4 = """
+[field]
+p=2
+m=2
+[extension]
+name=F4
+poly=X - T
+"""
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+# runs main in a fresh interpreter, then reports whether sympy got loaded
+CHILD = ("import sys; from gosslift.cli import main; rc = main(sys.argv[1:]); "
+         "print('sympy loaded:', 'sympy' in sys.modules); sys.exit(rc)")
+
+
 def write_cfg(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_child(args, timeout=60):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", CHILD, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_splitting_ramified(tmp_path, capsys):
@@ -265,3 +293,28 @@ def test_group_file_with_non_integer_n_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[group]:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cfg,N", [(CFG_F, 3), (CFG_F4, 4)],
+                         ids=["F3-N3", "F4-N4"])
+def test_lifted_zeta_does_not_load_sympy(tmp_path, cfg, N):
+    f = write_cfg(tmp_path, "F.cfg", cfg)
+    res = run_child(["zeta", "--kind", "lifted", "--ext", f, "--s", "1",
+                     "--prec", "3", "--max-degree", "3",
+                     "--witt-len", str(N)])
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0].startswith("(") and lines[0].count(";") == N - 1
+    assert lines[1] == "sympy loaded: False"
+
+
+def test_huge_characteristic_fails_fast(tmp_path):
+    # p is prime, so it is the size bound that must reject it, before
+    # any primality test by trial division
+    cfg = write_cfg(tmp_path, "big.cfg",
+                    "[field]\np=1000000000000000003\n"
+                    "[extension]\nname=K\npoly=X - T\n")
+    res = run_child(["table", "--ext", cfg], timeout=20)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error[field]:")
+    assert "exceeds bound 256" in res.stderr

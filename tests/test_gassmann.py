@@ -7,8 +7,8 @@ import pytest
 
 from gosslift.errors import GroupError
 from gosslift.gassmann import (PermGroup, all_subgroups_of_order, are_conjugate,
-                               builtin_group, cayley_komatsu, compose,
-                               conjugacy_classes_of, conjugate,
+                               builtin_group, cayley_komatsu, close_generators,
+                               compose, conjugacy_classes_of, conjugate,
                                coset_cycle_type, coset_types, cycle_type,
                                cyclic_subgroup_classes, format_perm,
                                gassmann_by_cycle_type, gassmann_check,
@@ -80,6 +80,15 @@ def test_perm_group_validation():
     with pytest.raises(GroupError):
         symmetric_group(0)
     assert symmetric_group(1).order == 1
+
+
+def test_close_generators_limit():
+    c6 = [parse_perm("(1 2 3 4 5 6)", 6)]
+    powers = {tuple((i + k) % 6 for i in range(6)) for k in range(6)}
+    assert close_generators(c6, 6, 6) == powers
+    assert close_generators(c6, 6, 5) is None
+    with pytest.raises(GroupError, match="closure exceeded 5 elements"):
+        PermGroup(6, c6, bound=5)
 
 
 def test_klein_four():

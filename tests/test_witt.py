@@ -8,12 +8,12 @@ from gosslift.errors import WittError
 from gosslift.extension import builtin_extension, trivial_extension
 from gosslift.field import gf_create
 from gosslift.laurent import LaurentSeries
-from gosslift.witt import (FieldOps, LaurentOps, WittVector, int_to_witt,
-                           lifted_goss_eval, teichmuller, witt_add, witt_mul,
-                           witt_neg, witt_structure_exprs,
-                           witt_structure_polys, witt_sub, witt_text,
-                           witt_zero)
+from gosslift.witt import (FieldOps, LaurentOps, WittPolys, WittVector,
+                           int_to_witt, lifted_goss_eval, teichmuller,
+                           witt_add, witt_mul, witt_neg, witt_structure_polys,
+                           witt_sub, witt_text, witt_zero)
 from gosslift.zeta import DirichletTable, dirichlet_table, goss_eval
+from witt_oracle import sympy_structure_polys, witt_structure_exprs
 
 K3 = gf_create(3)
 
@@ -53,6 +53,20 @@ def test_ghost_identities():
             mul_ghost = sum(p**i * e["mul"][i] ** (p ** (n - i))
                             for i in range(n + 1))
             assert sympy.expand(mul_ghost - ghost(xs, n) * ghost(ys, n)) == 0
+
+
+SUPPORTED = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+             (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3))
+
+
+@pytest.mark.parametrize("p,N", SUPPORTED)
+def test_structure_polys_match_sympy_oracle(p, N):
+    """The int-dict derivation reproduces the sympy one term for term."""
+    ref = sympy_structure_polys(p, N)
+    # sympy freezes the zero polynomial (add_tail[0]) as one zero term
+    tails = tuple(tuple(t for t in terms if t[0]) for terms in ref.add_tail)
+    assert witt_structure_polys(p, N) == WittPolys(p, N, ref.add, ref.mul,
+                                                   tails)
 
 
 def test_structure_polys_cached_and_ranged():
