@@ -29,7 +29,8 @@ from .gassmann import (GassmannReport, PermGroup, all_subgroups_of_order,
                        format_perm, gassmann_by_cycle_type, gassmann_check,
                        inverse, klein4, klein4_pair, parse_group_file,
                        parse_group_text, parse_perm, perm_order, psl27,
-                       psl27_pair, subgroups_of_order, symmetric_group)
+                       psl27_pair, psl211, psl211_pair, subgroups_of_order,
+                       symmetric_group)
 from .demos import DEMOS, run_demo, standard_extensions
 
 __version__ = "0.1.0"

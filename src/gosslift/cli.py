@@ -15,7 +15,7 @@ from .errors import GossliftError, ZetaError
 from .extension import parse_extension_file, splitting_type
 from .gassmann import (cayley_komatsu, gassmann_by_cycle_type,
                        gassmann_check, klein4_pair, parse_group_file,
-                       psl27_pair)
+                       psl27_pair, psl211_pair)
 from .textforms import parse_monic
 from .witt import FieldOps, LaurentOps, lifted_goss_eval, witt_text
 from .zeta import (compare_zeta, dirichlet_table, dump_table, goss_eval,
@@ -68,7 +68,7 @@ def _cmd_compare(args):
     return 0
 
 
-_PAIRS = {"psl27": psl27_pair, "klein4": klein4_pair}
+_PAIRS = {"psl27": psl27_pair, "psl211": psl211_pair, "klein4": klein4_pair}
 
 
 def _komatsu_text():
@@ -143,7 +143,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("gassmann", help="Gassmann equivalence reports")
-    p.add_argument("--builtin", choices=("psl27", "klein4", "komatsu3"))
+    p.add_argument("--builtin",
+                   choices=("psl27", "psl211", "klein4", "komatsu3"))
     p.add_argument("--group", metavar="FILE")
     p.add_argument("--h1", metavar="FILE")
     p.add_argument("--h2", metavar="FILE")

@@ -23,7 +23,9 @@ Config files are sectioned key=value text,
 
 with as many [override] sections as needed, and builtin=NAME:k=v,... as an
 alternative to poly.  Values may contain spaces (continuation tokens
-without '=' are appended), and '#' starts a comment.
+without '=' are appended), and '#' starts a comment.  A poly= of X-degree
+above 1 must pass an irreducibility test at small primes, or the config
+is rejected.
 """
 
 from __future__ import annotations
@@ -297,10 +299,15 @@ def splitting_types(ext, d):
         st = ext.overrides.get(prime)
         if st is None:
             _check_unramified(ext, prime, disc and poly.peval(F, disc, alpha))
-            fbar = tuple(poly.peval(F, c, alpha) for c in ext.xt_coeffs)
-            st = _unramified_type(poly.distinct_degree_counts(F, fbar))
+            st = _model_type(ext, F, alpha)
         out.append((prime, st))
     return out
+
+
+def _model_type(ext, F, alpha):
+    """Type of an unramified prime with root alpha in the model F."""
+    fbar = tuple(poly.peval(F, c, alpha) for c in ext.xt_coeffs)
+    return _unramified_type(poly.distinct_degree_counts(F, fbar))
 
 
 def _disc_coeffs(ext):
@@ -376,6 +383,8 @@ def parse_extension(text):
         cols = textforms.parse_xt_poly(base, extsec["poly"])
         ext = ExtensionSpec(name, base, cols, (), overrides)
     _validate_cover(ext)
+    if has_poly and ext.degree > 1:
+        _check_irreducible(ext)
     return ext
 
 
@@ -418,6 +427,40 @@ def _validate_cover(ext):
             raise ExtensionError(
                 f"prime {prime} divides the discriminant of {ext.name} "
                 f"but has no override")
+
+
+def _check_irreducible(ext):
+    """Musser's degree-set test (JACM 25, 1978) at small primes.
+
+    If f = g*h over F_q(T) with g of X-degree k, then f mod pi = g*h mod
+    pi at every prime pi, so k is a sum of some of the inertia degrees at
+    every unramified pi.  The test intersects those subset sums over the
+    unramified primes of degree <= 2 that carry no override and are not
+    marked bad, and stops once only 0 and n are left: f is irreducible.
+    Otherwise it cannot decide, and the polynomial is rejected, since an
+    irreducible f whose small primes all split alike looks the same to
+    it as a reducible one.
+    """
+    n = ext.degree
+    possible = set(range(n + 1))
+    disc = _disc_coeffs(ext)
+    for d in (1, 2):
+        F = ext.field.zech_field(d)
+        for prime, alpha in zip(*F.irreducibles()):
+            if (prime in ext.overrides or prime in ext.bad_primes
+                    or not poly.peval(F, disc, alpha)):
+                continue
+            sums = {0}
+            for f in _model_type(ext, F, alpha).inertia_degrees():
+                sums |= {s + f for s in sums}
+            possible &= sums
+            if len(possible) == 2:
+                return
+    left = ", ".join(str(k) for k in sorted(possible - {0, n}))
+    raise ExtensionError(
+        f"cannot certify that {ext.poly_text()} is irreducible: the "
+        f"degree-set test at unramified primes of degree <= 2 could not "
+        f"decide; factor degrees still possible: {left}")
 
 
 def _read_sections(text):

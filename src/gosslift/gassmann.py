@@ -32,7 +32,7 @@ def identity_perm(n):
 
 def compose(a, b):
     """Apply b, then a."""
-    return tuple(a[i] for i in b)
+    return tuple([a[i] for i in b])
 
 
 def inverse(a):
@@ -44,7 +44,37 @@ def inverse(a):
 
 def conjugate(g, x):
     """g x g^-1."""
-    return compose(compose(g, x), inverse(g))
+    return _conjugate_by(g, inverse(g), x)
+
+
+def _conjugate_by(g, gi, x):
+    """g x g^-1, for a caller that has formed gi = g^-1 once."""
+    return tuple([g[x[i]] for i in gi])
+
+
+def _conjugate_set(g, gi, s):
+    return frozenset(_conjugate_by(g, gi, x) for x in s)
+
+
+def _conjugation_orbit(G, start, act):
+    """The conjugates of start under G, each mapped to some h in G that
+    carries start to it, in the order found.
+
+    act(g, g^-1, item) conjugates one item (an element or an element
+    set).  The walk steps by the generators of G only: G is finite, so
+    products of its generators reach every element, and each generator
+    is inverted once.
+    """
+    steps = [(g, inverse(g)) for g in G.gens]
+    reached = {start: identity_perm(G.n)}
+    queue = [start]
+    for item in queue:
+        for g, gi in steps:
+            image = act(g, gi, item)
+            if image not in reached:
+                reached[image] = compose(g, reached[item])
+                queue.append(image)
+    return reached
 
 
 def cycle_type(a):
@@ -154,8 +184,8 @@ class PermGroup:
             for x in self.elements:
                 if x in seen:
                     continue
-                cls = {conjugate(g, x) for g in self.elements}
-                seen |= cls
+                cls = _conjugation_orbit(self, x, _conjugate_by)
+                seen.update(cls)
                 classes.append(tuple(sorted(cls)))
             classes.sort(key=lambda c: (len(c), c[0]))
             self._classes = tuple(classes)
@@ -173,9 +203,9 @@ class PermGroup:
         return f"<{label} on {self.n} points, order {self.order}>"
 
 
-def close_generators(gens, n, limit):
+def close_generators(gens, n, limit, within=None):
     """The group generated by gens as a frozenset, or None as soon as it
-    grows past limit elements."""
+    grows past limit elements or, when a set within is given, leaves it."""
     e = identity_perm(n)
     seen = {e}
     frontier = [e]
@@ -185,7 +215,8 @@ def close_generators(gens, n, limit):
             for g in gens:
                 y = compose(g, x)
                 if y not in seen:
-                    if len(seen) >= limit:
+                    if len(seen) >= limit or (within is not None
+                                              and y not in within):
                         return None
                     seen.add(y)
                     nxt.append(y)
@@ -243,13 +274,7 @@ def gassmann_check(G, H1, H2):
 
 
 def are_conjugate(G, H1, H2):
-    target = H2._set
-    h1 = H1.elements
-    for g in G.elements:
-        gi = inverse(g)
-        if all(compose(compose(g, h), gi) in target for h in h1):
-            return True
-    return False
+    return H2._set in _conjugation_orbit(G, H1._set, _conjugate_set)
 
 
 def coset_cycle_type(G, H, g):
@@ -313,27 +338,61 @@ def all_subgroups_of_order(G, k):
     Subgroups needing three or more generators are not found; for the
     groups treated here (and for any group whose order-k subgroups are
     cyclic, dihedral, or otherwise 2-generated) the enumeration is
-    complete.  Returns PermGroup objects, deduplicated, in a fixed order.
+    complete.  Returns PermGroup objects, deduplicated, sorted by their
+    sorted element tuples.
+
+    The first generator runs over one representative per conjugacy class
+    only.  Take any S = <a, b> (or S = <a>), and g in G with g a g^-1 = r,
+    the representative of the class of a.  Then g S g^-1 = <r, g b g^-1>
+    (or <r>), which the search tries, since g b g^-1 is again an element
+    of order dividing k other than r.  The set of 2-generated order-k
+    subgroups is closed under conjugation, so the conjugates of what the
+    search finds are exactly that set.
+
+    Two cuts keep the closures short.  A closure stops at its first
+    element whose order does not divide k.  And b is skipped when it lies
+    in an order-k subgroup already found that holds a: then <a, b> is
+    that subgroup or smaller.
     """
     if k < 1 or G.order % k:
         raise GroupError(f"{k} does not divide the group order {G.order}")
     if k == 1:
         return [PermGroup(G.n, [], name="trivial")]
-    orders = {x: perm_order(x) for x in G.elements}
-    cands = [x for x in G.elements if k % orders[x] == 0 and orders[x] > 1]
+    orders = {}
+    for cls in G.conjugacy_classes():
+        orders.update(dict.fromkeys(cls, perm_order(cls[0])))
+    within = {x for x, o in orders.items() if k % o == 0}
+    cands = [x for x in G.elements if x in within and orders[x] > 1]
     found = {}
-    for i, a in enumerate(cands):
-        if orders[a] == k:
-            cl = close_generators([a], G.n, k + 1)
+    for cls in G.conjugacy_classes():
+        a = cls[0]
+        if a not in within or orders[a] == 1:
+            continue
+        covered = set().union(*(s for s in found if a in s))
+        tries = [(a,)] if orders[a] == k else []
+        tries += [(a, b) for b in cands if b != a]
+        for gens in tries:
+            if gens[-1] in covered:
+                continue
+            cl = close_generators(gens, G.n, k + 1, within)
             if cl is not None and len(cl) == k and cl not in found:
-                found[cl] = (a,)
-        for b in cands[i + 1:]:
-            cl = close_generators([a, b], G.n, k + 1)
-            if cl is not None and len(cl) == k and cl not in found:
-                found[cl] = (a, b)
-    out = []
-    for cl in sorted(found, key=lambda s: tuple(sorted(s))):
-        out.append(PermGroup(G.n, found[cl], name=f"order{k}"))
+                found[cl] = gens
+                covered |= cl
+    found = _conjugates_of(G, found)
+    return [PermGroup(G.n, found[cl], name=f"order{k}")
+            for cl in sorted(found, key=lambda s: tuple(sorted(s)))]
+
+
+def _conjugates_of(G, found):
+    """Close {element set: generators} under conjugation by G; each new
+    set gets the conjugated generators."""
+    out = {}
+    for s, gens in found.items():
+        if s in out:
+            continue
+        for image, h in _conjugation_orbit(G, s, _conjugate_set).items():
+            hi = inverse(h)
+            out[image] = tuple(_conjugate_by(h, hi, x) for x in gens)
     return out
 
 
@@ -354,20 +413,24 @@ def conjugacy_classes_of(G, subgroups):
             continue
         idx = len(buckets)
         buckets.append([H])
-        for g in G.elements:
-            image = frozenset(conjugate(g, h) for h in H.elements)
+        for image in _conjugation_orbit(G, key, _conjugate_set):
             assigned.setdefault(image, idx)
     return buckets
 
 
 def cyclic_subgroup_classes(G):
-    """Conjugacy classes of cyclic subgroups (the trivial one included)."""
+    """Conjugacy classes of cyclic subgroups (the trivial one included).
+
+    Every cyclic subgroup <a> is conjugate to <r> for the representative
+    r of the class of a, so only the representatives are closed and the
+    rest are their conjugates.
+    """
     found = {}
-    for a in G.elements:
-        cl = close_generators([a], G.n, G.order + 1)
-        if cl not in found:
-            found[cl] = a
-    subs = [PermGroup(G.n, [] if len(cl) == 1 else [found[cl]])
+    for cls in G.conjugacy_classes():
+        cl = close_generators([cls[0]], G.n, G.order + 1)
+        found.setdefault(cl, () if len(cl) == 1 else (cls[0],))
+    found = _conjugates_of(G, found)
+    subs = [PermGroup(G.n, found[cl])
             for cl in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
     return conjugacy_classes_of(G, subs)
 
@@ -375,19 +438,30 @@ def cyclic_subgroup_classes(G):
 # --- builtin groups ---
 
 
-def psl27():
-    """PSL(2,7) acting on the 8 points of the projective line over F_7.
+def _psl2(ell):
+    """PSL(2, ell) acting on the ell + 1 points of the projective line over
+    F_ell, for an odd prime ell.
 
-    Points are 0..6 and 7 for the point at infinity; generators are
-    x -> x + 1 and x -> -1/x.
+    Points are 0..ell-1 and ell for the point at infinity; generators
+    are x -> x + 1 and x -> -1/x.
     """
-    shift = tuple((i + 1) % 7 for i in range(7)) + (7,)
-    flip = [0] * 8
-    flip[0] = 7
-    flip[7] = 0
-    for x in range(1, 7):
-        flip[x] = (-pow(x, 5, 7)) % 7
-    return PermGroup(8, [shift, tuple(flip)], name="PSL(2,7)")
+    shift = tuple((i + 1) % ell for i in range(ell)) + (ell,)
+    flip = [0] * (ell + 1)
+    flip[0] = ell
+    flip[ell] = 0
+    for x in range(1, ell):
+        flip[x] = (-pow(x, ell - 2, ell)) % ell
+    return PermGroup(ell + 1, [shift, tuple(flip)], name=f"PSL(2,{ell})")
+
+
+def psl27():
+    """PSL(2,7) on the 8 points of the projective line over F_7."""
+    return _psl2(7)
+
+
+def psl211():
+    """PSL(2,11) on the 12 points of the projective line over F_11."""
+    return _psl2(11)
 
 
 def klein4():
@@ -408,17 +482,32 @@ def klein4_pair():
     return klein4(), h1, h2
 
 
+def _two_class_pair(G, k):
+    """G with one order-k subgroup from each of its two classes."""
+    reps = subgroups_of_order(G, k)
+    if len(reps) != 2:
+        raise GroupError(
+            f"expected 2 classes of order-{k} subgroups, found {len(reps)}")
+    return G, reps[0], reps[1]
+
+
 def psl27_pair():
     """PSL(2,7) with one order-24 subgroup from each of its two classes.
 
     The two are Gassmann equivalent but not conjugate.
     """
-    G = psl27()
-    reps = subgroups_of_order(G, 24)
-    if len(reps) != 2:
-        raise GroupError(
-            f"expected 2 classes of order-24 subgroups, found {len(reps)}")
-    return G, reps[0], reps[1]
+    return _two_class_pair(psl27(), 24)
+
+
+def psl211_pair():
+    """PSL(2,11) with one order-60 subgroup from each of its two classes.
+
+    Each class holds 11 icosahedral subgroups, the stabilizers of the
+    points in the two actions of degree 11.  The two are Gassmann
+    equivalent but not conjugate: the classical degree-11 pair (Perlis,
+    "On the equation zeta_K(s) = zeta_K'(s)", J. Number Theory 9, 1977).
+    """
+    return _two_class_pair(psl211(), 60)
 
 
 def symmetric_group(n):

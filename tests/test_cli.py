@@ -198,6 +198,14 @@ def test_gassmann_psl27(capsys):
     assert "CONJUGATE: no" in out
 
 
+def test_gassmann_psl211(capsys):
+    assert main(["gassmann", "--builtin", "psl211"]) == 0
+    out = capsys.readouterr().out
+    assert "group PSL(2,11) on 12 points, order 660; subgroups of order 60" in out
+    assert "GASSMANN: yes" in out
+    assert "CONJUGATE: no" in out
+
+
 def test_gassmann_from_files(tmp_path, capsys):
     g = tmp_path / "s3.grp"
     g.write_text("n=3\nname=s3\ngen=(1 2)\ngen=(1 2 3)\n")
@@ -258,6 +266,16 @@ def test_broken_config(tmp_path, capsys):
     bad.write_text("[field]\np = 3\n[extension]\nname=K\npoly=X - T\n")
     assert main(["splitting", "--ext", str(bad), "--prime", "T"]) == 3
     assert capsys.readouterr().err.startswith("error[extension]:")
+
+
+def test_reducible_polynomial_exits_3(tmp_path, capsys):
+    red = write_cfg(tmp_path, "R.cfg",
+                    "[field]\np=3\n[extension]\nname=R\npoly=X^2 + X\n")
+    assert main(["table", "--ext", red, "--max-degree", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[extension]:")
+    assert "could not decide" in captured.err
 
 
 def test_usage_errors_exit_2(capsys):

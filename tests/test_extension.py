@@ -302,3 +302,45 @@ poly=X^3 - X - T
     assert ext.poly_text() == "X^3 + 2*X + 2*T"
     with pytest.raises(ExtensionError):
         parse_extension("[field]\np = 3\n[extension]\nname=A poly=X-T")
+
+
+def _poly_cfg(p, poly_text, extra=""):
+    return f"[field]\np={p}\n[extension]\nname=K\npoly={poly_text}\n{extra}"
+
+
+def test_reducible_polynomial_rejected():
+    # X (X^2 + X + 1): no prime ramifies, and every prime of degree <= 2
+    # over F_5 leaves a factor of degree 1 or 2 possible
+    with pytest.raises(ExtensionError,
+                       match="could not decide; factor degrees still possible: 1, 2"):
+        parse_extension(_poly_cfg(5, "X^3 + X^2 + X"))
+    with pytest.raises(ExtensionError, match="possible: 1$"):
+        parse_extension(_poly_cfg(3, "X^2 + X"))
+
+
+def test_irreducible_polynomials_certified():
+    assert parse_extension(_poly_cfg(3, "X^3 - X - T")).degree == 3
+    assert parse_extension(_poly_cfg(3, "X^2 - T",
+                                     "[override]\nprime=T\ntype=(2,1)")).degree == 2
+    assert parse_extension(_poly_cfg(2, "X^2 + X + T^3")).degree == 2
+    # a builtin is not tested, and X-degree 1 needs no test
+    assert parse_extension(
+        "[field]\np=3\n[extension]\nname=A\nbuiltin=artin_schreier:m=1").degree == 3
+    assert parse_extension(_poly_cfg(3, "X - T")).degree == 1
+
+
+def test_irreducibility_skips_overridden_primes():
+    # X^2 - T^5 + T over F_3: every degree-1 prime ramifies and is
+    # overridden, so only the unramified degree-2 primes can decide
+    extra = "".join(f"[override]\nprime={q}\ntype=(2,1)\n"
+                    for q in ("T", "T + 1", "T + 2", "T^2 + 1"))
+    assert parse_extension(_poly_cfg(3, "X^2 - T^5 + T", extra)).degree == 2
+
+
+def test_undecided_irreducible_polynomial_is_rejected():
+    # X^2 - T^3 + T over F_3 is irreducible, but every unramified prime of
+    # degree <= 2 splits, so the test cannot tell and says so
+    extra = "".join(f"[override]\nprime={q}\ntype=(2,1)\n"
+                    for q in ("T", "T + 1", "T + 2"))
+    with pytest.raises(ExtensionError, match="could not decide"):
+        parse_extension(_poly_cfg(3, "X^2 - T^3 + T", extra))

@@ -14,8 +14,9 @@ from gosslift.gassmann import (PermGroup, all_subgroups_of_order, are_conjugate,
                                gassmann_by_cycle_type, gassmann_check,
                                identity_perm, inverse, parse_perm,
                                parse_group_file, parse_group_text, perm_order,
-                               psl27, klein4, subgroups_of_order,
-                               symmetric_group)
+                               psl27, psl211, psl211_pair, klein4,
+                               subgroups_of_order, symmetric_group)
+from subgroup_oracle import oracle_subgroups_of_order
 
 
 def test_compose_applies_right_factor_first():
@@ -342,3 +343,76 @@ def test_builtin_group():
     assert builtin_group("s5").order == 120
     with pytest.raises(GroupError):
         builtin_group("monster")
+
+
+def _divisors(n):
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def _element_sets(subgroups):
+    return [H.elements for H in subgroups]
+
+
+@pytest.mark.parametrize("G,orders", [
+    (symmetric_group(4), None),
+    (symmetric_group(5), None),
+    (psl27(), None),
+    (psl211(), (6, 12)),
+], ids=["S4", "S5", "PSL27", "PSL211"])
+def test_subgroup_search_matches_pair_oracle(G, orders):
+    """Class representatives as first generator find what all pairs find."""
+    for k in orders or _divisors(G.order):
+        got = all_subgroups_of_order(G, k)
+        assert _element_sets(got) == _element_sets(oracle_subgroups_of_order(G, k))
+        assert all(H.order == k for H in got)
+
+
+def _relabeled(G, sigma):
+    """G with its points renamed by the permutation sigma."""
+    return PermGroup(G.n, [conjugate(sigma, g) for g in G.gens])
+
+
+def test_subgroup_counts_survive_relabeling():
+    G = psl211()
+    rng = random.Random(11)
+    points = list(range(G.n))
+    rng.shuffle(points)
+    R = _relabeled(G, tuple(points))
+    assert R.elements != G.elements
+    assert R.class_sizes() == G.class_sizes()
+    for k in (6, 12, 60):
+        counts = []
+        for H in (G, R):
+            subs = all_subgroups_of_order(H, k)
+            counts.append((len(subs), len(conjugacy_classes_of(H, subs))))
+        assert counts[0] == counts[1]
+
+
+def test_psl211_order60_search():
+    """Two classes of 11 icosahedral subgroups: the degree-11 Gassmann pair."""
+    G = psl211()
+    assert G.order == 660
+    subs = all_subgroups_of_order(G, 60)
+    buckets = conjugacy_classes_of(G, subs)
+    assert len(subs) == 22
+    assert [len(b) for b in buckets] == [11, 11]
+    G, H1, H2 = psl211_pair()
+    report = gassmann_check(G, H1, H2)
+    assert report.gassmann
+    assert not report.conjugate
+
+
+def test_conjugacy_machinery_matches_brute_force():
+    G = psl27()
+    brute = sorted(tuple(sorted({conjugate(g, x) for g in G.elements}))
+                   for x in G.elements)
+    assert sorted(G.conjugacy_classes()) == sorted(set(brute))
+    cyclic = {close_generators([a], G.n, G.order + 1) for a in G.elements}
+    buckets = cyclic_subgroup_classes(G)
+    assert {H._set for b in buckets for H in b} == cyclic
+    subs = all_subgroups_of_order(G, 24)
+    for H1 in subs:
+        for H2 in subs:
+            expected = any(frozenset(conjugate(g, h) for h in H1.elements)
+                           == H2._set for g in G.elements)
+            assert are_conjugate(G, H1, H2) == expected
