@@ -17,7 +17,8 @@ from .gassmann import (cayley_komatsu, gassmann_by_cycle_type,
                        gassmann_check, klein4_pair, parse_group_file,
                        psl27_pair, psl211_pair)
 from .textforms import parse_monic
-from .witt import FieldOps, LaurentOps, lifted_goss_eval, witt_text
+from .witt import (FieldOps, LaurentOps, check_lifted_args, lifted_goss_eval,
+                   witt_text)
 from .zeta import (compare_zeta, dirichlet_table, dump_table, goss_eval,
                    weil_series)
 
@@ -45,6 +46,11 @@ def _cmd_zeta(args):
     if args.kind != "weil" and args.prec < 0:
         raise ZetaError(f"--prec {args.prec} must be nonnegative")
     ext = parse_extension_file(args.ext)
+    if args.kind == "lifted" and args.max_degree >= 0:
+        # fail before building the table; a negative bound is the table's
+        # own error
+        check_lifted_args(ext.field.p, args.max_degree, args.s, args.prec,
+                          args.witt_len)
     table = dirichlet_table(ext, args.max_degree)
     if args.kind == "weil":
         print(weil_series(table))

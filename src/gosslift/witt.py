@@ -14,6 +14,23 @@ The rings that matter here are a finite field (Witt vectors of integers,
 Teichmuller representatives) and Laurent series at the infinite place
 (values of the lifted zeta).  Both are handled through small adapter
 objects rather than a class hierarchy.
+
+Terms that vanish are skipped, not computed.  Every ring element has a
+shape (valuation, precision): a Laurent series has its own, with
+valuation precision + 1 when it is zero, and a field element is a series
+of precision 0, so its valuation is 0, or 1 when it is zero.  The shape
+of a product follows from the shapes of its factors by the rules of
+LaurentSeries.__mul__, because over a field valuations of nonzero
+factors add exactly.  So each structure-polynomial term predicts its
+shape in integers first; a term that is zero at its precision costs no
+ring operation, and only its precision is folded into the sum.  In
+lifted_goss_eval the same rule stops the Teichmuller powers x^(p^i) once
+p * v(x) passes the precision.
+
+Integers enter W_N through their Teichmuller digits: in W(F_p) = Z_p an
+integer is k = sum p^i [a_i], where [a] = a^(p^(N-1)) mod p^N, so
+a_0 = k mod p, then k <- (k - [a_0]) / p, and so on, in exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -143,6 +160,14 @@ class FieldOps:
     def pow_(self, a, e):
         return self.field.pow_(a, e)
 
+    def shape(self, a):
+        """(valuation, precision): an element is a series of precision 0."""
+        return (0, 0) if a != self.zero else (1, 0)
+
+    def scale(self, a, k, prec):
+        """k * a; field elements are exact, so prec changes nothing."""
+        return self.field.mul(self.field.from_int(k), a)
+
     def render(self, a):
         return textforms.format_terms(self.field, [(a, 0)])
 
@@ -173,6 +198,16 @@ class LaurentOps:
     def pow_(self, a, e):
         return a.pow_int(e)
 
+    def shape(self, a):
+        return a.valuation, a.precision
+
+    def scale(self, a, k, prec):
+        """k * a, known to precision prec (at most a's)."""
+        K = self.field
+        c = K.from_int(k)
+        coeffs = a.coeffs if c == K.one else [K.mul(c, x) for x in a.coeffs]
+        return LaurentSeries(K, a.valuation, coeffs, prec)
+
     def render(self, a):
         return str(a)
 
@@ -200,10 +235,50 @@ def teichmuller(ops, x, N):
     return WittVector(ops.p, N, (x,) + (ops.zero,) * (N - 1))
 
 
+def _mul_shape(a, b):
+    """Shape of a product a * b, by the rules of LaurentSeries.__mul__."""
+    (va, pa), (vb, pb) = a, b
+    prec = min(pa, pb, va + pb, vb + pa)
+    v = va + vb
+    return (v if v <= prec else prec + 1), prec
+
+
+def _pow_shape(a, e):
+    """Shape of a**e for e >= 1, as LaurentSeries.pow_int builds it."""
+    result = (0, a[1])
+    while e:
+        if e & 1:
+            result = _mul_shape(result, a)
+        e >>= 1
+        if e:
+            a = _mul_shape(a, a)
+    return result
+
+
 def _eval_terms(ops, terms, vals):
+    """Sum of coeff * prod vals[i]**e over the terms, at the exact precision.
+
+    The result equals evaluating each term as the ring constant coeff
+    times one power after another and summing: shape, precision and all.
+    Each term first predicts its shape from the shapes of that product
+    (the constant has shape (0, P), or (P + 1, P) when p divides coeff,
+    for the ring's precision P).  If the valuation passes the precision,
+    the term is zero there: nothing is computed and only its precision
+    is kept, to be folded into the sum once at the end.  A surviving
+    term multiplies its powers in turn, starting from the first, and
+    applies its coefficient in one scale that also truncates it to the
+    predicted precision.  That truncation gives the same series, since
+    each skipped factor (the constant, or pow_int's leading one) can
+    only lower the precision and the coefficients up to the lower one
+    are the same.  Structure polynomials have no constant term.
+    """
+    one, zero = ops.shape(ops.one), ops.shape(ops.zero)
+    shapes = {}
     powers = {}
 
     def power(i, e):
+        if e == 1:
+            return vals[i]
         got = powers.get((i, e))
         if got is None:
             got = ops.pow_(vals[i], e)
@@ -211,12 +286,27 @@ def _eval_terms(ops, terms, vals):
         return got
 
     acc = ops.zero
+    low = zero[1]
     for coeff, exps in terms:
-        t = ops.from_int(coeff)
+        shape = one if coeff % ops.p else zero
         for i, e in enumerate(exps):
             if e:
-                t = ops.mul(t, power(i, e))
-        acc = ops.add(acc, t)
+                got = shapes.get((i, e))
+                if got is None:
+                    got = _pow_shape(ops.shape(vals[i]), e)
+                    shapes[(i, e)] = got
+                shape = _mul_shape(shape, got)
+        v, prec = shape
+        if v > prec:
+            low = min(low, prec)
+            continue
+        t = None
+        for i, e in enumerate(exps):
+            if e:
+                t = power(i, e) if t is None else ops.mul(t, power(i, e))
+        acc = ops.add(acc, ops.scale(t, coeff, prec))
+    if low < ops.shape(acc)[1]:
+        acc = ops.scale(acc, 1, low)
     return acc
 
 
@@ -265,19 +355,21 @@ def witt_sub(ops, a, b):
 
 
 def int_to_witt(ops, k, N):
-    """The image of the integer k, i.e. k copies of 1 summed in W_N.
+    """The image of the integer k in W_N, from its Teichmuller digits.
 
-    Only k mod p^N matters, so k is reduced first; the sum is then built
-    by binary double-and-add on the Teichmuller unit.
+    Only k mod p^N matters.  The digit a_i is k mod p; then k becomes
+    (k - [a_i]) / p with [a] = a^(p^(N-1)) mod p^N, an exact division
+    since [a] = a mod p.
     """
-    k %= ops.p ** N
-    acc = witt_zero(ops, N)
-    one = teichmuller(ops, ops.one, N)
-    for ch in bin(k)[2:]:
-        acc = witt_add(ops, acc, acc)
-        if ch == "1":
-            acc = witt_add(ops, acc, one)
-    return acc
+    p = ops.p
+    pN = p ** N
+    k %= pN
+    digits = []
+    for _ in range(N):
+        a = k % p
+        digits.append(ops.from_int(a))
+        k = (k - pow(a, pN // p, pN)) // p
+    return WittVector(p, N, tuple(digits))
 
 
 def witt_text(ops, w):
@@ -285,6 +377,28 @@ def witt_text(ops, w):
 
 
 # --- the lifted zeta ---
+
+
+def check_lifted_args(p, bound, s, M, N):
+    """Reject a lifted zeta request that no table of this bound can serve.
+
+    These are the checks of lifted_goss_eval that do not read the table,
+    so a caller can make them before it builds one.
+    """
+    witt_structure_polys(p, N)  # validates the (p, N) range up front
+    if s < 0:
+        raise WittError("the lifted zeta is defined for s >= 0 only")
+    if M < 0:
+        raise WittError(f"precision {M} must be nonnegative")
+    if s == 0:
+        if bound < 3:
+            raise WittError("table bound must be at least 3 for s = 0")
+        return
+    need = -(-M // s)
+    if bound < need:
+        raise WittError(
+            f"table bound {bound} is too small for s={s}, prec {M} "
+            f"(need {need})")
 
 
 def lifted_goss_eval(table, s, M, N):
@@ -298,16 +412,10 @@ def lifted_goss_eval(table, s, M, N):
     vector with field coordinates.  Negative s is not defined here.
     """
     K = table.field
-    witt_structure_polys(K.p, N)  # validates the (p, N) range up front
-    if s < 0:
-        raise WittError("the lifted zeta is defined for s >= 0 only")
-    if M < 0:
-        raise WittError(f"precision {M} must be nonnegative")
+    check_lifted_args(K.p, table.bound, s, M, N)
     fops = FieldOps(K)
+    pN = K.p ** N
     if s == 0:
-        pN = K.p ** N
-        if table.bound < 3:
-            raise WittError("table bound must be at least 3 for s = 0")
         blocks = table.block_sums()
         for d in range(table.bound - 2, table.bound + 1):
             if blocks[d] % pN:
@@ -315,29 +423,18 @@ def lifted_goss_eval(table, s, M, N):
                     f"degree block {d} is {blocks[d] % pN} mod p^{N}; "
                     f"the s=0 sum has not stabilized at this bound")
         return int_to_witt(fops, sum(blocks), N)
-    need = -(-M // s)
-    if table.bound < need:
-        raise WittError(
-            f"table bound {table.bound} is too small for s={s}, prec {M} "
-            f"(need {need})")
     lops = LaurentOps(K, M)
     acc = witt_zero(lops, N)
-    lift_cache = {}
     for n, b in table.entries.items():
-        if n.degree * s > M:
+        if n.degree * s > M or b % pN == 0:
             continue
-        key = b % (K.p ** N)
-        if key == 0:
-            continue
-        bw = lift_cache.get(key)
-        if bw is None:
-            bw = int_to_witt(fops, key, N)
-            lift_cache[key] = bw
+        bw = int_to_witt(fops, b, N)
         x = laurent_inv_pow(n, s, M)
         coords = []
         for i in range(N):
             coords.append(x.scale(bw.coords[i]))
             if i + 1 < N:
-                x = x.pow_int(K.p)
+                # x^p is zero at precision M once p * v(x) passes M
+                x = x.pow_int(K.p) if K.p * x.valuation <= M else lops.zero
         acc = witt_add(lops, acc, WittVector(K.p, N, tuple(coords)))
     return acc

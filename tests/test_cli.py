@@ -336,3 +336,19 @@ def test_huge_characteristic_fails_fast(tmp_path):
     assert res.returncode == 3
     assert res.stderr.startswith("error[field]:")
     assert "exceeds bound 256" in res.stderr
+
+
+@pytest.mark.parametrize("extra,needle", [
+    (["--witt-len", "5"], "out of the supported range"),
+    (["--s", "-1"], "defined for s >= 0 only"),
+    (["--s", "1", "--prec", "13"], "(need 13)"),
+], ids=["length", "negative-s", "bound"])
+def test_lifted_bad_arguments_fail_before_the_table(tmp_path, extra, needle):
+    # a degree-12 table over F_3 takes tens of seconds to build, so these
+    # must be rejected before it is
+    f = write_cfg(tmp_path, "F.cfg", CFG_F)
+    res = run_child(["zeta", "--kind", "lifted", "--ext", f,
+                     "--max-degree", "12", *extra], timeout=10)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error[witt]:")
+    assert needle in res.stderr

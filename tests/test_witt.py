@@ -13,7 +13,9 @@ from gosslift.witt import (FieldOps, LaurentOps, WittPolys, WittVector,
                            witt_add, witt_mul, witt_neg, witt_structure_polys,
                            witt_sub, witt_text, witt_zero)
 from gosslift.zeta import DirichletTable, dirichlet_table, goss_eval
-from witt_oracle import sympy_structure_polys, witt_structure_exprs
+from witt_oracle import (oracle_add, oracle_lifted_goss_eval, oracle_mul,
+                         oracle_neg, sympy_structure_polys,
+                         witt_structure_exprs)
 
 K3 = gf_create(3)
 
@@ -333,3 +335,90 @@ def test_lifted_errors():
         lifted_goss_eval(table, 1, 7, 2)  # bound 6 < need 7
     with pytest.raises(WittError):
         lifted_goss_eval(table, 1, 6, 4)  # length 4 needs p = 2
+
+
+@pytest.mark.parametrize("p,N", SUPPORTED)
+def test_int_to_witt_teichmuller_digits_match_ghost_digits(p, N):
+    for m in (1, 2):
+        K = gf_create(p, m)
+        ops = FieldOps(K)
+        for k in range(p ** N):
+            expect = tuple(K.from_int(d) for d in witt_digits(p, N, k))
+            assert int_to_witt(ops, k, N).coords == expect
+            assert int_to_witt(ops, k - p ** N, N).coords == expect
+
+
+def random_series(rng, K, precision):
+    """A series with valuation in -3..3 and precision within 3 of the given
+    one; about one in five is zero."""
+    prec = precision + rng.randrange(-3, 3)
+    if rng.randrange(5) == 0:
+        return LaurentSeries.zero(K, prec)
+    v = rng.randrange(-3, 4)
+    coeffs = [rng.randrange(K.q) for _ in range(rng.randrange(1, 5))]
+    return LaurentSeries(K, v, coeffs, prec)
+
+
+@pytest.mark.parametrize("p,m,N", [(2, 1, 2), (2, 1, 4), (2, 2, 3),
+                                   (3, 1, 2), (3, 1, 3), (3, 2, 2),
+                                   (5, 1, 2)])
+def test_laurent_arithmetic_matches_term_by_term_oracle(p, m, N):
+    """Skipping vanishing terms changes nothing, precision included."""
+    K = gf_create(p, m)
+    rng = random.Random(100 * p + 10 * m + N)
+    ops = LaurentOps(K, 5)
+    for _ in range(12):
+        a = WittVector(p, N, tuple(random_series(rng, K, 5)
+                                   for _ in range(N)))
+        b = WittVector(p, N, tuple(random_series(rng, K, 5)
+                                   for _ in range(N)))
+        assert witt_add(ops, a, b) == oracle_add(ops, a, b)
+        assert witt_mul(ops, a, b) == oracle_mul(ops, a, b)
+        assert witt_neg(ops, a) == oracle_neg(ops, a)
+
+
+def test_field_arithmetic_matches_term_by_term_oracle():
+    rng = random.Random(3)
+    for p, m, N in ((2, 2, 4), (3, 2, 3), (5, 1, 3)):
+        ops = FieldOps(gf_create(p, m))
+        for _ in range(20):
+            # a zero coordinate in about half the vectors
+            a = random_field_vector(rng, ops, N)
+            b = WittVector(p, N, (ops.zero,) + random_field_vector(
+                rng, ops, N).coords[1:])
+            assert witt_add(ops, a, b) == oracle_add(ops, a, b)
+            assert witt_mul(ops, a, b) == oracle_mul(ops, a, b)
+            assert witt_neg(ops, a) == oracle_neg(ops, a)
+
+
+def test_vanishing_terms_cost_no_multiplication(monkeypatch):
+    # x0^2 * y0 has valuation 5 = precision + 1 and x0 * y0^2 has 7, so
+    # W_2 addition over F_3 needs no product at precision 4
+    ops = LaurentOps(K3, 4)
+    a = WittVector(3, 2, (LaurentSeries(K3, 1, (1, 2), 4), ops.one))
+    b = WittVector(3, 2, (LaurentSeries(K3, 3, (2,), 4), ops.one))
+    expect = oracle_add(ops, a, b)
+    calls = []
+    real = LaurentSeries.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    assert witt_add(ops, a, b) == expect
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,m,kind,kw,D,s,M,N", [
+    (3, 1, "artin_schreier", {"m": 5}, 6, 1, 6, 3),
+    (3, 1, "artin_schreier", {"m": 5}, 6, 2, 12, 3),
+    (5, 1, "kummer_sqrt", {"c": "T^3 + T + 1"}, 3, 1, 3, 3),
+    (2, 2, "artin_schreier", {"m": 1}, 5, 1, 5, 4),
+    (3, 2, "artin_schreier", {"m": 1}, 3, 1, 3, 2),
+], ids=["F3-N3-s1", "F3-N3-s2", "F5-N3", "F4-N4", "F9-N2"])
+def test_lifted_goss_eval_matches_oracle_loop(p, m, kind, kw, D, s, M, N):
+    K = gf_create(p, m)
+    table = dirichlet_table(builtin_extension(K, kind, **kw), D)
+    assert (lifted_goss_eval(table, s, M, N)
+            == oracle_lifted_goss_eval(table, s, M, N))
