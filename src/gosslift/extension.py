@@ -31,7 +31,6 @@ is rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import poly, textforms
 from .errors import ExtensionError
@@ -39,7 +38,6 @@ from .field import FiniteField, ResidueField, gf_create
 from .poly import MonicPoly
 
 
-@dataclass(frozen=True)
 class SplittingType:
     """Multiset of (ramification index, inertia degree) pairs above a prime.
 
@@ -47,15 +45,20 @@ class SplittingType:
     equal multisets compare equal.
     """
 
-    pairs: tuple
+    __slots__ = ("pairs",)
 
     def __init__(self, pairs):
-        pairs = tuple(sorted(((int(e), int(f)) for e, f in pairs),
-                             key=lambda ef: (ef[1], ef[0])))
-        object.__setattr__(self, "pairs", pairs)
-        for e, f in pairs:
+        self.pairs = tuple(sorted(((int(e), int(f)) for e, f in pairs),
+                                  key=lambda ef: (ef[1], ef[0])))
+        for e, f in self.pairs:
             if e < 1 or f < 1:
                 raise ExtensionError("splitting type entries must be positive")
+
+    def __eq__(self, other):
+        return isinstance(other, SplittingType) and self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
 
     @property
     def degree(self):
@@ -64,10 +67,6 @@ class SplittingType:
     def inertia_degrees(self):
         """Inertia degrees with multiplicity, sorted ascending."""
         return tuple(sorted(f for _, f in self.pairs))
-
-    @property
-    def is_unramified(self):
-        return all(e == 1 for e, _ in self.pairs)
 
     def __str__(self):
         return ",".join(f"({e},{f})" for e, f in self.pairs)

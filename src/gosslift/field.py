@@ -533,26 +533,6 @@ class ResidueField:
     def pth_root(self, a):
         return self.pow_(a, self.order // self.p)
 
-    def trace_to_prime(self, a):
-        """Trace down to F_p, returned as an int 0..p-1."""
-        steps = 1
-        while self.p ** steps < self.order:
-            steps += 1
-        acc = self.zero
-        x = a
-        for _ in range(steps):
-            acc = self.add(acc, x)
-            x = self.pth_power(x)
-        lifted = self.lift(acc)
-        if len(lifted) > 1:
-            raise FieldError("trace did not land in the prime field")
-        if not lifted:
-            return 0
-        c = self.base.coords(lifted[0])
-        if any(c[1:]):
-            raise FieldError("trace did not land in the prime field")
-        return c[0]
-
     def __eq__(self, other):
         return (isinstance(other, ResidueField)
                 and self.base == other.base and self.modulus == other.modulus)

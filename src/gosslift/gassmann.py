@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import GroupError
 
 CLOSURE_BOUND = 25000
+POINT_BOUND = 1000  # most points a group text may declare
 
 
 def identity_perm(n):
@@ -227,15 +227,16 @@ def close_generators(gens, n, limit, within=None):
 # --- Gassmann machinery ---
 
 
-@dataclass
 class GassmannReport:
-    group: str
-    degree: int
-    order: int
-    subgroup_order: int
-    rows: tuple  # (class representative perm, size, count1, count2)
-    gassmann: bool
-    conjugate: bool
+    def __init__(self, group, degree, order, subgroup_order, rows, gassmann,
+                 conjugate):
+        self.group = group
+        self.degree = degree
+        self.order = order
+        self.subgroup_order = subgroup_order
+        self.rows = rows  # (class representative perm, size, count1, count2)
+        self.gassmann = gassmann
+        self.conjugate = conjugate
 
     def text(self):
         head = (f"group {self.group or '?'} on {self.degree} points, "
@@ -601,6 +602,9 @@ def parse_group_text(text, n=None, default_name=""):
                 raise GroupError(f"point count {value!r} is not an integer") from None
             if declared < 1:
                 raise GroupError(f"point count {declared} must be positive")
+            if declared > POINT_BOUND:
+                raise GroupError(
+                    f"point count {declared} exceeds bound {POINT_BOUND}")
             if n is not None and declared != n:
                 raise GroupError(
                     f"point count {declared} does not match expected {n}")

@@ -171,17 +171,6 @@ class LaurentSeries:
     def __hash__(self):
         return hash((self.field, self.valuation, self.coeffs, self.precision))
 
-    def agrees_with(self, other, through=None):
-        """Equality of all known coefficients up to the joint precision."""
-        bound = min(self.precision, other.precision)
-        if through is not None:
-            bound = min(bound, through)
-        v = min(self.valuation, other.valuation)
-        for j in range(v, bound + 1):
-            if self.coefficient(j) != other.coefficient(j):
-                return False
-        return True
-
     def __str__(self):
         from .textforms import format_terms
         if self.is_zero:

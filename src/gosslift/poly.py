@@ -358,10 +358,6 @@ class MonicPoly:
     def __pow__(self, e):
         return MonicPoly(self.field, ppow(self.field, self.coeffs, e))
 
-    @property
-    def is_one(self):
-        return len(self.coeffs) == 1
-
     def divides(self, other):
         return not pmod(self.field, other.coeffs, self.coeffs)
 
@@ -390,19 +386,18 @@ def factor_monic(field, coeffs):
     """Factor a nonzero polynomial over a table field into monic irreducibles.
 
     The unit leading coefficient is discarded.  Returns ((prime, mult), ...)
-    with primes in enumeration order.  Trial division; fine at the degrees
-    this library meets.
+    with primes in enumeration order.  The factor degrees come first from
+    poly_factor_degrees; trial division then runs only at the degrees that
+    occur, and stops once the remainder is a power of one irreducible.
     """
     coeffs = pmonic(field, ptrim(field, coeffs))
     if not coeffs:
         raise PolyError("cannot factor the zero polynomial")
+    left = list(poly_factor_degrees(field, coeffs))  # (degree, mult), sorted
     out = []
     rem = coeffs
-    d = 1
-    while pdeg(rem) > 0:
-        if 2 * d > pdeg(rem):
-            out.append((MonicPoly(field, rem), 1))
-            break
+    while len(left) > 1:
+        d = left[0][0]
         for g in enumerate_monic_irreducibles(field, d):
             mult = 0
             while True:
@@ -413,9 +408,13 @@ def factor_monic(field, coeffs):
                 mult += 1
             if mult:
                 out.append((g, mult))
-            if pdeg(rem) == 0:
-                break
-        d += 1
+                left.remove((d, mult))
+                if len(left) == 1 or left[0][0] != d:
+                    break
+    if left:
+        (_, mult), = left
+        root = squarefree_decomposition(field, rem)[mult]
+        out.append((MonicPoly(field, root), mult))
     return tuple(out)
 
 

@@ -35,7 +35,7 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import textforms
@@ -44,8 +44,7 @@ from .field import _is_prime
 from .laurent import LaurentSeries, laurent_inv_pow
 
 
-@dataclass(frozen=True)
-class WittPolys:
+class WittPolys(namedtuple("WittPolys", "p N add mul add_tail")):
     """Frozen structure polynomials for W_N in characteristic p.
 
     add[n], mul[n], add_tail[n] are tuples of (coeff, exponents) terms in
@@ -55,11 +54,7 @@ class WittPolys:
     variables of index below n.
     """
 
-    p: int
-    N: int
-    add: tuple
-    mul: tuple
-    add_tail: tuple
+    __slots__ = ()
 
 
 def _padd(a, b, k=1):
@@ -215,15 +210,13 @@ class LaurentOps:
 # --- vectors and arithmetic ---
 
 
-@dataclass(frozen=True)
-class WittVector:
-    p: int
-    N: int
-    coords: tuple
+class WittVector(namedtuple("WittVector", "p N coords")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coords) != self.N:
+    def __new__(cls, p, N, coords):
+        if len(coords) != N:
             raise WittError("coordinate count does not match the length")
+        return super().__new__(cls, p, N, coords)
 
 
 def witt_zero(ops, N):

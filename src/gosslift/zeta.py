@@ -20,7 +20,6 @@ support is a verdict "for all n of degree <= D" and nothing more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import poly, textforms
 from .errors import GossliftError, ZetaError
@@ -45,14 +44,14 @@ def local_counts(st, kmax):
     return c
 
 
-@dataclass
 class DirichletTable:
     """Ideal counts B(n) for all monic n of degree <= bound, as exact ints."""
 
-    ext_name: str
-    field: object
-    bound: int
-    entries: dict  # MonicPoly -> int, in (degree, coeffs) order
+    def __init__(self, ext_name, field, bound, entries):
+        self.ext_name = ext_name
+        self.field = field
+        self.bound = bound
+        self.entries = entries  # MonicPoly -> int, in (degree, coeffs) order
 
     def block_sums(self):
         """Sum of B(n) over each degree block, degrees 0..bound."""
@@ -101,13 +100,13 @@ def dirichlet_table(ext, bound):
     return DirichletTable(ext.name, K, bound, table)
 
 
-@dataclass
 class WeilSeries:
     """Degree-block ideal counts a_d = sum of B(n) over deg n = d."""
 
-    ext_name: str
-    bound: int
-    coeffs: tuple
+    def __init__(self, ext_name, bound, coeffs):
+        self.ext_name = ext_name
+        self.bound = bound
+        self.coeffs = coeffs
 
     def __str__(self):
         body = " + ".join(f"{a}*u^{d}" if d else str(a)
@@ -184,14 +183,14 @@ def _power_blocks(table, k, top):
 # --- comparison ---
 
 
-@dataclass
 class ZetaVerdict:
-    kind: str
-    equal: bool
-    bound: int
-    witness: object = None  # MonicPoly or degree int
-    left: object = None
-    right: object = None
+    def __init__(self, kind, equal, bound, witness=None, left=None, right=None):
+        self.kind = kind
+        self.equal = equal
+        self.bound = bound
+        self.witness = witness  # MonicPoly or degree int
+        self.left = left
+        self.right = right
 
     def text(self):
         if self.equal:

@@ -59,9 +59,13 @@ poly=X - T
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
-# runs main in a fresh interpreter, then reports whether sympy got loaded
+# runs main in a fresh interpreter, then reports which of sympy (a test-only
+# oracle), dataclasses and inspect (slow imports) got loaded
 CHILD = ("import sys; from gosslift.cli import main; rc = main(sys.argv[1:]); "
-         "print('sympy loaded:', 'sympy' in sys.modules); sys.exit(rc)")
+         "[print(m, 'loaded:', m in sys.modules) "
+         "for m in ('sympy', 'dataclasses', 'inspect')]; sys.exit(rc)")
+NOTHING_LOADED = ["sympy loaded: False", "dataclasses loaded: False",
+                  "inspect loaded: False"]
 
 
 def write_cfg(tmp_path, name, text):
@@ -313,6 +317,20 @@ def test_group_file_with_non_integer_n_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_group_file_with_huge_n_exits_3(tmp_path):
+    # a billion points must be refused before any permutation is built
+    g = tmp_path / "g.grp"
+    g.write_text("n = 1000000000\ngen=(1 2 3)\n")
+    h = tmp_path / "h.grp"
+    h.write_text("gen=(1 2 3)\n")
+    res = run_child(["gassmann", "--group", str(g), "--h1", str(h),
+                     "--h2", str(h)], timeout=10)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error[group]:")
+    assert "exceeds bound 1000" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("cfg,N", [(CFG_F, 3), (CFG_F4, 4)],
                          ids=["F3-N3", "F4-N4"])
 def test_lifted_zeta_does_not_load_sympy(tmp_path, cfg, N):
@@ -323,7 +341,15 @@ def test_lifted_zeta_does_not_load_sympy(tmp_path, cfg, N):
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert lines[0].startswith("(") and lines[0].count(";") == N - 1
-    assert lines[1] == "sympy loaded: False"
+    assert lines[1:] == NOTHING_LOADED
+
+
+def test_gassmann_loads_no_dataclasses():
+    res = run_child(["gassmann", "--builtin", "psl27"])
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "GASSMANN: yes" in lines
+    assert lines[-3:] == NOTHING_LOADED
 
 
 def test_huge_characteristic_fails_fast(tmp_path):

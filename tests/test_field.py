@@ -166,33 +166,6 @@ def test_residue_field_project_lift():
         assert R.project(R.lift(a)) == a
 
 
-def test_residue_field_trace_to_prime():
-    K = gf_create(3)
-    R = ResidueField(K, (1, 0, 1))
-    tbar = (0, 1)
-    assert R.trace_to_prime(tbar) == 0  # T + T^3 = T - T
-    assert R.trace_to_prime((1, 1)) == 2
-    assert R.trace_to_prime(R.one) == 2  # m copies of 1
-    for a in R.elements():
-        for b in R.elements():
-            s = (R.trace_to_prime(a) + R.trace_to_prime(b)) % 3
-            assert R.trace_to_prime(R.add(a, b)) == s
-
-
-def test_residue_field_trace_matches_frobenius_orbit():
-    K = gf_create(3)
-    R = ResidueField(K, (2, 2, 0, 1))
-    for a in R.elements():
-        acc = R.zero
-        x = a
-        for _ in range(3):
-            acc = R.add(acc, x)
-            x = R.pth_power(x)
-        lifted = R.lift(acc)
-        expect = 0 if not lifted else lifted[0]
-        assert R.trace_to_prime(a) == expect
-
-
 def test_residue_field_over_extension_base():
     K9 = gf_create(3, 2)
     irred = None
@@ -209,7 +182,6 @@ def test_residue_field_over_extension_base():
         assert R.mul(a, b) == R.mul(b, a)
         if a != R.zero:
             assert R.mul(a, R.inv(a)) == R.one
-    assert R.trace_to_prime(R.one) == (4 % 3)
 
 
 def test_residue_field_bad_modulus():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gosslift.errors import PolyError
-from gosslift.field import gf_create
+from gosslift.field import FiniteField, gf_create
 from gosslift import poly
 from gosslift.poly import MonicPoly
 from gosslift.textforms import parse_monic
@@ -252,7 +252,7 @@ def test_monic_poly_validation():
     with pytest.raises(PolyError):
         MonicPoly(K, ())
     one = MonicPoly(K, (1,))
-    assert one.is_one
+    assert one.degree == 0
     with pytest.raises(AttributeError):
         one.coeffs = (0, 1)
 
@@ -292,15 +292,33 @@ def test_factor_monic_recovers_random_products():
     rng = random.Random(7)
     K = gf_create(3)
     pool = []
-    for d in (1, 2):
+    for d in (1, 2, 3):
         pool.extend(poly.enumerate_monic_irreducibles(K, d))
-    for _ in range(40):
+    for _ in range(60):
         chosen = rng.sample(pool, rng.randrange(1, 4))
         f = MonicPoly(K, (1,))
         expect = {}
         for g in chosen:
-            e = rng.randrange(1, 3)
+            e = rng.randrange(1, 5)  # e = 3 takes the p-th root path
             expect[g] = e
             for _ in range(e):
                 f = f * g
-        assert dict(poly.factor_monic(K, f.coeffs)) == expect
+        # primes come out in enumeration order
+        assert poly.factor_monic(K, f.coeffs) == tuple(sorted(expect.items()))
+
+
+def test_factor_monic_trial_divides_only_where_needed():
+    # trial division by every irreducible up to half the degree would build
+    # a model of F_{3^d} for each d <= 13 here
+    K = FiniteField(3)
+    rng = random.Random(27)
+    while True:
+        f = tuple(rng.randrange(3) for _ in range(27)) + (1,)
+        if poly.poly_factor_degrees(K, f) == ((27, 1),):
+            break
+    P = MonicPoly(K, f)
+    t1 = MonicPoly(K, (1, 1))
+    assert poly.factor_monic(K, f) == ((P, 1),)
+    assert poly.factor_monic(K, (t1 * t1 * P).coeffs) == ((t1, 2), (P, 1))
+    assert poly.factor_monic(K, (P * P * P).coeffs) == ((P, 3),)
+    assert set(K._zech_cache) <= {1}
