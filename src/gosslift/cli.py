@@ -19,8 +19,8 @@ from .gassmann import (cayley_komatsu, gassmann_by_cycle_type,
 from .textforms import parse_monic
 from .witt import (FieldOps, LaurentOps, check_lifted_args, lifted_goss_eval,
                    witt_text)
-from .zeta import (compare_zeta, dirichlet_table, dump_table, goss_eval,
-                   weil_series)
+from .zeta import (check_goss_args, compare_zeta, dirichlet_table, dump_table,
+                   goss_eval, weil_series)
 
 
 def _cmd_splitting(args):
@@ -46,11 +46,13 @@ def _cmd_zeta(args):
     if args.kind != "weil" and args.prec < 0:
         raise ZetaError(f"--prec {args.prec} must be nonnegative")
     ext = parse_extension_file(args.ext)
+    # fail before building the table; a negative bound is the table's own
+    # error
     if args.kind == "lifted" and args.max_degree >= 0:
-        # fail before building the table; a negative bound is the table's
-        # own error
         check_lifted_args(ext.field.p, args.max_degree, args.s, args.prec,
                           args.witt_len)
+    elif args.kind == "goss" and args.max_degree >= 0:
+        check_goss_args(args.max_degree, args.s, args.prec)
     table = dirichlet_table(ext, args.max_degree)
     if args.kind == "weil":
         print(weil_series(table))

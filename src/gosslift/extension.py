@@ -113,8 +113,7 @@ def _require_prime(base, p):
         raise ExtensionError("primes must be MonicPoly over the base field")
     if p.degree < 1:
         raise ExtensionError("the unit polynomial is not a prime")
-    degs = poly.poly_factor_degrees(base, p.coeffs)
-    if degs != ((p.degree, 1),):
+    if not poly.is_irreducible(base, p.coeffs):
         raise ExtensionError(f"{p} is not irreducible")
 
 

@@ -21,7 +21,8 @@ coordinatewise arithmetic; it serves single-prime queries.
 The default modulus for F_{p^m} is the lexicographically smallest monic
 irreducible of degree m, comparing coefficient sequences low to high with
 coefficients as integers 0..p-1.  Examples: X^2+X+1 over F_2, X^2+1 over
-F_3.  This pins down a single canonical model per (p, m).
+F_3.  This pins down a single canonical model per (p, m).  Moduli are
+tested with poly.is_irreducible, and every pow_ is poly.power.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ FIELD_SIZE_BOUND = 256
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+    return poly.prime_factors(n) == [n]
 
 
 class FiniteField:
@@ -104,22 +98,8 @@ class FiniteField:
                 row.append(self.element_from_coords(prod[:m]))
             mul_table.append(row)
         self._mul = mul_table
-        inv = [None] * q
-        for a in range(1, q):
-            if inv[a] is None:
-                for b in range(1, q):
-                    if mul_table[a][b] == 1:
-                        inv[a] = b
-                        inv[b] = a
-                        break
-        self._inv = inv
-        pth = []
-        for a in range(q):
-            x = a
-            for _ in range(1, self.p):
-                x = mul_table[x][a]
-            pth.append(x)
-        self._pth = pth
+        self._inv = [None] + [self.pow_(a, q - 2) for a in range(1, q)]
+        self._pth = pth = [self.pow_(a, p) for a in range(q)]
         pthroot = [None] * q
         for a in range(q):
             pthroot[pth[a]] = a
@@ -176,14 +156,7 @@ class FiniteField:
         if e < 0:
             a = self.inv(a)
             e = -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul[r][a]
-            e >>= 1
-            if e:
-                a = self._mul[a][a]
-        return r
+        return poly.power(self.mul, 1, a, e)
 
     def zech_field(self, d):
         """The model of F_{q^d} over this field, built on first use."""
@@ -208,7 +181,7 @@ def _smallest_irreducible(p, m):
     """Lexicographically first monic irreducible of degree m over F_p."""
     base = FiniteField(p)
     for lower in itertools.product(range(p), repeat=m):
-        if _rabin_irreducible(base, lower + (1,)):
+        if poly.is_irreducible(base, lower + (1,)):
             return lower + (1,)
     raise FieldError("no irreducible modulus found")  # unreachable
 
@@ -217,34 +190,6 @@ def _smallest_irreducible(p, m):
 def gf_create(p, m=1):
     """The canonical F_{p^m} with the lexicographically smallest modulus."""
     return FiniteField(p, m)
-
-
-def _prime_factors(n):
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _rabin_irreducible(K, g):
-    """Rabin's test: monic g of degree d is irreducible over K exactly when
-    Y^(q^d) = Y mod g and gcd(Y^(q^(d/r)) - Y, g) = 1 for each prime r | d."""
-    d = poly.pdeg(g)
-    rows = poly._reduction_rows(K, g, max(d - 1, (d - 1) * K.p))
-    y = poly.pmod(K, (K.zero, K.one), g)
-    powers = [y]
-    for _ in range(d):
-        powers.append(poly.field_power_mod(K, powers[-1], g, rows))
-    return powers[d] == y and all(
-        poly.pdeg(poly.pgcd(K, poly.psub(K, powers[d // r], y), g)) == 0
-        for r in _prime_factors(d))
 
 
 def _primitive_modulus(K, d):
@@ -257,15 +202,15 @@ def _primitive_modulus(K, d):
     F_{q^d}^* generates F_q^*.
     """
     n = K.q ** d - 1
-    cofactors = [n // r for r in _prime_factors(n)]
+    cofactors = [n // r for r in poly.prime_factors(n)]
     generators = {a for a in range(1, K.q)
                   if all(K.pow_(a, (K.q - 1) // r) != K.one
-                         for r in _prime_factors(K.q - 1))}
+                         for r in poly.prime_factors(K.q - 1))}
     sign = K.one if d % 2 == 0 else K.neg(K.one)
     y = (K.zero, K.one)
     for lower in itertools.product(range(K.q), repeat=d):
         g = lower + (K.one,)
-        if (K.mul(sign, lower[0]) in generators and _rabin_irreducible(K, g)
+        if (K.mul(sign, lower[0]) in generators and poly.is_irreducible(K, g)
                 and all(poly.ppow_mod(K, y, e, g) != (K.one,) for e in cofactors)):
             return g
     raise FieldError("no primitive modulus found")  # unreachable
@@ -518,14 +463,7 @@ class ResidueField:
         if e < 0:
             a = self.inv(a)
             e = -e
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return r
+        return poly.power(self.mul, self.one, a, e)
 
     def pth_power(self, a):
         return self.pow_(a, self.p)

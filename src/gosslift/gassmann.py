@@ -17,6 +17,7 @@ and orders up to a few thousand.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 
@@ -95,13 +96,7 @@ def cycle_type(a):
 
 
 def perm_order(a):
-    k = 1
-    b = a
-    e = identity_perm(len(a))
-    while b != e:
-        b = compose(a, b)
-        k += 1
-    return k
+    return math.lcm(*cycle_type(a))
 
 
 def parse_perm(text, n):

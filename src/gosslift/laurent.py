@@ -144,16 +144,8 @@ class LaurentSeries:
     def pow_int(self, e):
         if e < 0:
             raise LaurentError("negative powers need an explicit expansion")
-        K = self.field
-        result = LaurentSeries.one(K, self.precision)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return poly.power(LaurentSeries.__mul__,
+                          LaurentSeries.one(self.field, self.precision), self, e)
 
     def _check(self, other):
         if not isinstance(other, LaurentSeries) or other.field != self.field:

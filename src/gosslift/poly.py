@@ -1,14 +1,20 @@
 """Dense univariate polynomial arithmetic over a field object.
 
 Polynomials are tuples of field elements, constant term first, with no
-trailing zeros; the zero polynomial is the empty tuple.  Every function
-takes the coefficient field K as its first argument and only uses the
-small protocol shared by field.FiniteField, field.ZechField and
-field.ResidueField:
+trailing zeros; the zero polynomial is the empty tuple.  Every polynomial
+function takes the coefficient field K as its first argument and, unless
+its docstring asks for a table field, only uses the small protocol
+shared by field.FiniteField, field.ZechField and field.ResidueField:
 
     K.zero, K.one, K.p, K.order
     K.add(a, b), K.sub(a, b), K.neg(a), K.mul(a, b), K.inv(a)
     K.from_int(k), K.pth_power(a), K.pth_root(a)
+
+Each algorithm of the package has one implementation here: power is the
+square-and-multiply behind every power of a field element, polynomial,
+Laurent series or Witt structure polynomial; is_irreducible is Rabin's
+test; factor_monic factors by squarefree parts, distinct-degree parts
+and equal-degree splitting, with no model of an extension field.
 
 MonicPoly wraps a monic polynomial over a table field together with its
 field; it is hashable and totally ordered (degree, then coefficients read
@@ -17,8 +23,8 @@ low to high), which fixes the enumeration order used everywhere else.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
 
 from .errors import PolyError
 
@@ -122,16 +128,23 @@ def pgcd(K, f, g):
     return pmonic(K, f)
 
 
-def ppow_mod(K, base, e, mod):
-    result = (K.one,)
-    base = pmod(K, base, mod)
+def power(mul, one, x, e):
+    """x to the power e >= 0 by square-and-multiply: starting from one,
+    r = mul(r, x) at each set bit of e, low bit first, squaring x between
+    bits.  Every power in the package goes through here."""
+    r = one
     while e:
         if e & 1:
-            result = pmod(K, pmul(K, result, base), mod)
+            r = mul(r, x)
         e >>= 1
         if e:
-            base = pmod(K, pmul(K, base, base), mod)
-    return result
+            x = mul(x, x)
+    return r
+
+
+def ppow_mod(K, base, e, mod):
+    return power(lambda f, g: pmod(K, pmul(K, f, g), mod), (K.one,),
+                 pmod(K, base, mod), e)
 
 
 def pderiv(K, f):
@@ -149,14 +162,7 @@ def peval(K, f, x):
 
 
 def ppow(K, f, e):
-    result = (K.one,)
-    while e:
-        if e & 1:
-            result = pmul(K, result, f)
-        e >>= 1
-        if e:
-            f = pmul(K, f, f)
-    return result
+    return power(functools.partial(pmul, K), (K.one,), f, e)
 
 
 # --- factorization into degrees ---
@@ -226,6 +232,36 @@ def field_power_mod(K, h, f, rows=None):
     return h
 
 
+def prime_factors(n):
+    """The distinct primes dividing n, ascending; [] for n < 2."""
+    out = []
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            out.append(k)
+            while n % k == 0:
+                n //= k
+        k += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_irreducible(K, g):
+    """Rabin's test: monic g of degree d >= 1 is irreducible over K exactly
+    when Y^(q^d) = Y mod g and gcd(Y^(q^(d/r)) - Y, g) = 1 for each prime
+    r dividing d."""
+    d = pdeg(g)
+    rows = _reduction_rows(K, g, max(d - 1, (d - 1) * K.p))
+    y = pmod(K, (K.zero, K.one), g)
+    powers = [y]
+    for _ in range(d):
+        powers.append(field_power_mod(K, powers[-1], g, rows))
+    return powers[d] == y and all(
+        pdeg(pgcd(K, psub(K, powers[d // r], y), g)) == 0
+        for r in prime_factors(d))
+
+
 def pth_root_poly(K, f):
     """For f with zero derivative, the g with g^p = f."""
     p = K.p
@@ -267,9 +303,10 @@ def _squarefree_into(K, f, scale, out):
     _squarefree_into(K, c, scale, out)
 
 
-def distinct_degree_counts(K, f):
-    """Counter degree -> number of irreducible factors, for squarefree monic f."""
-    counts = Counter()
+def distinct_degree_parts(K, f):
+    """[(e, g_e)] for squarefree monic f, e ascending: g_e is the product of
+    the irreducible factors of f of degree e, for each e that occurs."""
+    parts = []
     d = pdeg(f)
     rows = _reduction_rows(K, f, max((d - 1) * K.p, d))
     x = ptrim(K, (K.zero, K.one))
@@ -279,34 +316,60 @@ def distinct_degree_counts(K, f):
         h = field_power_mod(K, h, f, rows)
         g = pgcd(K, psub(K, h, x), f)
         if pdeg(g) > 0:
-            counts[e] += pdeg(g) // e
+            parts.append((e, g))
             f = pdivexact(K, f, g)
             if pdeg(f) == 0:
-                return counts
+                return parts
             rows = _reduction_rows(K, f, max((pdeg(f) - 1) * K.p, pdeg(f)))
             h = pmod(K, h, f)
         e += 1
     if pdeg(f) > 0:
-        counts[pdeg(f)] += 1
-    return counts
+        parts.append((pdeg(f), f))
+    return parts
 
 
-def poly_factor_degrees(K, f):
-    """Multiset of (degree, multiplicity) over the irreducible factors of f.
+def distinct_degree_counts(K, f):
+    """Dict degree -> number of irreducible factors, for squarefree monic f."""
+    return {e: pdeg(g) // e for e, g in distinct_degree_parts(K, f)}
 
-    Returned as a sorted tuple with one entry per irreducible factor, so a
-    split square like (X-1)^2(X+1) gives ((1, 1), (1, 2)).
+
+def equal_degree_split(K, g, e):
+    """The monic irreducible factors, in no fixed order, of squarefree monic
+    g over a table field F_q, q = p^m, whose factors all have degree e
+    (Cantor and Zassenhaus, Math. Comp. 36, 1981).
+
+    For a residue h mod g, the absolute trace t = h + h^p + ... +
+    h^(p^(me-1)) mod g is an element of F_p modulo each factor, so g is
+    the product of gcd(t - c, g) over c in F_p.  The trials h run over the
+    residues of degree 1 .. deg(g) - 1 in a fixed order, so the split is
+    deterministic, and one always exists: for distinct factors P, P',
+    h |-> trace(h mod P) - trace(h mod P') is a nonzero F_p-linear map
+    that vanishes on the constants, so not on every other residue.
     """
-    f = ptrim(K, f)
-    if not f:
-        raise PolyError("cannot factor the zero polynomial")
-    if pdeg(f) == 0:
-        return ()
-    pairs = []
-    for mult, part in squarefree_decomposition(K, f).items():
-        for degree, count in distinct_degree_counts(K, part).items():
-            pairs.extend([(degree, mult)] * count)
-    return tuple(sorted(pairs))
+    d = pdeg(g)
+    if d == e:
+        return [g]
+    rows = _reduction_rows(K, g, (d - 1) * K.p)
+    trials = (lower + (lead,) for k in range(1, d)
+              for lead in K.elements() if lead != K.zero
+              for lower in itertools.product(K.elements(), repeat=k))
+    for h in trials:
+        t = h
+        for _ in range(K.m * e - 1):
+            h = _frobenius_mod(K, h, g, rows)
+            t = padd(K, t, h)
+        parts = []
+        rest = g
+        for c in range(K.p):
+            part = pgcd(K, psub(K, t, (K.from_int(c),)), rest)
+            if pdeg(part) > 0:
+                parts.append(part)
+                rest = pdivexact(K, rest, part)
+                if pdeg(rest) == 0:
+                    break
+        if len(parts) > 1:
+            return [f for part in parts for f in equal_degree_split(K, part, e)]
+    raise PolyError("equal-degree splitting found no split")  # unreachable
 
 
 # --- monic polynomials over a table field ---
@@ -386,36 +449,19 @@ def factor_monic(field, coeffs):
     """Factor a nonzero polynomial over a table field into monic irreducibles.
 
     The unit leading coefficient is discarded.  Returns ((prime, mult), ...)
-    with primes in enumeration order.  The factor degrees come first from
-    poly_factor_degrees; trial division then runs only at the degrees that
-    occur, and stops once the remainder is a power of one irreducible.
+    with primes in enumeration order.  Squarefree parts, then their
+    distinct-degree parts, then equal-degree splitting of each: no model of
+    any extension field is built.
     """
     coeffs = pmonic(field, ptrim(field, coeffs))
     if not coeffs:
         raise PolyError("cannot factor the zero polynomial")
-    left = list(poly_factor_degrees(field, coeffs))  # (degree, mult), sorted
     out = []
-    rem = coeffs
-    while len(left) > 1:
-        d = left[0][0]
-        for g in enumerate_monic_irreducibles(field, d):
-            mult = 0
-            while True:
-                q, r = pdivmod(field, rem, g.coeffs)
-                if r:
-                    break
-                rem = q
-                mult += 1
-            if mult:
-                out.append((g, mult))
-                left.remove((d, mult))
-                if len(left) == 1 or left[0][0] != d:
-                    break
-    if left:
-        (_, mult), = left
-        root = squarefree_decomposition(field, rem)[mult]
-        out.append((MonicPoly(field, root), mult))
-    return tuple(out)
+    for mult, part in squarefree_decomposition(field, coeffs).items():
+        for e, g in distinct_degree_parts(field, part):
+            out.extend((MonicPoly(field, f), mult)
+                       for f in equal_degree_split(field, g, e))
+    return tuple(sorted(out))
 
 
 def enumerate_monic_irreducibles(field, d):

@@ -18,6 +18,10 @@ from __future__ import annotations
 from . import poly
 from .errors import PolyError
 
+# Largest T- or X-degree a term may have: far above any table bound, and
+# low enough that no term allocates more than a few kilobytes.
+MAX_TEXT_DEGREE = 1000
+
 
 def _tokens(text):
     toks = []
@@ -32,7 +36,10 @@ def _tokens(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(("int", int(text[i:j])))
+            try:
+                toks.append(("int", int(text[i:j])))
+            except ValueError:  # past the interpreter's digit limit
+                raise PolyError(f"integer of {j - i} digits is too long") from None
             i = j
             continue
         if ch in "+-*^":
@@ -79,6 +86,9 @@ def _parse_term(field, toks, i, allow_x):
                 coeff = field.mul(coeff, field.pow_(field.generator, exp))
         else:
             raise PolyError(f"unexpected {val!r} in polynomial term")
+        if max(xd, td) > MAX_TEXT_DEGREE:
+            raise PolyError(
+                f"term degree {max(xd, td)} exceeds the bound {MAX_TEXT_DEGREE}")
         if i < n and toks[i][0] == "*":
             i += 1
             continue

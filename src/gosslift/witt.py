@@ -42,6 +42,7 @@ from . import textforms
 from .errors import WittError
 from .field import _is_prime
 from .laurent import LaurentSeries, laurent_inv_pow
+from .poly import power
 
 
 class WittPolys(namedtuple("WittPolys", "p N add mul add_tail")):
@@ -75,11 +76,8 @@ def _pmul(a, b):
 
 
 def _ppow(a, k):
-    """a**k for k >= 1, by repeated squaring."""
-    if k == 1:
-        return a
-    half = _ppow(_pmul(a, a), k // 2)
-    return _pmul(half, a) if k & 1 else half
+    """a**k for k >= 1."""
+    return power(_pmul, a, a, k - 1)
 
 
 def _freeze(poly):
@@ -237,15 +235,9 @@ def _mul_shape(a, b):
 
 
 def _pow_shape(a, e):
-    """Shape of a**e for e >= 1, as LaurentSeries.pow_int builds it."""
-    result = (0, a[1])
-    while e:
-        if e & 1:
-            result = _mul_shape(result, a)
-        e >>= 1
-        if e:
-            a = _mul_shape(a, a)
-    return result
+    """Shape of a**e for e >= 1: LaurentSeries.pow_int's power with the
+    shape rule of _mul_shape for the product, from the shape of one."""
+    return power(_mul_shape, (0, a[1]), a, e)
 
 
 def _eval_terms(ops, terms, vals):

@@ -121,6 +121,25 @@ def weil_series(table):
 # --- zeta evaluation mod p ---
 
 
+def check_goss_args(bound, s, M):
+    """Reject a goss_eval request that no table of this bound can serve.
+
+    These are the checks of goss_eval that do not read the table, so a
+    caller can make them before it builds one.
+    """
+    if M < 0:
+        raise ZetaError(f"precision {M} must be nonnegative")
+    if s >= 1:
+        need = -(-M // s)
+        if bound < need:
+            raise ZetaError(
+                f"table bound {bound} is too small for s={s}, prec {M} "
+                f"(need {need})")
+    elif bound < 3 - s:
+        raise ZetaError(
+            f"table bound {bound} is too small for s={s} (need {3 - s})")
+
+
 def goss_eval(table, s, M):
     """The characteristic-p zeta value at integer s, as a Laurent series.
 
@@ -131,14 +150,8 @@ def goss_eval(table, s, M):
     vanish identically, otherwise the evaluation fails.
     """
     K = table.field
-    if M < 0:
-        raise ZetaError(f"precision {M} must be nonnegative")
+    check_goss_args(table.bound, s, M)
     if s >= 1:
-        need = -(-M // s)
-        if table.bound < need:
-            raise ZetaError(
-                f"table bound {table.bound} is too small for s={s}, prec {M} "
-                f"(need {need})")
         acc = LaurentSeries.zero(K, M)
         for n, b in table.entries.items():
             if n.degree * s > M:
@@ -150,9 +163,6 @@ def goss_eval(table, s, M):
         return acc
     k = -s
     top = k + 3
-    if table.bound < top:
-        raise ZetaError(
-            f"table bound {table.bound} is too small for s={s} (need {top})")
     blocks = _power_blocks(table, k, top)
     for d in range(k + 1, top + 1):
         if blocks[d]:
@@ -362,7 +372,8 @@ def load_table(text_or_path, from_path=False):
 
     A malformed header or line, a modulus of degree above the bound or
     listed twice, or a table that does not hold all (q^(D+1) - 1)/(q - 1)
-    monic moduli of degree <= D raises ZetaError.
+    monic moduli of degree <= D (none of degree D, for a start) raises
+    ZetaError.
     """
     if from_path:
         try:
@@ -399,6 +410,12 @@ def load_table(text_or_path, from_path=False):
         if n in table:
             raise ZetaError(f"table line {lineno}: {n} is listed twice")
         table[n] = b
+    # a full table of bound D holds every monic of degree D; checked first,
+    # so a huge header bound never reaches the count below
+    top = max((n.degree for n in table), default=-1)
+    if bound > top:
+        raise ZetaError(
+            f"table header has D={bound}, but its largest degree is {top}")
     expected = (K.q ** (bound + 1) - 1) // (K.q - 1)
     if len(table) != expected:
         raise ZetaError(

@@ -378,3 +378,29 @@ def test_lifted_bad_arguments_fail_before_the_table(tmp_path, extra, needle):
     assert res.returncode == 3
     assert res.stderr.startswith("error[witt]:")
     assert needle in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["splitting", "--ext", "K.cfg", "--prime", "T^10000000000"],
+    ["table", "--ext", "huge.cfg", "--max-degree", "1"],
+], ids=["prime", "config"])
+def test_huge_exponent_in_polynomial_text_exits_3(tmp_path, args):
+    # refused by the parser before a list of that length is allocated
+    write_cfg(tmp_path, "K.cfg", CFG_K)
+    write_cfg(tmp_path, "huge.cfg", "[field]\np=3\n[extension]\nname=H\n"
+                                    "poly=X^2 - T^5000000000\n")
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+    res = run_child(args, timeout=10)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error[poly]:")
+    assert "Traceback" not in res.stderr
+
+
+def test_goss_bound_fails_before_the_table(tmp_path):
+    # a degree-12 table over F_3 takes tens of seconds to build
+    f = write_cfg(tmp_path, "F.cfg", CFG_F)
+    res = run_child(["zeta", "--kind", "goss", "--ext", f,
+                     "--max-degree", "12", "--prec", "100"], timeout=10)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error[zeta]:")
+    assert "(need 100)" in res.stderr

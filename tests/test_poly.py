@@ -157,17 +157,22 @@ def test_squarefree_decomposition_reconstructs():
             assert rebuilt == f
 
 
-def test_poly_factor_degrees_examples():
+def factor_degrees(K, f):
+    """Sorted (degree, multiplicity) pairs, one per irreducible factor."""
+    return tuple(sorted((g.degree, e) for g, e in poly.factor_monic(K, f)))
+
+
+def test_factor_degree_multiset_examples():
     K = gf_create(3)
     f = poly.pmul(K, poly.pmul(K, (2, 1), (2, 1)), (1, 1))
-    assert poly.poly_factor_degrees(K, f) == ((1, 1), (1, 2))
+    assert factor_degrees(K, f) == ((1, 1), (1, 2))
     g = parse_monic(K, "T^2 + 1")
-    assert poly.poly_factor_degrees(K, g.coeffs) == ((2, 1),)
-    assert poly.poly_factor_degrees(K, (0, 1)) == ((1, 1),)
-    assert poly.poly_factor_degrees(K, (2,)) == ()
+    assert factor_degrees(K, g.coeffs) == ((2, 1),)
+    assert factor_degrees(K, (0, 1)) == ((1, 1),)
+    assert factor_degrees(K, (2,)) == ()
 
 
-def test_poly_factor_degrees_random_products():
+def test_factor_degree_multiset_random_products():
     rng = random.Random(5)
     for q, m in ((2, 1), (3, 1), (5, 1), (3, 2)):
         K = gf_create(q, m)
@@ -182,7 +187,7 @@ def test_poly_factor_degrees_random_products():
                 e = rng.randrange(1, 4)
                 expect.append((g.degree, e))
                 f = poly.pmul(K, f, poly.ppow(K, g.coeffs, e))
-            got = poly.poly_factor_degrees(K, f)
+            got = factor_degrees(K, f)
             assert got == tuple(sorted(expect))
             assert sum(d * e for d, e in got) == poly.pdeg(f)
 
@@ -288,18 +293,24 @@ def test_factor_monic():
         poly.factor_monic(K, ())
 
 
-def test_factor_monic_recovers_random_products():
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)],
+                         ids=["F2", "F3", "F4", "F5", "F9"])
+def test_factor_monic_recovers_random_products(p, m):
     rng = random.Random(7)
-    K = gf_create(3)
-    pool = []
-    for d in (1, 2, 3):
-        pool.extend(poly.enumerate_monic_irreducibles(K, d))
-    for _ in range(60):
-        chosen = rng.sample(pool, rng.randrange(1, 4))
+    K = gf_create(p, m)
+    by_degree = {d: poly.enumerate_monic_irreducibles(K, d) for d in (1, 2, 3)}
+    pool = [g for primes in by_degree.values() for g in primes]
+    for trial in range(60):
+        if trial % 2:
+            chosen = rng.sample(pool, rng.randrange(1, 4))
+        else:
+            # several distinct factors of one degree: equal-degree splitting
+            primes = by_degree[rng.choice((1, 2, 3))]
+            chosen = rng.sample(primes, min(len(primes), rng.randrange(2, 5)))
         f = MonicPoly(K, (1,))
         expect = {}
         for g in chosen:
-            e = rng.randrange(1, 5)  # e = 3 takes the p-th root path
+            e = rng.randrange(1, 5)  # e = p takes the p-th root path
             expect[g] = e
             for _ in range(e):
                 f = f * g
@@ -307,18 +318,58 @@ def test_factor_monic_recovers_random_products():
         assert poly.factor_monic(K, f.coeffs) == tuple(sorted(expect.items()))
 
 
+def random_irreducible(K, rng, d):
+    while True:
+        f = tuple(rng.randrange(K.q) for _ in range(d)) + (1,)
+        if poly.is_irreducible(K, f):
+            return MonicPoly(K, f)
+
+
 def test_factor_monic_trial_divides_only_where_needed():
-    # trial division by every irreducible up to half the degree would build
-    # a model of F_{3^d} for each d <= 13 here
+    # factoring builds no model of any F_{3^d}; trial division by every
+    # irreducible up to half the degree would build one for each d <= 13
     K = FiniteField(3)
     rng = random.Random(27)
-    while True:
-        f = tuple(rng.randrange(3) for _ in range(27)) + (1,)
-        if poly.poly_factor_degrees(K, f) == ((27, 1),):
-            break
-    P = MonicPoly(K, f)
+    P = random_irreducible(K, rng, 27)
     t1 = MonicPoly(K, (1, 1))
-    assert poly.factor_monic(K, f) == ((P, 1),)
+    assert poly.factor_monic(K, P.coeffs) == ((P, 1),)
     assert poly.factor_monic(K, (t1 * t1 * P).coeffs) == ((t1, 2), (P, 1))
     assert poly.factor_monic(K, (P * P * P).coeffs) == ((P, 3),)
-    assert set(K._zech_cache) <= {1}
+    # two distinct primes of degree 13 split apart without a model of F_{3^13}
+    A = random_irreducible(K, rng, 13)
+    B = random_irreducible(K, rng, 13)
+    while B == A:
+        B = random_irreducible(K, rng, 13)
+    A, B = sorted((A, B))
+    assert poly.factor_monic(K, (A * B).coeffs) == ((A, 1), (B, 1))
+    assert not K._zech_cache
+
+
+def brute_irreducible(K, g):
+    """No monic divisor of degree 1 .. deg(g) // 2."""
+    return not any(poly.pmod(K, g, h.coeffs) == ()
+                   for d in range(1, poly.pdeg(g) // 2 + 1)
+                   for h in poly.enumerate_monic(K, d))
+
+
+@pytest.mark.parametrize("p, m, top", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (3, 2, 3)],
+                         ids=["F2", "F3", "F4", "F9"])
+def test_is_irreducible_matches_trial_division(p, m, top):
+    K = gf_create(p, m)
+    for d in range(1, top + 1):
+        for f in poly.enumerate_monic(K, d):
+            assert poly.is_irreducible(K, f.coeffs) == brute_irreducible(K, f.coeffs)
+
+
+def test_power_is_square_and_multiply_low_bit_first():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a + b
+
+    # additive "powers" make the sequence of products visible
+    assert poly.power(mul, 0, 1, 0) == 0
+    assert poly.power(mul, 0, 1, 13) == 13
+    # 13 = 0b1101: multiply at bits 0, 2 and 3, square between bits only
+    assert calls == [(0, 1), (1, 1), (2, 2), (1, 4), (4, 4), (5, 8)]

@@ -6,8 +6,9 @@ import pytest
 
 from gosslift.errors import PolyError
 from gosslift.field import gf_create
-from gosslift.textforms import (format_terms, format_tpoly, format_xt_poly,
-                                parse_monic, parse_tpoly, parse_xt_poly)
+from gosslift.textforms import (MAX_TEXT_DEGREE, format_terms, format_tpoly,
+                                format_xt_poly, parse_monic, parse_tpoly,
+                                parse_xt_poly)
 
 
 def test_parse_tpoly_basic():
@@ -64,6 +65,20 @@ def test_parse_errors():
         parse_tpoly(K, "g + 1")  # no generator over a prime field
     with pytest.raises(PolyError):
         parse_monic(K, "2*T + 1")
+
+
+def test_parse_rejects_huge_degrees_and_integers():
+    # refused before a coefficient list of that length is allocated
+    K = gf_create(3)
+    assert parse_tpoly(K, f"T^{MAX_TEXT_DEGREE}")[-1] == 1
+    for text in (f"T^{MAX_TEXT_DEGREE + 1}", "T^10000000000",
+                 "T^600 * T^600", "9" * 5000 + "*T"):
+        with pytest.raises(PolyError):
+            parse_tpoly(K, text)
+    with pytest.raises(PolyError):
+        parse_xt_poly(K, "X^2 - T^5000000000")
+    with pytest.raises(PolyError):
+        parse_xt_poly(K, "X^5000000000 - T")
 
 
 def test_parse_xt_poly():

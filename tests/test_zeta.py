@@ -370,6 +370,12 @@ def test_load_table_malformed_header_or_line_is_zeta_error():
             load_table(bad)
 
 
+def test_load_table_rejects_a_huge_header_bound_at_once():
+    # (3^(D+1) - 1)/2 is never computed: no entry has degree D
+    with pytest.raises(ZetaError, match="largest degree is 0"):
+        load_table("# ext=K p=3 m=1 D=300000000\n1 1\n")
+
+
 def test_load_table_rejects_incomplete_or_padded_tables():
     table = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 2)
     lines = dump_table(table).splitlines()
