@@ -36,7 +36,7 @@ def _cmd_table(args):
     table = dirichlet_table(ext, args.max_degree)
     if args.dump:
         dump_table(table, args.dump)
-        print(f"wrote {len(table.entries)} entries to {args.dump}")
+        print(f"wrote {len(table.counts)} entries to {args.dump}")
     else:
         print(dump_table(table), end="")
     return 0

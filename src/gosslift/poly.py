@@ -407,11 +407,8 @@ class MonicPoly:
                 and self.field == other.field
                 and self.coeffs == other.coeffs)
 
-    def sort_key(self):
-        return (self.degree, self.coeffs)
-
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return (self.degree, self.coeffs) < (other.degree, other.coeffs)
 
     def __mul__(self, other):
         if self.field != other.field:

@@ -410,9 +410,7 @@ def lifted_goss_eval(table, s, M, N):
         return int_to_witt(fops, sum(blocks), N)
     lops = LaurentOps(K, M)
     acc = witt_zero(lops, N)
-    for n, b in table.entries.items():
-        if n.degree * s > M or b % pN == 0:
-            continue
+    for n, b in table.nonzero_upto(M // s, pN):
         bw = int_to_witt(fops, b, N)
         x = laurent_inv_pow(n, s, M)
         coords = []

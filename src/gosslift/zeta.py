@@ -19,7 +19,9 @@ support is a verdict "for all n of degree <= D" and nothing more.
 
 from __future__ import annotations
 
+import itertools
 import math
+from types import MappingProxyType
 
 from . import poly, textforms
 from .errors import GossliftError, ZetaError
@@ -44,26 +46,102 @@ def local_counts(st, kmax):
     return c
 
 
-class DirichletTable:
-    """Ideal counts B(n) for all monic n of degree <= bound, as exact ints."""
+def block_start(q, d):
+    """Rank of T^d: the number of monic polynomials of degree below d."""
+    return (q ** d - 1) // (q - 1)
 
-    def __init__(self, ext_name, field, bound, entries):
+
+def rank(K, coeffs):
+    """Position of a monic polynomial in enumeration order.
+
+    The degree-d block starts at block_start(q, d); inside it a polynomial
+    sits at the base-q number whose digits are its lower coefficients
+    c_0..c_{d-1}, c_0 most significant (elements are the ints 0..q-1).
+    """
+    q = K.q
+    r = 0
+    for c in coeffs:
+        r = r * q + c
+    # the loop also took the leading 1 as the last digit
+    return block_start(q, len(coeffs) - 1) + r // q
+
+
+def unrank(K, r):
+    """The MonicPoly of rank r over the table field K."""
+    q = K.q
+    d = 0
+    while block_start(q, d + 1) <= r:
+        d += 1
+    low = r - block_start(q, d)
+    coeffs = [K.one] * (d + 1)
+    for i in range(d - 1, -1, -1):
+        low, coeffs[i] = divmod(low, q)
+    return MonicPoly(K, coeffs)
+
+
+class DirichletTable:
+    """Ideal counts B(n) for all monic n of degree <= bound, as exact ints.
+
+    counts[rank(n)] is B(n).  A table may also be made from a mapping
+    {MonicPoly: count}; a modulus the mapping lacks leaves a hole (None),
+    and every reader of the counts rejects a table with holes.
+    """
+
+    def __init__(self, ext_name, field, bound, counts):
         self.ext_name = ext_name
         self.field = field
         self.bound = bound
-        self.entries = entries  # MonicPoly -> int, in (degree, coeffs) order
+        self.starts = [block_start(field.q, d) for d in range(bound + 2)]
+        if isinstance(counts, list):
+            self.holes = 0
+        else:
+            entries, counts = counts, [None] * self.starts[-1]
+            for n, b in entries.items():
+                if n.degree > bound:
+                    raise ZetaError(f"{n} has degree above the bound {bound}")
+                counts[rank(field, n.coeffs)] = b
+            self.holes = counts.count(None)
+        self.counts = counts
+        self._entries = None
+
+    @property
+    def entries(self):
+        """Read-only {MonicPoly: count} view in enumeration order, made once."""
+        if self._entries is None:
+            monics = itertools.chain.from_iterable(
+                poly.enumerate_monic(self.field, d) for d in range(self.bound + 1))
+            self._entries = MappingProxyType(
+                {n: b for n, b in zip(monics, self.counts) if b is not None})
+        return self._entries
+
+    def full_counts(self):
+        """counts, after checking that every modulus has one."""
+        if self.holes:
+            raise ZetaError(
+                f"table of {self.ext_name} has no count for {self.holes} of "
+                f"its moduli")
+        return self.counts
 
     def block_sums(self):
         """Sum of B(n) over each degree block, degrees 0..bound."""
-        out = [0] * (self.bound + 1)
-        for n, b in self.entries.items():
-            out[n.degree] += b
-        return out
+        counts, s = self.full_counts(), self.starts
+        return [sum(counts[s[d]:s[d + 1]]) for d in range(self.bound + 1)]
+
+    def nonzero_upto(self, top, modulus):
+        """(n, B(n)) in enumeration order for deg n <= top, B(n) != 0 mod modulus.
+
+        Only these entries are made into MonicPolys.
+        """
+        counts = self.full_counts()
+        for r in range(self.starts[min(top, self.bound) + 1]):
+            b = counts[r]
+            if b % modulus:
+                yield unrank(self.field, r), b
 
     def __eq__(self, other):
         return (isinstance(other, DirichletTable)
                 and self.field == other.field and self.bound == other.bound
-                and self.entries == other.entries)
+                and self.counts == other.counts)
 
 
 def dirichlet_table(ext, bound):
@@ -71,33 +149,32 @@ def dirichlet_table(ext, bound):
     if bound < 0:
         raise ZetaError("table bound must be nonnegative")
     K = ext.field
-    one = MonicPoly(K, (K.one,))
-    entries = {one.coeffs: 1}
-    by_degree = {0: [one.coeffs]}
+    counts = [0] * block_start(K.q, bound + 1)
+    counts[0] = 1
+    # the nonzero entries so far, by degree, as (coefficients, count): a
+    # zero cofactor only has zero products, and those the list holds already
+    nonzero = [[] for _ in range(bound + 1)]
+    nonzero[0].append(((K.one,), 1))
     for d in range(1, bound + 1):
         for prime, st in splitting_types(ext, d):
-            counts = local_counts(st, bound // d)
+            kmax = bound // d
+            local = local_counts(st, kmax)
             # snapshot: everything present so far is coprime to this prime
-            snapshot = [(deg, list(polys)) for deg, polys in by_degree.items()
-                        if deg + d <= bound]
+            sizes = [len(block) for block in nonzero]
             power = prime.coeffs
-            k = 1
-            while k * d <= bound:
-                ck = counts[k]
-                for deg, polys in snapshot:
-                    if deg + k * d > bound:
-                        continue
-                    for cf in polys:
-                        prod = poly.pmul(K, cf, power)
-                        entries[prod] = entries[cf] * ck
-                        by_degree.setdefault(deg + k * d, []).append(prod)
-                k += 1
-                if k * d <= bound:
+            for k in range(1, kmax + 1):
+                if k > 1:
                     power = poly.pmul(K, power, prime.coeffs)
-    table = {}
-    for cf in sorted(entries, key=lambda c: (len(c), c)):
-        table[MonicPoly(K, cf)] = entries[cf]
-    return DirichletTable(ext.name, K, bound, table)
+                ck = local[k]
+                if not ck:
+                    continue
+                for e in range(bound - k * d + 1):
+                    out = nonzero[e + k * d]
+                    for cf, b in itertools.islice(nonzero[e], sizes[e]):
+                        prod = poly.pmul(K, cf, power)
+                        counts[rank(K, prod)] = bc = b * ck
+                        out.append((prod, bc))
+    return DirichletTable(ext.name, K, bound, counts)
 
 
 class WeilSeries:
@@ -153,13 +230,8 @@ def goss_eval(table, s, M):
     check_goss_args(table.bound, s, M)
     if s >= 1:
         acc = LaurentSeries.zero(K, M)
-        for n, b in table.entries.items():
-            if n.degree * s > M:
-                continue
-            r = K.from_int(b)
-            if r == K.zero:
-                continue
-            acc = acc + laurent_inv_pow(n, s, M).scale(r)
+        for n, b in table.nonzero_upto(M // s, K.p):
+            acc = acc + laurent_inv_pow(n, s, M).scale(K.from_int(b))
         return acc
     k = -s
     top = k + 3
@@ -179,12 +251,8 @@ def _power_blocks(table, k, top):
     """Block sums of B(n) * n^k mod p for degrees 0..top (k >= 0)."""
     K = table.field
     blocks = [()] * (top + 1)
-    for n, b in table.entries.items():
-        if n.degree > top:
-            break
+    for n, b in table.nonzero_upto(top, K.p):
         r = K.from_int(b)
-        if r == K.zero:
-            continue
         term = poly.pscale(K, r, poly.ppow(K, n.coeffs, k)) if k else (r,)
         blocks[n.degree] = poly.padd(K, blocks[n.degree], term)
     return blocks
@@ -222,8 +290,7 @@ def compare_zeta(table_a, table_b, kind):
         raise ZetaError("cannot compare tables over different base fields")
     if table_a.bound != table_b.bound:
         raise ZetaError("cannot compare tables with different bounds")
-    if table_a.entries.keys() != table_b.entries.keys():
-        raise ZetaError("cannot compare tables over different sets of moduli")
+    counts_a, counts_b = table_a.full_counts(), table_b.full_counts()
     bound = table_a.bound
     if kind == "weil":
         for d, (x, y) in enumerate(zip(table_a.block_sums(), table_b.block_sums())):
@@ -232,14 +299,13 @@ def compare_zeta(table_a, table_b, kind):
         return ZetaVerdict("weil", True, bound)
     if kind not in ("goss", "lifted"):
         raise ZetaError(f"unknown comparison kind {kind!r}")
-    p = table_a.field.p
-    for n, b in table_a.entries.items():
-        c = table_b.entries[n]
-        if kind == "goss":
-            if b % p != c % p:
-                return ZetaVerdict(kind, False, bound, n, b % p, c % p)
-        elif b != c:
-            return ZetaVerdict(kind, False, bound, n, b, c)
+    if kind == "goss":
+        p = table_a.field.p
+        counts_a = [b % p for b in counts_a]
+        counts_b = [b % p for b in counts_b]
+    for r, (b, c) in enumerate(zip(counts_a, counts_b)):
+        if b != c:
+            return ZetaVerdict(kind, False, bound, unrank(table_a.field, r), b, c)
     return ZetaVerdict(kind, True, bound)
 
 
@@ -325,26 +391,20 @@ def pgalois_check(table, order_g):
     p = K.p
     if order_g < 1:
         raise ZetaError("group order must be positive")
-    for n, b in table.entries.items():
-        expect = 1 if _is_power(n, order_g) else 0
-        if b % p != expect:
-            return False, n
+    marks = power_marks(K, table.bound, order_g)
+    for r, b in enumerate(table.full_counts()):
+        if b % p != marks[r]:
+            return False, unrank(K, r)
     return True, None
 
 
-def _is_power(n, k):
-    if k == 1:
-        return True
-    if n.degree % k:
-        return False
-    if n.degree == 0:
-        return True
-    K = n.field
-    d = n.degree // k
-    for m in poly.enumerate_monic(K, d):
-        if poly.ppow(K, m.coeffs, k) == n.coeffs:
-            return True
-    return False
+def power_marks(K, bound, k):
+    """1 at the rank of every k-th power m^k of degree <= bound, else 0."""
+    marks = bytearray(block_start(K.q, bound + 1))
+    for e in range(bound // k + 1):
+        for m in poly.enumerate_monic(K, e):
+            marks[rank(K, poly.ppow(K, m.coeffs, k))] = 1
+    return marks
 
 
 # --- table text round trip ---
@@ -355,8 +415,28 @@ def dump_table(table, path=None):
     name = str(table.ext_name).replace(" ", "_")
     lines = [f"# ext={name} p={table.field.p} m={table.field.m} "
              f"D={table.bound}"]
-    for n, b in table.entries.items():
-        lines.append(f"{n} {b}")
+    K = table.field
+    counts = table.full_counts()
+    # n = T^d + c_{d-1} T^{d-1} + ... + c_0 prints as the text of its high
+    # digits c_h..c_{d-1} (with T^d), then that of its low digits c_0..c_{h-1}
+    # where h = d // 2; the low digits are the more significant part of the
+    # rank, so each block is a product of two string tables
+    lows = {}
+    for d in range(table.bound + 1):
+        h = d // 2
+        highs = [textforms.format_terms(
+                     K, [(K.one, d)] + [(digits[i - h], i)
+                                        for i in range(d - 1, h - 1, -1)])
+                 for digits in itertools.product(K.elements(), repeat=d - h)]
+        if h not in lows:
+            lows[h] = [_low_joiner(textforms.format_terms(
+                           K, [(digits[i], i) for i in range(h - 1, -1, -1)]))
+                       for digits in itertools.product(K.elements(), repeat=h)]
+        r = table.starts[d]
+        for joiner in lows[h]:
+            lines += [hi + joiner + str(b)
+                      for hi, b in zip(highs, counts[r:r + len(highs)])]
+            r += len(highs)
     text = "\n".join(lines) + "\n"
     if path is not None:
         try:
@@ -365,6 +445,11 @@ def dump_table(table, path=None):
         except OSError as e:
             raise ZetaError(f"cannot write table to {path}: {e}") from None
     return text
+
+
+def _low_joiner(low):
+    """What goes between the high-digit text and the count."""
+    return " " if low == "0" else f" + {low} "
 
 
 def load_table(text_or_path, from_path=False):
@@ -395,7 +480,8 @@ def load_table(text_or_path, from_path=False):
     if header is None:
         raise ZetaError("table text is missing its header line")
     name, K, bound = header
-    table = {}
+    slots = {}
+    top = -1
     for lineno, line in lines:
         try:
             body, count = line.rsplit(None, 1)
@@ -407,22 +493,26 @@ def load_table(text_or_path, from_path=False):
             raise ZetaError(f"table line {lineno}: count {b} is negative")
         if n.degree > bound:
             raise ZetaError(f"table line {lineno}: {n} has degree above D={bound}")
-        if n in table:
+        r = rank(K, n.coeffs)
+        if r in slots:
             raise ZetaError(f"table line {lineno}: {n} is listed twice")
-        table[n] = b
+        slots[r] = b
+        top = max(top, n.degree)
     # a full table of bound D holds every monic of degree D; checked first,
     # so a huge header bound never reaches the count below
-    top = max((n.degree for n in table), default=-1)
     if bound > top:
         raise ZetaError(
             f"table header has D={bound}, but its largest degree is {top}")
-    expected = (K.q ** (bound + 1) - 1) // (K.q - 1)
-    if len(table) != expected:
+    expected = block_start(K.q, bound + 1)
+    if len(slots) != expected:
         raise ZetaError(
-            f"table holds {len(table)} moduli; D={bound} needs all {expected} "
+            f"table holds {len(slots)} moduli; D={bound} needs all {expected} "
             f"monic polynomials of degree <= {bound}")
-    entries = dict(sorted(table.items(), key=lambda item: item[0].sort_key()))
-    return DirichletTable(name, K, bound, entries)
+    # distinct ranks below expected, as many as slots: every slot is filled
+    counts = [None] * expected
+    for r, b in slots.items():
+        counts[r] = b
+    return DirichletTable(name, K, bound, counts)
 
 
 def _parse_header(line):

@@ -1,22 +1,30 @@
 """Dirichlet tables, Weil blocks, mod-p zeta values, and reconstruction."""
 
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
 from gosslift.errors import ZetaError
+from gosslift.demos import standard_extensions
 from gosslift.extension import (SplittingType, builtin_extension,
-                                splitting_type, trivial_extension)
+                                splitting_type, splitting_types,
+                                trivial_extension)
 from gosslift.field import gf_create
 from gosslift.laurent import LaurentSeries
 from gosslift import poly
 from gosslift.poly import MonicPoly, enumerate_monic_irreducibles
 from gosslift.textforms import parse_monic
+from gosslift.witt import lifted_goss_eval
 from gosslift.zeta import (DirichletTable, compare_zeta, dirichlet_table,
                            dump_table, goss_eval, load_table, pgalois_check,
-                           prime_power_residues, reconstruct_splitting,
-                           weil_series)
+                           power_marks, prime_power_residues, rank,
+                           reconstruct_splitting, unrank, weil_series)
 
 K3 = gf_create(3)
 
@@ -408,3 +416,122 @@ def test_goss_eval_rejects_negative_precision():
     for s in (1, 0):
         with pytest.raises(ZetaError):
             goss_eval(table, s, -3)
+
+
+def test_rank_round_trips_over_f4_and_f5():
+    for K in (gf_create(2, 2), gf_create(5)):
+        r = 0
+        for d in range(5):
+            for n in poly.enumerate_monic(K, d):
+                assert rank(K, n.coeffs) == r
+                assert unrank(K, r) == n
+                r += 1
+
+
+def test_power_marks_match_brute_force_powers():
+    for K in (K3, gf_create(2, 2), gf_create(5)):
+        for bound in range(5):
+            monics = [n for d in range(bound + 1)
+                      for n in poly.enumerate_monic(K, d)]
+            for k in range(1, 5):
+                powers = {poly.ppow(K, m.coeffs, k) for m in monics}
+                expect = [1 if n.coeffs in powers else 0 for n in monics]
+                assert list(power_marks(K, bound, k)) == expect
+
+
+def _weil_from_type_histogram(ext, bound):
+    """prod_d prod_types prod_f (1 - u^(f d))^(-count), through u^bound."""
+    series = [1] + [0] * bound
+    for d in range(1, bound + 1):
+        hist = Counter(st.inertia_degrees() for _, st in splitting_types(ext, d))
+        for degrees, count in hist.items():
+            for f in degrees:
+                step = f * d
+                for _ in range(count):
+                    for i in range(step, bound + 1):
+                        series[i] += series[i - step]
+    return series
+
+
+def test_block_sums_match_the_type_histogram_euler_product():
+    K4, K5 = gf_create(2, 2), gf_create(5)
+    cases = [(ext, 7) for ext in standard_extensions()] + [
+        (builtin_extension(K4, "artin_schreier", m=1), 5),
+        (builtin_extension(K4, "artin_schreier", m=3), 5),
+        (builtin_extension(K5, "artin_schreier", m=2), 4),
+        (builtin_extension(K5, "kummer_sqrt", c="T^3 - T"), 4),
+        (builtin_extension(gf_create(3, 2), "kummer_sqrt", c="T^2 + g"), 3),
+        (trivial_extension(K5), 4),
+    ]
+    for ext, bound in cases:
+        table = dirichlet_table(ext, bound)
+        assert table.block_sums() == _weil_from_type_histogram(ext, bound), ext.name
+
+
+# sha256 of dump_table text, computed before tables were kept by rank
+GOLDEN_DUMPS = [
+    (3, 1, "artin_schreier", {"m": 5}, 8,
+     "d7c1f0e1d64080c39813d4c167e2dca21a527b3bacca6715c3b7d0d17a15b1c1"),
+    (5, 1, "kummer_sqrt", {"c": "T^3 - T"}, 5,
+     "8ad0f272254db883d9f6ac3e6091eb03677a833adb074076dc9366da92a9ec2f"),
+    (2, 2, "artin_schreier", {"m": 1}, 6,
+     "590dfdb55ba88d0f276bff0f8f297776573550aa2ab4bc54782891f29fb9d7dd"),
+    (3, 2, "kummer_sqrt", {"c": "T^2 + g"}, 4,
+     "58060481618030384ca185ca07b73c35b230b376dc35c659508ed38a5a7cec43"),
+]
+
+
+@pytest.mark.parametrize("p, m, kind, params, bound, digest", GOLDEN_DUMPS,
+                         ids=["AS_m5-F3-D8", "kummer-F5-D5", "AS_m1-F4-D6",
+                              "kummer-F9-D4"])
+def test_golden_dumps(p, m, kind, params, bound, digest):
+    table = dirichlet_table(builtin_extension(gf_create(p, m), kind, **params),
+                            bound)
+    text = dump_table(table)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert load_table(text) == table
+
+
+def test_load_table_rejects_a_billion_degree_header_before_allocating():
+    # in a child with a timeout: a load that reached q^D would never return
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    child = ("import sys\n"
+             "from gosslift.errors import ZetaError\n"
+             "from gosslift.zeta import load_table\n"
+             "try:\n"
+             "    load_table(sys.stdin.read())\n"
+             "except ZetaError as e:\n"
+             "    print(e)\n")
+    text = f"# ext=K p=3 m=1 D={10**9}\n1 1\nT 1\nT + 1 1\nT + 2 1\n"
+    res = subprocess.run([sys.executable, "-c", child], input=text,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=10)
+    assert "largest degree is 1" in res.stdout, res.stderr
+
+
+def test_entries_is_a_cached_read_only_view():
+    table = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 3)
+    view = table.entries
+    assert view is table.entries
+    assert list(view.values()) == table.counts
+    with pytest.raises(TypeError):
+        view[next(iter(view))] = 7
+    assert DirichletTable(table.ext_name, K3, 3, view) == table
+
+
+def test_every_reader_rejects_a_table_with_a_hole():
+    full = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 3)
+    entries = dict(full.entries)
+    entries.pop(parse_monic(K3, "T^3 + T + 2"))
+    partial = DirichletTable(full.ext_name, K3, 3, entries)
+    assert partial.holes == 1
+    readers = [partial.block_sums, lambda: weil_series(partial),
+               lambda: dump_table(partial), lambda: pgalois_check(partial, 2),
+               lambda: goss_eval(partial, 1, 3), lambda: goss_eval(partial, 0, 3),
+               lambda: lifted_goss_eval(partial, 1, 3, 2)]
+    for read in readers:
+        with pytest.raises(ZetaError, match="no count for 1 of its moduli"):
+            read()
+    with pytest.raises(ZetaError):
+        DirichletTable("K", K3, 1, {parse_monic(K3, "T^2"): 1})
