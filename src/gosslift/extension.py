@@ -9,11 +9,12 @@ divide the discriminant, and any prime the user cannot vouch for, must
 carry an explicit override or the query fails loudly.  Nothing here
 computes integral closures: an override is trusted as given.
 
-Two paths read off the factor degrees.  splitting_type, for one prime
-given from outside, checks the prime and factors f over the residue
-field A/(pi).  splitting_types, for all primes of one degree in a table,
-factors f(alpha, X) over the base field's model of F_{q^d}, with alpha
-the root of pi kept by enumerate_monic_irreducibles.
+One routine reads off the factor degrees, given a residue field and a
+map reducing A onto it.  splitting_type, for one prime given from
+outside, checks the prime and reduces onto the residue field A/(pi).
+splitting_types, for all primes of one degree in a table, evaluates at
+alpha in the base field's model of F_{q^d}, with alpha the root of pi
+kept by enumerate_monic_irreducibles.
 
 Config files are sectioned key=value text,
 
@@ -98,7 +99,6 @@ class ExtensionSpec:
             if st.degree != self.degree:
                 raise ExtensionError(
                     f"override at {p} has total degree {st.degree}, expected {self.degree}")
-        self._splitting_cache = {}
         self._disc = None
 
     def __repr__(self):
@@ -265,20 +265,9 @@ def splitting_type(ext, prime):
     the type is read off the distinct-degree factorization of the
     defining polynomial over the residue field.
     """
-    st = ext.overrides.get(prime)
-    if st is not None:
-        return st
-    cached = ext._splitting_cache.get(prime)
-    if cached is not None:
-        return cached
     _require_prime(ext.field, prime)
-    disc = _disc_coeffs(ext)
-    _check_unramified(ext, prime, disc and poly.pmod(ext.field, disc, prime.coeffs))
     R = ResidueField(ext.field, prime.coeffs)
-    fbar = tuple(R.project(c) for c in ext.xt_coeffs)
-    st = _unramified_type(poly.distinct_degree_counts(R, fbar))
-    ext._splitting_cache[prime] = st
-    return st
+    return _prime_type(ext, prime, _disc_coeffs(ext), R, R.project)
 
 
 def splitting_types(ext, d):
@@ -292,43 +281,42 @@ def splitting_types(ext, d):
     """
     F = ext.field.zech_field(d)
     disc = _disc_coeffs(ext)
-    out = []
-    for prime, alpha in zip(*F.irreducibles()):
-        st = ext.overrides.get(prime)
-        if st is None:
-            _check_unramified(ext, prime, disc and poly.peval(F, disc, alpha))
-            st = _model_type(ext, F, alpha)
-        out.append((prime, st))
-    return out
+    return [(prime, _prime_type(ext, prime, disc, F,
+                                lambda c: poly.peval(F, c, alpha)))
+            for prime, alpha in zip(*F.irreducibles())]
 
 
-def _model_type(ext, F, alpha):
-    """Type of an unramified prime with root alpha in the model F."""
-    fbar = tuple(poly.peval(F, c, alpha) for c in ext.xt_coeffs)
-    return _unramified_type(poly.distinct_degree_counts(F, fbar))
+def _prime_type(ext, prime, disc, F, reduce):
+    """Type of a prime with residue field F, where reduce maps A onto F.
+
+    disc holds the discriminant's coefficients, or () when f is
+    inseparable: every prime divides a zero discriminant.
+    """
+    st = ext.overrides.get(prime)
+    if st is not None:
+        return st
+    if prime in ext.bad_primes:
+        raise ExtensionError(
+            f"prime {prime} is marked bad for {ext.name} and has no override")
+    if not disc or reduce(disc) == F.zero:
+        raise ExtensionError(
+            f"prime {prime} ramifies in {ext.name}; supply an override")
+    return _reduced_type(ext, F, reduce)
+
+
+def _reduced_type(ext, F, reduce):
+    """Type of an unramified prime, from f reduced into its residue field F."""
+    fbar = tuple(reduce(c) for c in ext.xt_coeffs)
+    counts = poly.distinct_degree_counts(F, fbar)
+    return SplittingType(tuple((1, f) for f, c in counts.items() for _ in range(c)))
 
 
 def _disc_coeffs(ext):
-    """Coefficients of the discriminant, or () when f is inseparable:
-    every prime divides a zero discriminant."""
+    """Coefficients of the discriminant, or () when f is inseparable."""
     try:
         return discriminant(ext).coeffs
     except ExtensionError:
         return ()
-
-
-def _check_unramified(ext, prime, disc_mod_prime):
-    """Fail for a bad prime, or where the discriminant reduces to zero."""
-    if prime in ext.bad_primes:
-        raise ExtensionError(
-            f"prime {prime} is marked bad for {ext.name} and has no override")
-    if not disc_mod_prime:
-        raise ExtensionError(
-            f"prime {prime} ramifies in {ext.name}; supply an override")
-
-
-def _unramified_type(counts):
-    return SplittingType(tuple((1, f) for f, c in counts.items() for _ in range(c)))
 
 
 # --- config parsing ---
@@ -449,7 +437,8 @@ def _check_irreducible(ext):
                     or not poly.peval(F, disc, alpha)):
                 continue
             sums = {0}
-            for f in _model_type(ext, F, alpha).inertia_degrees():
+            reduced = _reduced_type(ext, F, lambda c: poly.peval(F, c, alpha))
+            for f in reduced.inertia_degrees():
                 sums |= {s + f for s in sums}
             possible &= sums
             if len(possible) == 2:

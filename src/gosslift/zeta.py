@@ -20,7 +20,6 @@ support is a verdict "for all n of degree <= D" and nothing more.
 from __future__ import annotations
 
 import itertools
-import math
 from types import MappingProxyType
 
 from . import poly, textforms
@@ -82,9 +81,8 @@ def unrank(K, r):
 class DirichletTable:
     """Ideal counts B(n) for all monic n of degree <= bound, as exact ints.
 
-    counts[rank(n)] is B(n).  A table may also be made from a mapping
-    {MonicPoly: count}; a modulus the mapping lacks leaves a hole (None),
-    and every reader of the counts rejects a table with holes.
+    counts is a list with B(n) at rank(n), one entry for each of the
+    (q^(bound+1) - 1)/(q - 1) monic moduli of degree <= bound.
     """
 
     def __init__(self, ext_name, field, bound, counts):
@@ -92,15 +90,10 @@ class DirichletTable:
         self.field = field
         self.bound = bound
         self.starts = [block_start(field.q, d) for d in range(bound + 2)]
-        if isinstance(counts, list):
-            self.holes = 0
-        else:
-            entries, counts = counts, [None] * self.starts[-1]
-            for n, b in entries.items():
-                if n.degree > bound:
-                    raise ZetaError(f"{n} has degree above the bound {bound}")
-                counts[rank(field, n.coeffs)] = b
-            self.holes = counts.count(None)
+        if not isinstance(counts, list) or len(counts) != self.starts[-1]:
+            raise ZetaError(
+                f"a table of bound {bound} over GF({field.q}) needs a list of "
+                f"{self.starts[-1]} counts")
         self.counts = counts
         self._entries = None
 
@@ -110,21 +103,12 @@ class DirichletTable:
         if self._entries is None:
             monics = itertools.chain.from_iterable(
                 poly.enumerate_monic(self.field, d) for d in range(self.bound + 1))
-            self._entries = MappingProxyType(
-                {n: b for n, b in zip(monics, self.counts) if b is not None})
+            self._entries = MappingProxyType(dict(zip(monics, self.counts)))
         return self._entries
-
-    def full_counts(self):
-        """counts, after checking that every modulus has one."""
-        if self.holes:
-            raise ZetaError(
-                f"table of {self.ext_name} has no count for {self.holes} of "
-                f"its moduli")
-        return self.counts
 
     def block_sums(self):
         """Sum of B(n) over each degree block, degrees 0..bound."""
-        counts, s = self.full_counts(), self.starts
+        counts, s = self.counts, self.starts
         return [sum(counts[s[d]:s[d + 1]]) for d in range(self.bound + 1)]
 
     def nonzero_upto(self, top, modulus):
@@ -132,7 +116,7 @@ class DirichletTable:
 
         Only these entries are made into MonicPolys.
         """
-        counts = self.full_counts()
+        counts = self.counts
         for r in range(self.starts[min(top, self.bound) + 1]):
             b = counts[r]
             if b % modulus:
@@ -290,7 +274,7 @@ def compare_zeta(table_a, table_b, kind):
         raise ZetaError("cannot compare tables over different base fields")
     if table_a.bound != table_b.bound:
         raise ZetaError("cannot compare tables with different bounds")
-    counts_a, counts_b = table_a.full_counts(), table_b.full_counts()
+    counts_a, counts_b = table_a.counts, table_b.counts
     bound = table_a.bound
     if kind == "weil":
         for d, (x, y) in enumerate(zip(table_a.block_sums(), table_b.block_sums())):
@@ -316,9 +300,9 @@ def reconstruct_splitting(residues, n_ext, p):
     """Inertia degrees (with multiplicity) from B(prime^f) mod p, f = 1..n_ext.
 
     Valid when n_ext < p: the count of primes above with each inertia
-    degree is below p, so residues determine the integer counts.  Peels
-    the combinatorial identity expressing B at prime powers through the
-    counts of lower inertia degrees.  Returns a sorted tuple of degrees.
+    degree is below p, so residues determine the integer counts.  Returns
+    a sorted tuple of degrees; residues whose degree sum would pass n_ext
+    raise ZetaError.
     """
     if n_ext >= p:
         raise ZetaError(
@@ -327,48 +311,24 @@ def reconstruct_splitting(residues, n_ext, p):
     for f in range(1, n_ext + 1):
         if f not in residues:
             raise ZetaError(f"missing residue for prime power exponent {f}")
-    counts = {}
-    for f in range(1, n_ext + 1):
-        predicted = _g2_sum(counts, f)
-        counts[f] = (residues[f] - predicted) % p
-    total = sum(f * c for f, c in counts.items())
-    if total > n_ext:
-        raise ZetaError(
-            f"inconsistent residues: degree sum {total} exceeds extension "
-            f"degree {n_ext}")
+    # coin counting as in local_counts: c[k] counts the ideals of norm
+    # prime^k made from the degrees found so far, so the residue at f less
+    # c[f] is the number of primes above of degree f
+    c = [1] + [0] * n_ext
     out = []
-    for f, c in counts.items():
-        out.extend([f] * c)
-    return tuple(sorted(out))
-
-
-def _g2_sum(counts, f):
-    """Ideal count at a prime power from counts of smaller inertia degrees.
-
-    Sums over ways to spend f on degrees below f, taking r_i >= 1 ideals
-    from each chosen degree f_i with multiset coefficient
-    binom(count + r - 1, r).
-    """
     total = 0
-    degrees = [d for d in sorted(counts) if d < f and counts[d] > 0]
-
-    def walk(remaining, idx, acc):
-        nonlocal total
-        if remaining == 0:
-            total += acc
-            return
-        for j in range(idx, len(degrees)):
-            d = degrees[j]
-            if d > remaining:
-                break
-            r = 1
-            while r * d <= remaining:
-                weight = math.comb(counts[d] + r - 1, r)
-                walk(remaining - r * d, j + 1, acc * weight)
-                r += 1
-
-    walk(f, 0, 1)
-    return total
+    for f in range(1, n_ext + 1):
+        count = (residues[f] - c[f]) % p
+        total += f * count
+        if total > n_ext:
+            raise ZetaError(
+                f"inconsistent residues: degree sum {total} exceeds extension "
+                f"degree {n_ext}")
+        out += [f] * count
+        for _ in range(count):
+            for k in range(f, n_ext + 1):
+                c[k] += c[k - f]
+    return tuple(out)
 
 
 def prime_power_residues(st, n_ext, p):
@@ -392,7 +352,7 @@ def pgalois_check(table, order_g):
     if order_g < 1:
         raise ZetaError("group order must be positive")
     marks = power_marks(K, table.bound, order_g)
-    for r, b in enumerate(table.full_counts()):
+    for r, b in enumerate(table.counts):
         if b % p != marks[r]:
             return False, unrank(K, r)
     return True, None
@@ -410,33 +370,45 @@ def power_marks(K, bound, k):
 # --- table text round trip ---
 
 
+def monic_texts(K, d):
+    """The text of every monic of degree d over K, in rank order.
+
+    The text of n = T^d + c_{d-1} T^{d-1} + ... + c_0 joins the texts of
+    its nonzero terms with " + ", highest degree first.  Split at h = d // 2
+    it is the text of the high terms (T^d down to c_h T^h), then that of
+    the low terms; the low digits are the more significant part of the
+    rank, so the block is a product of two string tables.
+    """
+    h = d // 2
+    highs = _term_texts(K, h, d, textforms.format_terms(K, [(K.one, d)]))
+    for low in _term_texts(K, 0, h):
+        if low:
+            low = " + " + low
+            yield from [hi + low for hi in highs]
+        else:
+            yield from highs
+
+
+def _term_texts(K, lo, hi, *lead):
+    """Text of the lead terms and c_{hi-1} T^(hi-1) + ... + c_lo T^lo.
+
+    One string for each digit string c_lo..c_{hi-1}, c_lo most significant;
+    "" where there is no nonzero term.
+    """
+    columns = [["" if c == K.zero else textforms.format_terms(K, [(c, i)])
+                for c in K.elements()] for i in range(lo, hi)]
+    return [" + ".join(filter(None, lead + terms[::-1]))
+            for terms in itertools.product(*columns)]
+
+
 def dump_table(table, path=None):
     """One line per entry, '<poly> <B(n)>', with a header comment."""
     name = str(table.ext_name).replace(" ", "_")
     lines = [f"# ext={name} p={table.field.p} m={table.field.m} "
              f"D={table.bound}"]
-    K = table.field
-    counts = table.full_counts()
-    # n = T^d + c_{d-1} T^{d-1} + ... + c_0 prints as the text of its high
-    # digits c_h..c_{d-1} (with T^d), then that of its low digits c_0..c_{h-1}
-    # where h = d // 2; the low digits are the more significant part of the
-    # rank, so each block is a product of two string tables
-    lows = {}
-    for d in range(table.bound + 1):
-        h = d // 2
-        highs = [textforms.format_terms(
-                     K, [(K.one, d)] + [(digits[i - h], i)
-                                        for i in range(d - 1, h - 1, -1)])
-                 for digits in itertools.product(K.elements(), repeat=d - h)]
-        if h not in lows:
-            lows[h] = [_low_joiner(textforms.format_terms(
-                           K, [(digits[i], i) for i in range(h - 1, -1, -1)]))
-                       for digits in itertools.product(K.elements(), repeat=h)]
-        r = table.starts[d]
-        for joiner in lows[h]:
-            lines += [hi + joiner + str(b)
-                      for hi, b in zip(highs, counts[r:r + len(highs)])]
-            r += len(highs)
+    texts = itertools.chain.from_iterable(
+        monic_texts(table.field, d) for d in range(table.bound + 1))
+    lines += [f"{n} {b}" for n, b in zip(texts, table.counts)]
     text = "\n".join(lines) + "\n"
     if path is not None:
         try:
@@ -447,18 +419,13 @@ def dump_table(table, path=None):
     return text
 
 
-def _low_joiner(low):
-    """What goes between the high-digit text and the count."""
-    return " " if low == "0" else f" + {low} "
-
-
 def load_table(text_or_path, from_path=False):
     """Parse dump_table text back into a table.
 
-    A malformed header or line, a modulus of degree above the bound or
-    listed twice, or a table that does not hold all (q^(D+1) - 1)/(q - 1)
-    monic moduli of degree <= D (none of degree D, for a start) raises
-    ZetaError.
+    Lines may come in any order, but each modulus must be spelled as
+    dump_table spells it.  A malformed header or line, a modulus of degree
+    above the bound or listed twice, or a table that does not hold all
+    (q^(D+1) - 1)/(q - 1) monic moduli of degree <= D raises ZetaError.
     """
     if from_path:
         try:
@@ -480,38 +447,36 @@ def load_table(text_or_path, from_path=False):
     if header is None:
         raise ZetaError("table text is missing its header line")
     name, K, bound = header
-    slots = {}
+    # whole degree blocks the lines could fill, counted up from degree 0,
+    # so a huge header bound fails before q^(D+1) is ever computed
     top = -1
+    while block_start(K.q, top + 2) <= len(lines):
+        top += 1
+    if bound > top:
+        raise ZetaError(
+            f"table header has D={bound}, but for a complete table of "
+            f"{len(lines)} moduli the largest degree is {top}")
+    texts = itertools.chain.from_iterable(
+        monic_texts(K, d) for d in range(bound + 1))
+    ranks = dict(zip(texts, itertools.count()))
+    counts = [None] * len(ranks)
     for lineno, line in lines:
         try:
             body, count = line.rsplit(None, 1)
-            n = textforms.parse_monic(K, body)
             b = int(count)
-        except (ValueError, GossliftError):
+        except ValueError:
             raise ZetaError(f"malformed table line {lineno}: {line!r}") from None
+        r = ranks.get(body)
+        if r is None:
+            raise ZetaError(
+                f"table line {lineno}: {body!r} is not a monic polynomial of "
+                f"degree <= {bound} as dump_table spells it")
         if b < 0:
             raise ZetaError(f"table line {lineno}: count {b} is negative")
-        if n.degree > bound:
-            raise ZetaError(f"table line {lineno}: {n} has degree above D={bound}")
-        r = rank(K, n.coeffs)
-        if r in slots:
-            raise ZetaError(f"table line {lineno}: {n} is listed twice")
-        slots[r] = b
-        top = max(top, n.degree)
-    # a full table of bound D holds every monic of degree D; checked first,
-    # so a huge header bound never reaches the count below
-    if bound > top:
-        raise ZetaError(
-            f"table header has D={bound}, but its largest degree is {top}")
-    expected = block_start(K.q, bound + 1)
-    if len(slots) != expected:
-        raise ZetaError(
-            f"table holds {len(slots)} moduli; D={bound} needs all {expected} "
-            f"monic polynomials of degree <= {bound}")
-    # distinct ranks below expected, as many as slots: every slot is filled
-    counts = [None] * expected
-    for r, b in slots.items():
+        if counts[r] is not None:
+            raise ZetaError(f"table line {lineno}: {body} is listed twice")
         counts[r] = b
+    # at least len(counts) lines, each at its own rank: every rank is filled
     return DirichletTable(name, K, bound, counts)
 
 

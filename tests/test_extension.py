@@ -179,13 +179,6 @@ def test_artin_schreier_split_iff_trace_zero():
         assert len(seen) == 2
 
 
-def test_splitting_type_cached():
-    K = gf_create(3)
-    ext = builtin_extension(K, "artin_schreier", m=1)
-    t = MonicPoly(K, (0, 1))
-    assert splitting_type(ext, t) is splitting_type(ext, t)
-
-
 def test_splitting_rejects_bad_input():
     K = gf_create(3)
     ext = builtin_extension(K, "artin_schreier", m=1)

@@ -12,7 +12,7 @@ from gosslift.witt import (FieldOps, LaurentOps, WittPolys, WittVector,
                            int_to_witt, lifted_goss_eval, teichmuller,
                            witt_add, witt_mul, witt_neg, witt_structure_polys,
                            witt_sub, witt_text, witt_zero)
-from gosslift.zeta import DirichletTable, dirichlet_table, goss_eval
+from gosslift.zeta import DirichletTable, dirichlet_table, goss_eval, rank
 from witt_oracle import (oracle_add, oracle_lifted_goss_eval, oracle_mul,
                          oracle_neg, sympy_structure_polys,
                          witt_structure_exprs)
@@ -289,16 +289,16 @@ def test_lifted_detects_mod_p_squared_difference():
     n0 = next(n for n in base.entries if str(n) == "T + 2")
     for s in (1, 2, 3):
         M = 3 * s
-        bumped = dict(base.entries)
-        bumped[n0] = bumped[n0] + 3
+        bumped = list(base.counts)
+        bumped[rank(K3, n0.coeffs)] += 3
         other = DirichletTable(base.ext_name, base.field, base.bound, bumped)
         assert (lifted_goss_eval(base, s, M, 1)
                 == lifted_goss_eval(other, s, M, 1))
         assert (lifted_goss_eval(base, s, M, 2)
                 != lifted_goss_eval(other, s, M, 2))
         # a shift by p^2 is invisible at length 2
-        bumped9 = dict(base.entries)
-        bumped9[n0] = bumped9[n0] + 9
+        bumped9 = list(base.counts)
+        bumped9[rank(K3, n0.coeffs)] += 9
         other9 = DirichletTable(base.ext_name, base.field, base.bound, bumped9)
         assert (lifted_goss_eval(base, s, M, 2)
                 == lifted_goss_eval(other9, s, M, 2))

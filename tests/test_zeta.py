@@ -17,7 +17,7 @@ from gosslift.extension import (SplittingType, builtin_extension,
                                 trivial_extension)
 from gosslift.field import gf_create
 from gosslift.laurent import LaurentSeries
-from gosslift import poly
+from gosslift import poly, textforms
 from gosslift.poly import MonicPoly, enumerate_monic_irreducibles
 from gosslift.textforms import parse_monic
 from gosslift.witt import lifted_goss_eval
@@ -258,8 +258,8 @@ def test_perturbed_table_comparisons():
     keys = [n for n in base.entries if n.degree >= 1]
     for _ in range(10):
         n0 = rng.choice(keys)
-        bumped = dict(base.entries)
-        bumped[n0] = bumped[n0] + 3
+        bumped = list(base.counts)
+        bumped[rank(base.field, n0.coeffs)] += 3
         other = DirichletTable(base.ext_name, base.field, base.bound, bumped)
         assert compare_zeta(base, other, "goss").equal
         v = compare_zeta(base, other, "lifted")
@@ -296,6 +296,23 @@ def test_reconstruct_round_trip_over_f5():
                 # ramification indices are invisible mod p, inertia
                 # degrees with multiplicity come back exactly
                 assert rec == st.inertia_degrees()
+    # every multiset of inertia degrees with sum n < p comes back
+    for p in (5, 7, 11):
+        for n_ext in range(1, p):
+            for degrees in _partitions(n_ext, n_ext):
+                st = SplittingType(tuple((1, f) for f in degrees))
+                rec = reconstruct_splitting(
+                    prime_power_residues(st, n_ext, p), n_ext, p)
+                assert rec == tuple(sorted(degrees))
+
+
+def _partitions(n, largest):
+    """Partitions of n into parts of at most largest, as tuples."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
 def test_reconstruct_errors():
@@ -345,8 +362,7 @@ def test_dump_and_load_round_trip(tmp_path):
 
 
 def test_dump_sanitizes_name():
-    one = MonicPoly(K3, (1,))
-    table = DirichletTable("my ext", K3, 0, {one: 1})
+    table = DirichletTable("my ext", K3, 0, [1])
     assert dump_table(table).splitlines()[0] == "# ext=my_ext p=3 m=1 D=0"
 
 
@@ -378,6 +394,25 @@ def test_load_table_malformed_header_or_line_is_zeta_error():
             load_table(bad)
 
 
+def test_load_table_rejects_a_non_canonical_spelling():
+    text = dump_table(dirichlet_table(trivial_extension(K3), 1))
+    assert text.splitlines()[4] == "T + 2 1"
+    bad = text.replace("T + 2 1", "2 + T 1")
+    with pytest.raises(ZetaError, match="table line 5: '2 \\+ T'"):
+        load_table(bad)
+
+
+def test_load_table_does_not_parse_polynomials(monkeypatch):
+    table = dirichlet_table(builtin_extension(K3, "artin_schreier", m=5), 8)
+    text = dump_table(table)
+
+    def refuse(field, text):
+        raise AssertionError(f"parse_monic called on {text!r}")
+
+    monkeypatch.setattr(textforms, "parse_monic", refuse)
+    assert load_table(text) == table
+
+
 def test_load_table_rejects_a_huge_header_bound_at_once():
     # (3^(D+1) - 1)/2 is never computed: no entry has degree D
     with pytest.raises(ZetaError, match="largest degree is 0"):
@@ -401,14 +436,22 @@ def test_load_table_rejects_incomplete_or_padded_tables():
 
 def test_compare_zeta_rejects_different_moduli():
     full = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 2)
+    # a table with one modulus missing cannot be built
     entries = dict(full.entries)
     entries.pop(parse_monic(K3, "T^2 + 1"))
-    partial = DirichletTable(full.ext_name, K3, 2, entries)
-    for kind in ("weil", "goss", "lifted"):
-        with pytest.raises(ZetaError):
-            compare_zeta(partial, full, kind)
-        with pytest.raises(ZetaError):
-            compare_zeta(full, partial, kind)
+    with pytest.raises(ZetaError):
+        DirichletTable(full.ext_name, K3, 2, entries)
+    with pytest.raises(ZetaError):
+        DirichletTable(full.ext_name, K3, 2, list(entries.values()))
+    # tables over different sets of moduli are never compared
+    longer = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 3)
+    other_field = dirichlet_table(trivial_extension(gf_create(5)), 2)
+    for other in (longer, other_field):
+        for kind in ("weil", "goss", "lifted"):
+            with pytest.raises(ZetaError):
+                compare_zeta(full, other, kind)
+            with pytest.raises(ZetaError):
+                compare_zeta(other, full, kind)
 
 
 def test_goss_eval_rejects_negative_precision():
@@ -517,21 +560,34 @@ def test_entries_is_a_cached_read_only_view():
     assert list(view.values()) == table.counts
     with pytest.raises(TypeError):
         view[next(iter(view))] = 7
-    assert DirichletTable(table.ext_name, K3, 3, view) == table
+    assert DirichletTable(table.ext_name, K3, 3, list(view.values())) == table
+
+
+def test_table_rejects_a_count_list_of_the_wrong_length():
+    full = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 3)
+    assert len(full.counts) == 40
+    for counts in (full.counts[:-1], full.counts + [0], dict(full.entries)):
+        with pytest.raises(ZetaError, match="needs a list of 40 counts"):
+            DirichletTable(full.ext_name, K3, 3, counts)
+    with pytest.raises(ZetaError, match="needs a list of 4 counts"):
+        DirichletTable("K", K3, 1, [1])
 
 
 def test_every_reader_rejects_a_table_with_a_hole():
     full = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 3)
+    hole = parse_monic(K3, "T^3 + T + 2")
     entries = dict(full.entries)
-    entries.pop(parse_monic(K3, "T^3 + T + 2"))
-    partial = DirichletTable(full.ext_name, K3, 3, entries)
-    assert partial.holes == 1
-    readers = [partial.block_sums, lambda: weil_series(partial),
-               lambda: dump_table(partial), lambda: pgalois_check(partial, 2),
-               lambda: goss_eval(partial, 1, 3), lambda: goss_eval(partial, 0, 3),
-               lambda: lifted_goss_eval(partial, 1, 3, 2)]
-    for read in readers:
-        with pytest.raises(ZetaError, match="no count for 1 of its moduli"):
-            read()
+    entries.pop(hole)
+    # the hole is refused when the table is built, so no reader sees it
+    for counts in (entries, list(entries.values())):
+        with pytest.raises(ZetaError, match="needs a list of 40 counts"):
+            DirichletTable(full.ext_name, K3, 3, counts)
     with pytest.raises(ZetaError):
         DirichletTable("K", K3, 1, {parse_monic(K3, "T^2"): 1})
+    # every reader works on the full table the hole was cut from
+    readers = [full.block_sums, lambda: weil_series(full),
+               lambda: dump_table(full), lambda: pgalois_check(full, 2),
+               lambda: goss_eval(full, 1, 3), lambda: goss_eval(full, 0, 3),
+               lambda: lifted_goss_eval(full, 1, 3, 2)]
+    for read in readers:
+        read()
