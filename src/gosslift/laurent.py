@@ -144,8 +144,10 @@ class LaurentSeries:
     def pow_int(self, e):
         if e < 0:
             raise LaurentError("negative powers need an explicit expansion")
-        return poly.power(LaurentSeries.__mul__,
-                          LaurentSeries.one(self.field, self.precision), self, e)
+        if e == 0:
+            return LaurentSeries.one(self.field, self.precision)
+        # from the base, not from a 1 that costs a product and precision
+        return poly.power(LaurentSeries.__mul__, self, self, e - 1)
 
     def _check(self, other):
         if not isinstance(other, LaurentSeries) or other.field != self.field:

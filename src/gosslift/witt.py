@@ -18,14 +18,13 @@ objects rather than a class hierarchy.
 Terms that vanish are skipped, not computed.  Every ring element has a
 shape (valuation, precision): a Laurent series has its own, with
 valuation precision + 1 when it is zero, and a field element is a series
-of precision 0, so its valuation is 0, or 1 when it is zero.  The shape
-of a product follows from the shapes of its factors by the rules of
-LaurentSeries.__mul__, because over a field valuations of nonzero
-factors add exactly.  So each structure-polynomial term predicts its
-shape in integers first; a term that is zero at its precision costs no
-ring operation, and only its precision is folded into the sum.  In
-lifted_goss_eval the same rule stops the Teichmuller powers x^(p^i) once
-p * v(x) passes the precision.
+of precision 0, of valuation 0, or 1 when it is zero.  When every value
+has valuation >= 0 and precision >= the ring's precision P, as over a
+field and in lifted_goss_eval, every term is known to precision exactly
+P and, since valuations add over a field, has valuation sum e_i * v(x_i).
+A term is then skipped exactly when p divides its coefficient or that
+sum passes P; for other values no term is.  In lifted_goss_eval the same
+rule stops the Teichmuller powers x^(p^i) once p * v(x) passes P.
 
 Integers enter W_N through their Teichmuller digits: in W(F_p) = Z_p an
 integer is k = sum p^i [a_i], where [a] = a^(p^(N-1)) mod p^N, so
@@ -132,6 +131,8 @@ def witt_structure_polys(p, N):
 class FieldOps:
     """Witt coordinate ring: a finite field."""
 
+    precision = 0
+
     def __init__(self, field):
         self.field = field
         self.p = field.p
@@ -226,44 +227,22 @@ def teichmuller(ops, x, N):
     return WittVector(ops.p, N, (x,) + (ops.zero,) * (N - 1))
 
 
-def _mul_shape(a, b):
-    """Shape of a product a * b, by the rules of LaurentSeries.__mul__."""
-    (va, pa), (vb, pb) = a, b
-    prec = min(pa, pb, va + pb, vb + pa)
-    v = va + vb
-    return (v if v <= prec else prec + 1), prec
-
-
-def _pow_shape(a, e):
-    """Shape of a**e for e >= 1: LaurentSeries.pow_int's power with the
-    shape rule of _mul_shape for the product, from the shape of one."""
-    return power(_mul_shape, (0, a[1]), a, e)
-
-
 def _eval_terms(ops, terms, vals):
     """Sum of coeff * prod vals[i]**e over the terms, at the exact precision.
 
     The result equals evaluating each term as the ring constant coeff
     times one power after another and summing: shape, precision and all.
-    Each term first predicts its shape from the shapes of that product
-    (the constant has shape (0, P), or (P + 1, P) when p divides coeff,
-    for the ring's precision P).  If the valuation passes the precision,
-    the term is zero there: nothing is computed and only its precision
-    is kept, to be folded into the sum once at the end.  A surviving
-    term multiplies its powers in turn, starting from the first, and
-    applies its coefficient in one scale that also truncates it to the
-    predicted precision.  That truncation gives the same series, since
-    each skipped factor (the constant, or pow_int's leading one) can
-    only lower the precision and the coefficients up to the lower one
-    are the same.  Structure polynomials have no constant term.
+    Terms are skipped by the rule in the module docstring.  A kept term
+    scales its first power by coeff at the precision its product with the
+    constant would have, then multiplies in the further powers.
+    Structure polynomials have no constant term.
     """
-    one, zero = ops.shape(ops.one), ops.shape(ops.zero)
-    shapes = {}
+    P = ops.precision
+    vs, precs = zip(*map(ops.shape, vals))
+    exact = min(vs) >= 0 and min(precs) >= P
     powers = {}
 
     def power(i, e):
-        if e == 1:
-            return vals[i]
         got = powers.get((i, e))
         if got is None:
             got = ops.pow_(vals[i], e)
@@ -271,27 +250,20 @@ def _eval_terms(ops, terms, vals):
         return got
 
     acc = ops.zero
-    low = zero[1]
     for coeff, exps in terms:
-        shape = one if coeff % ops.p else zero
-        for i, e in enumerate(exps):
-            if e:
-                got = shapes.get((i, e))
-                if got is None:
-                    got = _pow_shape(ops.shape(vals[i]), e)
-                    shapes[(i, e)] = got
-                shape = _mul_shape(shape, got)
-        v, prec = shape
-        if v > prec:
-            low = min(low, prec)
+        if exact and (coeff % ops.p == 0
+                      or sum(e * v for e, v in zip(exps, vs)) > P):
             continue
         t = None
         for i, e in enumerate(exps):
             if e:
-                t = power(i, e) if t is None else ops.mul(t, power(i, e))
-        acc = ops.add(acc, ops.scale(t, coeff, prec))
-    if low < ops.shape(acc)[1]:
-        acc = ops.scale(acc, 1, low)
+                if t is None:
+                    t = power(i, e)
+                    v, prec = ops.shape(t)
+                    t = ops.scale(t, coeff, min(P, prec, P + v))
+                else:
+                    t = ops.mul(t, power(i, e))
+        acc = ops.add(acc, t)
     return acc
 
 

@@ -50,6 +50,18 @@ def block_start(q, d):
     return (q ** d - 1) // (q - 1)
 
 
+TABLE_SIZE_BOUND = 2 ** 24  # the most entries a table may hold
+
+
+def whole_blocks(q, size):
+    """The largest D with block_start(q, D + 1) <= size, or -1, counted up
+    from degree 0 so that a huge D never makes q^D."""
+    top = -1
+    while block_start(q, top + 2) <= size:
+        top += 1
+    return top
+
+
 def rank(K, coeffs):
     """Position of a monic polynomial in enumeration order.
 
@@ -133,6 +145,11 @@ def dirichlet_table(ext, bound):
     if bound < 0:
         raise ZetaError("table bound must be nonnegative")
     K = ext.field
+    top = whole_blocks(K.q, TABLE_SIZE_BOUND)
+    if bound > top:
+        raise ZetaError(
+            f"table bound {bound} over GF({K.q}) is above {top}, the largest "
+            f"with at most {TABLE_SIZE_BOUND} entries")
     counts = [0] * block_start(K.q, bound + 1)
     counts[0] = 1
     # the nonzero entries so far, by degree, as (coefficients, count): a
@@ -447,11 +464,8 @@ def load_table(text_or_path, from_path=False):
     if header is None:
         raise ZetaError("table text is missing its header line")
     name, K, bound = header
-    # whole degree blocks the lines could fill, counted up from degree 0,
-    # so a huge header bound fails before q^(D+1) is ever computed
-    top = -1
-    while block_start(K.q, top + 2) <= len(lines):
-        top += 1
+    # a huge header bound fails before q^(D+1) is ever computed
+    top = whole_blocks(K.q, len(lines))
     if bound > top:
         raise ZetaError(
             f"table header has D={bound}, but for a complete table of "

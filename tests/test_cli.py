@@ -396,6 +396,18 @@ def test_huge_exponent_in_polynomial_text_exits_3(tmp_path, args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("bound", ["40", "1000000000"])
+def test_huge_table_bound_exits_3(tmp_path, bound):
+    # refused before a list of (3^(D+1) - 1)/2 counts, or 3^(D+1) itself,
+    # is made
+    k = write_cfg(tmp_path, "K.cfg", CFG_K)
+    res = run_child(["zeta", "--kind", "weil", "--ext", k,
+                     "--max-degree", bound], timeout=10)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error[zeta]:")
+    assert "the largest with at most" in res.stderr
+
+
 def test_goss_bound_fails_before_the_table(tmp_path):
     # a degree-12 table over F_3 takes tens of seconds to build
     f = write_cfg(tmp_path, "F.cfg", CFG_F)

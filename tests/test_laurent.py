@@ -138,6 +138,10 @@ def test_pow_int():
     assert x.pow_int(1) == x
     cube = x.pow_int(3)
     assert cube.valuation == 3
+    # at negative valuation a power keeps the precision of the products
+    t = LaurentSeries(K, -1, (1,), 6)  # T
+    assert t.pow_int(1) == t
+    assert t.pow_int(2) == t * t
     with pytest.raises(LaurentError):
         x.pow_int(-1)
 
