@@ -9,12 +9,17 @@ divide the discriminant, and any prime the user cannot vouch for, must
 carry an explicit override or the query fails loudly.  Nothing here
 computes integral closures: an override is trusted as given.
 
-One routine reads off the factor degrees, given a residue field and a
-map reducing A onto it.  splitting_type, for one prime given from
-outside, checks the prime and reduces onto the residue field A/(pi).
-splitting_types, for all primes of one degree in a table, evaluates at
-alpha in the base field's model of F_{q^d}, with alpha the root of pi
-kept by enumerate_monic_irreducibles.
+One routine checks a prime (override, bad prime, discriminant), given a
+residue field and a map reducing A onto it, and then reads off the type.
+splitting_type, for one prime given from outside, checks the prime,
+reduces onto the residue field A/(pi) and reads the factor degrees of
+f mod pi.  splitting_types, for all primes of one degree in a table,
+evaluates at alpha in the base field's model of F_{q^d}, with alpha the
+root of pi kept by enumerate_monic_irreducibles.  For a separated cover,
+f = A(X) + c0(T) with A over F_q, one sweep of the model counts the
+roots of A(X) = v for every v, and the root count of f(alpha, X) then
+gives the type when f has X-degree at most 3 or A = X^p - X.  Every
+other cover reads the factor degrees of f(alpha, X), as for one prime.
 
 Config files are sectioned key=value text,
 
@@ -273,24 +278,35 @@ def splitting_type(ext, prime):
 def splitting_types(ext, d):
     """(prime, splitting type) for every prime of degree d, in enumeration order.
 
-    Overrides win.  Every other prime must be unramified, and its type is
-    read off the distinct-degree factorization of f(alpha, X) over the
-    base field's model F of F_{q^d}, where alpha is the root of the prime
-    that F keeps.  The first prime that fails raises the same error as
-    splitting_type.
+    Overrides win.  Every other prime must be unramified, checked as by
+    splitting_type, in the same order and with the same first failing
+    prime.  Its type comes from f(alpha, X) over the base field's model F
+    of F_{q^d}, where alpha is the root of the prime that F keeps: from a
+    root count when the cover is separated and the count decides the type
+    (see _unramified_step), and otherwise from the distinct-degree
+    factorization, as for a single prime.
     """
     F = ext.field.zech_field(d)
     disc = _disc_coeffs(ext)
+    unramified = _unramified_step(ext, F)
     return [(prime, _prime_type(ext, prime, disc, F,
-                                lambda c: poly.peval(F, c, alpha)))
+                                lambda c: poly.peval(F, c, alpha), unramified))
             for prime, alpha in zip(*F.irreducibles())]
 
 
-def _prime_type(ext, prime, disc, F, reduce):
+def _reduced_type(ext, F, reduce):
+    """Type of an unramified prime, from f reduced into its residue field F."""
+    fbar = tuple(reduce(c) for c in ext.xt_coeffs)
+    counts = poly.distinct_degree_counts(F, fbar)
+    return SplittingType(tuple((1, f) for f, c in counts.items() for _ in range(c)))
+
+
+def _prime_type(ext, prime, disc, F, reduce, unramified=_reduced_type):
     """Type of a prime with residue field F, where reduce maps A onto F.
 
     disc holds the discriminant's coefficients, or () when f is
-    inseparable: every prime divides a zero discriminant.
+    inseparable: every prime divides a zero discriminant.  unramified
+    reads off the type once the prime is known to be unramified.
     """
     st = ext.overrides.get(prime)
     if st is not None:
@@ -301,14 +317,35 @@ def _prime_type(ext, prime, disc, F, reduce):
     if not disc or reduce(disc) == F.zero:
         raise ExtensionError(
             f"prime {prime} ramifies in {ext.name}; supply an override")
-    return _reduced_type(ext, F, reduce)
+    return unramified(ext, F, reduce)
 
 
-def _reduced_type(ext, F, reduce):
-    """Type of an unramified prime, from f reduced into its residue field F."""
-    fbar = tuple(reduce(c) for c in ext.xt_coeffs)
-    counts = poly.distinct_degree_counts(F, fbar)
-    return SplittingType(tuple((1, f) for f, c in counts.items() for _ in range(c)))
+def _unramified_step(ext, F):
+    """The last step of _prime_type for the primes whose residue field is F.
+
+    A cover is separated when f = A(X) + c0(T) with A over F_q.  Then
+    f(alpha, X) has r = N[-c0(alpha)] roots in F, with N from one sweep
+    F.value_counts(A).  For an unramified prime f(alpha, X) is squarefree,
+    and r fixes its type in two cases.  When n <= 3, r = n means (1,1)^n,
+    r = 1 in a cubic means (1,1)(1,2), and r = 0 means (1,n).  When
+    A = X^p - X, the roots form a coset of F_p, so there are p of them
+    or none (Stichtenoth, Algebraic Function Fields and Codes, 3.7).
+    Every other cover gets _reduced_type.
+    """
+    K, n, cols = ext.field, ext.degree, ext.xt_coeffs
+    if any(len(c) > 1 for c in cols[1:]):
+        return _reduced_type
+    a = (0,) + tuple(c[0] if c else 0 for c in cols[1:])
+    if n > 3 and a != (0, K.neg(K.one)) + (0,) * (K.p - 2) + (1,):
+        return _reduced_type
+    counts = F.value_counts(a)
+    types = {n: SplittingType(((1, 1),) * n)}
+    if n > 1:
+        types[0] = SplittingType(((1, n),))
+    if n == 3:
+        types[1] = SplittingType(((1, 1), (1, 2)))
+    c0 = cols[0]
+    return lambda ext, F, reduce: types[counts[F.neg(reduce(c0))]]
 
 
 def _disc_coeffs(ext):
@@ -423,9 +460,11 @@ def _check_irreducible(ext):
     every unramified pi.  The test intersects those subset sums over the
     unramified primes of degree <= 2 that carry no override and are not
     marked bad, and stops once only 0 and n are left: f is irreducible.
-    Otherwise it cannot decide, and the polynomial is rejected, since an
-    irreducible f whose small primes all split alike looks the same to
-    it as a reducible one.
+    If it cannot decide, an Eisenstein prime still proves f irreducible
+    (Stichtenoth, Prop. 3.1.15): a prime P that divides every non-leading
+    X-coefficient, while P^2 does not divide the constant one.  Failing
+    both, the polynomial is rejected, since an irreducible f whose small
+    primes all split alike looks the same to the test as a reducible one.
     """
     n = ext.degree
     possible = set(range(n + 1))
@@ -442,6 +481,12 @@ def _check_irreducible(ext):
                 sums |= {s + f for s in sums}
             possible &= sums
             if len(possible) == 2:
+                return
+    f = ext.xt_coeffs
+    if f[0]:
+        for prime, mult in poly.factor_monic(ext.field, f[0]):
+            if mult == 1 and not any(poly.pmod(ext.field, c, prime.coeffs)
+                                     for c in f[1:-1]):
                 return
     left = ", ".join(str(k) for k in sorted(possible - {0, n}))
     raise ExtensionError(

@@ -12,7 +12,8 @@ on first use and cached on the base field.  Elements are again ints,
 whose base-q digits are coordinates over F_q, and arithmetic goes through
 exp/log/Zech tables of length q^d.  Its Frobenius orbits are the monic
 irreducibles of degree d over F_q, each kept with one root, which is how
-ideal-count tables read off splitting types.
+ideal-count tables read off splitting types; value_counts tallies the
+values of a polynomial over F_q in one pass, for root counts.
 
 ResidueField models F_q[T]/(pi) for one irreducible pi over a table
 field.  Its elements are fixed-width tuples of base-field ints, with
@@ -323,6 +324,29 @@ class ZechField:
             return 0
         return self._exp[self._log[a] * self._proot % self._n]
 
+    def value_counts(self, coeffs):
+        """N with N[v] = #{beta in this field : A(beta) = v}, in one pass.
+
+        A is given by coefficients over the base field, low to high, and
+        is evaluated on logs: a * beta^i is Y^(log a + i log beta).  N is a
+        bytearray indexed by element, so deg A must stay below 256.
+        """
+        exp, zech, n = self._exp, self._zech, self._n
+        terms = [(i, self._log[c]) for i, c in enumerate(coeffs) if c]
+        counts = bytearray(self.order)
+        counts[coeffs[0]] = 1  # beta = 0
+        for k in range(n):
+            v = -1
+            for i, lc in terms:
+                t = (lc + i * k) % n
+                if v < 0:
+                    v = t
+                else:
+                    z = zech[t - v]  # a negative index wraps mod n = len(zech)
+                    v = -1 if z < 0 else (v + z) % n
+            counts[exp[v] if v >= 0 else 0] += 1
+        return counts
+
     def irreducibles(self):
         """The monic irreducibles of degree d over the base, with one root each.
 
@@ -354,17 +378,29 @@ class ZechField:
         return self._irreducibles
 
     def _minpoly(self, logs):
-        """The product of X - Y^k over the given logs, as a coefficient tuple."""
-        add, mul, exp, n = self.add, self.mul, self._exp, self._n
-        c = [1]
+        """The product of X - Y^k over the given logs, as a coefficient tuple.
+
+        Coefficients are kept as logs, -1 for zero, so each step is one
+        Zech addition per coefficient on the tables themselves.
+        """
+        exp, zech, n, half = self._exp, self._zech, self._n, self._half
+        c = [0]
         for k in logs:
             # c * (X - Y^k): shift c up one place, then add -Y^k * c
-            minus_root = exp[(k + self._half) % n]
-            shifted = [0] + c
+            m = k + half
+            shifted = [-1] + c
             for i, ci in enumerate(c):
-                shifted[i] = add(shifted[i], mul(ci, minus_root))
+                if ci < 0:
+                    continue
+                b = (ci + m) % n
+                a = shifted[i]
+                if a < 0:
+                    shifted[i] = b
+                else:
+                    z = zech[b - a]  # a negative index wraps mod n = len(zech)
+                    shifted[i] = -1 if z < 0 else (a + z) % n
             c = shifted
-        return tuple(c)
+        return tuple(exp[ci] if ci >= 0 else 0 for ci in c)
 
     def __repr__(self):
         return f"ZechField({self.base!r}, deg={self.deg})"

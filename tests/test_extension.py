@@ -337,10 +337,21 @@ def test_irreducibility_skips_overridden_primes():
     assert parse_extension(_poly_cfg(3, "X^2 - T^5 + T", extra)).degree == 2
 
 
-def test_undecided_irreducible_polynomial_is_rejected():
-    # X^2 - T^3 + T over F_3 is irreducible, but every unramified prime of
-    # degree <= 2 splits, so the test cannot tell and says so
+def test_eisenstein_prime_certifies_irreducibility():
+    # X^2 - T^3 + T over F_3: every unramified prime of degree <= 2 splits,
+    # so the degree-set test cannot decide, but T is an Eisenstein prime
     extra = "".join(f"[override]\nprime={q}\ntype=(2,1)\n"
                     for q in ("T", "T + 1", "T + 2"))
+    assert parse_extension(_poly_cfg(3, "X^2 - T^3 + T", extra)).degree == 2
+    # T^2 (T + 2)(T^2 + T + 2): T^2 divides the constant, T + 2 is Eisenstein
+    extra = "".join(f"[override]\nprime={q}\ntype=(2,1)\n"
+                    for q in ("T", "T + 2", "T^2 + T + 2"))
+    assert parse_extension(_poly_cfg(3, "X^2 + T^5 + T^3 + T^2", extra)).degree == 2
+
+
+def test_undecided_polynomial_is_rejected():
+    # X^2 - T^2 = (X - T)(X + T): every unramified prime of degree <= 2
+    # splits, and T^2 divides the constant, so no Eisenstein prime either
     with pytest.raises(ExtensionError, match="could not decide"):
-        parse_extension(_poly_cfg(3, "X^2 - T^3 + T", extra))
+        parse_extension(_poly_cfg(3, "X^2 - T^2",
+                                  "[override]\nprime=T\ntype=(2,1)\n"))

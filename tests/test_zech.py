@@ -3,19 +3,23 @@ table path of splitting types, checked against independent references:
 residue-field arithmetic, trial division, and per-prime splitting_type."""
 
 import itertools
+import os
 import random
 
 import pytest
 
-from gosslift import poly
+from gosslift import extension, poly
 from gosslift.errors import ExtensionError
 from gosslift.extension import (ExtensionSpec, SplittingType, builtin_extension,
-                                splitting_type, splitting_types,
-                                trivial_extension)
+                                parse_extension_file, splitting_type,
+                                splitting_types, trivial_extension)
 from gosslift.field import ResidueField, gf_create
 from gosslift.poly import MonicPoly, enumerate_monic, enumerate_monic_irreducibles
 from gosslift.textforms import parse_monic, parse_xt_poly
 from gosslift.zeta import dirichlet_table, local_counts
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 # (p, m, degree bound) for each base field F_q, q = p^m
 FIELDS = ((2, 1, 6), (3, 1, 5), (2, 2, 4), (5, 1, 3), (3, 2, 3), (2, 4, 2))
@@ -156,7 +160,9 @@ def test_table_types_match_splitting_type(p, m, bound):
 
 
 def test_table_ramified_without_override_raises_first_prime():
-    """The first ramified prime in enumeration order is named, as by splitting_type."""
+    """The first ramified prime in enumeration order is named, as by
+    splitting_type.  Every case is a separated cover, whose unramified
+    types come from root counts."""
     K = gf_create(3)
     cases = (
         ("bare", "X^2 - T^2 - 2", (), "T + 1", "ramifies in bare; supply an override"),
@@ -165,6 +171,8 @@ def test_table_ramified_without_override_raises_first_prime():
         ("insep", "X^3 - T", (), "T", "ramifies in insep; supply an override"),
         ("badp", "X^2 - T - 1", (parse_monic(K, "T"),), "T",
          "is marked bad for badp and has no override"),
+        ("asbad", "X^3 - X - T^2", (parse_monic(K, "T^2 + 1"),), "T^2 + 1",
+         "is marked bad for asbad and has no override"),
     )
     for name, f, bad, prime, reason in cases:
         ext = ExtensionSpec(name, K, parse_xt_poly(K, f), bad_primes=bad)
@@ -183,3 +191,94 @@ def test_splitting_type_routes_ramified_primes_to_overrides():
     with pytest.raises(ExtensionError, match="ramifies in K; supply an override"):
         splitting_type(ext, parse_monic(K, "T + 1"))
     assert splitting_type(ext, parse_monic(K, "T + 2")).degree == 2
+
+
+def model_path_types(ext, d):
+    """splitting_types with the distinct-degree last step at every prime."""
+    F = ext.field.zech_field(d)
+    disc = extension._disc_coeffs(ext)
+    return [(prime, extension._prime_type(
+                ext, prime, disc, F, lambda c: poly.peval(F, c, alpha)))
+            for prime, alpha in zip(*F.irreducibles())]
+
+
+def simple_cubic():
+    """X^3 + 2X + T^2 + T over F_5: separated, not Galois, and ramified at
+    T + 2, T + 4 and T^2 + T + 2, each dividing the discriminant once."""
+    K = gf_create(5)
+    return ExtensionSpec("cubic", K, parse_xt_poly(K, "X^3 + 2*X + T^2 + T"),
+                         overrides={parse_monic(K, prime): SplittingType(((1, 1), (2, 1)))
+                                    for prime in ("T + 2", "T + 4", "T^2 + T + 2")})
+
+
+def counted_distinct_degree(monkeypatch):
+    calls = []
+    real = poly.distinct_degree_counts
+
+    def counting(F, f):
+        calls.append(f)
+        return real(F, f)
+    monkeypatch.setattr(poly, "distinct_degree_counts", counting)
+    return calls
+
+
+def builtin(field, kind, **params):
+    return lambda: builtin_extension(gf_create(*field), kind, **params)
+
+
+ROOT_COUNT_COVERS = [
+    pytest.param(builtin((2, 1), "artin_schreier", m=3), 7, id="AS-F2"),
+    pytest.param(builtin((3, 1), "artin_schreier", m=5), 7, id="AS-F3"),
+    pytest.param(builtin((2, 2), "artin_schreier", m=1), 4, id="AS-F4"),
+    pytest.param(builtin((2, 4), "artin_schreier", m=1), 4, id="AS-F16"),
+    pytest.param(builtin((5, 1), "artin_schreier", m=2), 4, id="AS_m2-F5"),
+    pytest.param(builtin((3, 1), "kummer_sqrt", c="T^3 - T"), 7, id="kummer-F3"),
+    pytest.param(builtin((5, 1), "kummer_sqrt", c="T^3 + T + 1"), 4, id="kummer-F5"),
+    pytest.param(builtin((7, 1), "kummer_sqrt", c="T^2 + T + 3"), 4, id="kummer-F7"),
+    pytest.param(lambda: parse_extension_file(os.path.join(CONFIGS, "K_sqrt.cfg")),
+                 7, id="K_sqrt"),
+    pytest.param(simple_cubic, 4, id="cubic-F5"),
+    pytest.param(lambda: trivial_extension(gf_create(3)), 7, id="trivial-F3"),
+]
+
+
+@pytest.mark.parametrize("make, bound", ROOT_COUNT_COVERS)
+def test_root_counts_match_distinct_degree_types(make, bound, monkeypatch):
+    """Separated covers of degree <= 3 and Artin-Schreier covers take
+    their types from one root-count sweep per degree, with no
+    distinct-degree factoring, and get the types that factoring gives."""
+    ext = make()
+    calls = counted_distinct_degree(monkeypatch)
+    seen = set()
+    for d in range(1, bound + 1):
+        got = splitting_types(ext, d)
+        assert not calls
+        assert got == model_path_types(ext, d)
+        seen |= {st.pairs for _, st in got}
+        calls.clear()
+    if ext.degree > 1:
+        assert len(seen - {st.pairs for st in ext.overrides.values()}) >= 2
+    if ext.degree == 3 and ext.field.p != 3:
+        assert ((1, 1), (1, 2)) in seen
+
+
+def test_other_covers_fall_back_to_distinct_degree_types(monkeypatch):
+    """X^4 - T is separated but of degree 4 and not Artin-Schreier, and
+    X^2 + T*X + 1 is not separated: both factor at every unramified prime."""
+    K2, K5 = gf_create(2), gf_create(5)
+    t2, t5 = MonicPoly(K2, (0, 1)), MonicPoly(K5, (0, 1))
+    covers = (
+        (ExtensionSpec("quartic", K5, parse_xt_poly(K5, "X^4 - T"),
+                       overrides={t5: SplittingType(((4, 1),))}), 3),
+        (ExtensionSpec("Q2", K2, parse_xt_poly(K2, "X^2 + T*X + 1"),
+                       overrides={t2: SplittingType(((2, 1),))}), 6),
+    )
+    calls = counted_distinct_degree(monkeypatch)
+    for ext, bound in covers:
+        for d in range(1, bound + 1):
+            got = splitting_types(ext, d)
+            factored = sum(prime not in ext.overrides for prime, _ in got)
+            assert len(calls) == factored > 0
+            assert got == model_path_types(ext, d)
+            calls.clear()
+

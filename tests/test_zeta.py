@@ -591,3 +591,35 @@ def test_every_reader_rejects_a_table_with_a_hole():
                lambda: lifted_goss_eval(full, 1, 3, 2)]
     for read in readers:
         read()
+
+
+# L-polynomials over F_3 of covers with one place of degree 1 above
+# infinity, read from D=9 tables: (kind, params, genus, L low to high)
+WEIL_L_POLYNOMIALS = [
+    ("artin_schreier", {"m": 5}, 4, [1, 0, 0, 0, 18, 0, 0, 0, 81]),
+    ("kummer_sqrt", {"c": "T^3 + 2*T + 1"}, 1, [1, 3, 3]),
+    ("kummer_sqrt", {"c": "T"}, 0, [1]),
+]
+
+
+@pytest.mark.parametrize("kind, params, genus, pinned", WEIL_L_POLYNOMIALS,
+                         ids=["AS_m5", "kummer_cubic", "K_sqrt"])
+def test_weil_l_polynomial(kind, params, genus, pinned):
+    """With one place of degree 1 above infinity, Z(u) = Z_A(u)/(1 - u)
+    and Z(u) = L(u)/((1 - u)(1 - qu)), so L(u) = (1 - qu) Z_A(u) (Rosen,
+    Number Theory in Function Fields, ch. 5).  L has degree 2g, satisfies
+    L(u) = q^g u^(2g) L(1/(qu)), and has its roots on |u| = q^(-1/2).
+    These covers take their types from root counts, so a wrong count at
+    any prime of degree <= 9 shows here."""
+    import sympy
+
+    bound, q = 9, K3.q
+    a = dirichlet_table(builtin_extension(K3, kind, **params), bound).block_sums()
+    lpoly = [a[0]] + [a[i] - q * a[i - 1] for i in range(1, bound + 1)]
+    top = 2 * genus
+    assert lpoly == pinned + [0] * (bound - top)
+    for i in range(top + 1):
+        assert lpoly[top - i] * q ** i == q ** genus * lpoly[i]
+    u = sympy.symbols("u")
+    for root in sympy.Poly(lpoly[top::-1], u).all_roots():
+        assert abs(abs(complex(root.evalf())) - q ** -0.5) < 1e-9
