@@ -8,9 +8,9 @@ T^-(M+1); M is the precision.  Storage is (valuation, coeffs) with
 so positive powers of T appear as negative valuations.  Instances are
 normalized: the leading stored coefficient is nonzero, nothing is stored
 past the precision, and the zero-to-precision series stores no
-coefficients at all.  Arithmetic tracks precision conservatively: a sum
-is known to the smaller of the two precisions, a product additionally
-loses whatever a negative valuation amplifies.
+coefficients at all.  A series is a value here: the package builds,
+compares and prints series; the zeta values are summed elsewhere (see
+witt.py), and series arithmetic lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class LaurentSeries:
         return cls(field, 0, (field.one,), precision)
 
     @classmethod
-    def constant(cls, field, element, precision):
-        return cls(field, 0, (element,), precision)
-
-    @classmethod
     def from_tpoly(cls, field, coeffs, precision):
         """Embed a polynomial in T (tuple, constant term first)."""
         coeffs = poly.ptrim(field, coeffs)
@@ -80,78 +76,6 @@ class LaurentSeries:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return self.field.zero
-
-    # --- arithmetic ---
-
-    def __add__(self, other):
-        self._check(other)
-        K = self.field
-        prec = min(self.precision, other.precision)
-        if self.is_zero:
-            return LaurentSeries(K, other.valuation, other.coeffs, prec)
-        if other.is_zero:
-            return LaurentSeries(K, self.valuation, self.coeffs, prec)
-        v = min(self.valuation, other.valuation)
-        out = [K.zero] * (prec - v + 1)
-        for i, c in enumerate(self.coeffs):
-            j = self.valuation + i - v
-            if j < len(out):
-                out[j] = K.add(out[j], c)
-        for i, c in enumerate(other.coeffs):
-            j = other.valuation + i - v
-            if j < len(out):
-                out[j] = K.add(out[j], c)
-        return LaurentSeries(K, v, out, prec)
-
-    def __neg__(self):
-        K = self.field
-        return LaurentSeries(K, self.valuation, [K.neg(c) for c in self.coeffs],
-                             self.precision)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        K = self.field
-        va, vb = self.valuation, other.valuation
-        prec = min(self.precision, other.precision,
-                   va + other.precision, vb + self.precision)
-        if self.is_zero or other.is_zero:
-            return LaurentSeries.zero(K, prec)
-        width = prec - (va + vb) + 1
-        if width <= 0:
-            return LaurentSeries.zero(K, prec)
-        out = [K.zero] * width
-        add, mul, z = K.add, K.mul, K.zero
-        for i, a in enumerate(self.coeffs):
-            if i >= width:
-                break
-            if a == z:
-                continue
-            for j, b in enumerate(other.coeffs[:width - i]):
-                if b != z:
-                    out[i + j] = add(out[i + j], mul(a, b))
-        return LaurentSeries(K, va + vb, out, prec)
-
-    def scale(self, element):
-        K = self.field
-        if element == K.zero:
-            return LaurentSeries.zero(K, self.precision)
-        return LaurentSeries(K, self.valuation,
-                             [K.mul(element, c) for c in self.coeffs], self.precision)
-
-    def pow_int(self, e):
-        if e < 0:
-            raise LaurentError("negative powers need an explicit expansion")
-        if e == 0:
-            return LaurentSeries.one(self.field, self.precision)
-        # from the base, not from a 1 that costs a product and precision
-        return poly.power(LaurentSeries.__mul__, self, self, e - 1)
-
-    def _check(self, other):
-        if not isinstance(other, LaurentSeries) or other.field != self.field:
-            raise LaurentError("mixed coefficient fields in Laurent arithmetic")
 
     # --- comparison and text ---
 
@@ -175,29 +99,3 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"LaurentSeries({self})"
-
-
-def laurent_inv_pow(n, j, M):
-    """Expansion of n^-j at 1/T to precision M, for monic n and j >= 1.
-
-    The result has valuation exactly deg(n) * j and leading coefficient 1.
-    """
-    if j < 1:
-        raise LaurentError(f"exponent {j} must be at least 1")
-    K = n.field
-    D = n.degree * j
-    if M < D:
-        raise LaurentError(
-            f"precision {M} cannot hold the leading term T^-{D} of the expansion")
-    denom = poly.ppow(K, n.coeffs, j)
-    add, mul, neg, z = K.add, K.mul, K.neg, K.zero
-    c = [z] * (M - D + 1)
-    c[0] = K.one
-    for t in range(1, M - D + 1):
-        s = z
-        for i in range(max(0, D - t), D):
-            e = denom[i]
-            if e != z:
-                s = add(s, mul(e, c[i + t - D]))
-        c[t] = neg(s)
-    return LaurentSeries(K, D, c, M)

@@ -2,34 +2,41 @@
 
 W_N over a ring R of characteristic p is the set R^N with addition and
 multiplication given by universal integer polynomials; the length-N ghost
-map (w_0, ..., w_{N-1}), w_n = sum p^i X_i^{p^(n-i)}, turns both laws into
-the componentwise ones over any ring where p is invertible, which pins
-the polynomials uniquely.  We generate them once per (p, N) by solving
-the ghost recursion exactly over the integers, with polynomials held as
-dicts from exponent tuples to int coefficients (every division by p^n is
-checked to be exact), then freeze them to plain term lists evaluated
-with ring callbacks.
+map (w_0, ..., w_{N-1}), w_k = sum p^i X_i^(p^(k-i)), turns both laws into
+the componentwise ones over any ring where p is not a zero divisor, which
+pins the polynomials uniquely.  witt_structure_polys solves that ghost
+recursion exactly over the integers, with polynomials held as dicts from
+exponent tuples to int coefficients (every division by p^k is checked to
+be exact).  Nothing in the package calls it: the lifted zeta works with
+ghost components directly.
 
-The rings that matter here are a finite field (Witt vectors of integers,
-Teichmuller representatives) and Laurent series at the infinite place
-(values of the lifted zeta).  Both are handled through small adapter
-objects rather than a class hierarchy.
+The lifted zeta at s >= 1 is the sum over the table of v_n = [n^-s] * B(n)
+in W_N(F_q[[u]]), u = 1/T: the Teichmuller lift of n^-s times the integer
+B(n).  Because the ghost map is a ring homomorphism, the sum is computed
+in a p-torsion-free lift A = GR[[u]] of F_q[[u]] instead, where
+GR = (Z/p^N)[t]/(g~) is the Galois ring over the integer lift g~ of the
+field modulus (Z/p^N itself when q = p).  The k-th ghost component of
+[x~] * B is B * x~^(p^k), so the sum has ghost components
 
-Terms that vanish are skipped, not computed.  Every ring element has a
-shape (valuation, precision): a Laurent series has its own, with
-valuation precision + 1 when it is zero, and a field element is a series
-of precision 0, of valuation 0, or 1 when it is zero.  When every value
-has valuation >= 0 and precision >= the ring's precision P, as over a
-field and in lifted_goss_eval, every term is known to precision exactly
-P and, since valuations add over a field, has valuation sum e_i * v(x_i).
-A term is then skipped exactly when p divides its coefficient or that
-sum passes P; for other values no term is.  In lifted_goss_eval the same
-rule stops the Teichmuller powers x^(p^i) once p * v(x) passes P.
+    w_k = sum_n B(n) * n~^(-s p^k),
+
+with n~ the lift of n, and ghost_sum computes each one.  Any lift works,
+and w_k is needed only mod p^(k+1): a = b mod p^j implies
+a^(p^i) = b^(p^i) mod p^(j+i).  The same congruence gives the
+coordinates from one ghost inversion,
+
+    S_k = (w_k - sum_{i<k} p^i * S~_i^(p^(k-i))) / p^k  mod p,
+
+where S~_i is coordinate i with its F_p digits read as integers.  The
+division by p^k must be exact in every coefficient; when it is not, the
+evaluation raises WittError, so every value checks itself.  All series
+are power series in u truncated after u^M, so every coordinate is known
+to precision exactly M.
 
 Integers enter W_N through their Teichmuller digits: in W(F_p) = Z_p an
 integer is k = sum p^i [a_i], where [a] = a^(p^(N-1)) mod p^N, so
 a_0 = k mod p, then k <- (k - [a_0]) / p, and so on, in exact integer
-arithmetic.
+arithmetic.  That gives the value at s = 0, a Witt vector over F_q.
 """
 
 from __future__ import annotations
@@ -40,8 +47,10 @@ from functools import lru_cache
 from . import textforms
 from .errors import WittError
 from .field import _is_prime
-from .laurent import LaurentSeries, laurent_inv_pow
+from .laurent import LaurentSeries
 from .poly import power
+
+WITT_LEN_BOUND = 64  # the longest Witt vectors a lifted zeta may use
 
 
 class WittPolys(namedtuple("WittPolys", "p N add mul add_tail")):
@@ -90,10 +99,6 @@ def witt_structure_polys(p, N):
         raise WittError(f"{p} is not prime")
     if N < 1:
         raise WittError("Witt length must be at least 1")
-    if N > 3 and not (p == 2 and N == 4):
-        raise WittError(
-            f"Witt length {N} over p={p} is out of the supported range "
-            f"(lengths up to 3, or 4 when p = 2)")
     gens = [{tuple(int(j == i) for j in range(2 * N)): 1}
             for i in range(2 * N)]
     xs, ys = gens[:N], gens[N:]
@@ -125,42 +130,15 @@ def witt_structure_polys(p, N):
                      tuple(_freeze(t) for t in tails))
 
 
-# --- ring adapters ---
+# --- coordinate rings and vectors ---
 
 
 class FieldOps:
     """Witt coordinate ring: a finite field."""
 
-    precision = 0
-
     def __init__(self, field):
         self.field = field
         self.p = field.p
-        self.zero = field.zero
-        self.one = field.one
-
-    def from_int(self, k):
-        return self.field.from_int(k)
-
-    def add(self, a, b):
-        return self.field.add(a, b)
-
-    def mul(self, a, b):
-        return self.field.mul(a, b)
-
-    def neg(self, a):
-        return self.field.neg(a)
-
-    def pow_(self, a, e):
-        return self.field.pow_(a, e)
-
-    def shape(self, a):
-        """(valuation, precision): an element is a series of precision 0."""
-        return (0, 0) if a != self.zero else (1, 0)
-
-    def scale(self, a, k, prec):
-        """k * a; field elements are exact, so prec changes nothing."""
-        return self.field.mul(self.field.from_int(k), a)
 
     def render(self, a):
         return textforms.format_terms(self.field, [(a, 0)])
@@ -173,40 +151,9 @@ class LaurentOps:
         self.field = field
         self.p = field.p
         self.precision = precision
-        self.zero = LaurentSeries.zero(field, precision)
-        self.one = LaurentSeries.one(field, precision)
-
-    def from_int(self, k):
-        return LaurentSeries.constant(self.field, self.field.from_int(k),
-                                      self.precision)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def pow_(self, a, e):
-        return a.pow_int(e)
-
-    def shape(self, a):
-        return a.valuation, a.precision
-
-    def scale(self, a, k, prec):
-        """k * a, known to precision prec (at most a's)."""
-        K = self.field
-        c = K.from_int(k)
-        coeffs = a.coeffs if c == K.one else [K.mul(c, x) for x in a.coeffs]
-        return LaurentSeries(K, a.valuation, coeffs, prec)
 
     def render(self, a):
         return str(a)
-
-
-# --- vectors and arithmetic ---
 
 
 class WittVector(namedtuple("WittVector", "p N coords")):
@@ -216,99 +163,6 @@ class WittVector(namedtuple("WittVector", "p N coords")):
         if len(coords) != N:
             raise WittError("coordinate count does not match the length")
         return super().__new__(cls, p, N, coords)
-
-
-def witt_zero(ops, N):
-    return WittVector(ops.p, N, (ops.zero,) * N)
-
-
-def teichmuller(ops, x, N):
-    """The multiplicative representative (x, 0, ..., 0)."""
-    return WittVector(ops.p, N, (x,) + (ops.zero,) * (N - 1))
-
-
-def _eval_terms(ops, terms, vals):
-    """Sum of coeff * prod vals[i]**e over the terms, at the exact precision.
-
-    The result equals evaluating each term as the ring constant coeff
-    times one power after another and summing: shape, precision and all.
-    Terms are skipped by the rule in the module docstring.  A kept term
-    scales its first power by coeff at the precision its product with the
-    constant would have, then multiplies in the further powers.
-    Structure polynomials have no constant term.
-    """
-    P = ops.precision
-    vs, precs = zip(*map(ops.shape, vals))
-    exact = min(vs) >= 0 and min(precs) >= P
-    powers = {}
-
-    def power(i, e):
-        got = powers.get((i, e))
-        if got is None:
-            got = ops.pow_(vals[i], e)
-            powers[(i, e)] = got
-        return got
-
-    acc = ops.zero
-    for coeff, exps in terms:
-        if exact and (coeff % ops.p == 0
-                      or sum(e * v for e, v in zip(exps, vs)) > P):
-            continue
-        t = None
-        for i, e in enumerate(exps):
-            if e:
-                if t is None:
-                    t = power(i, e)
-                    v, prec = ops.shape(t)
-                    t = ops.scale(t, coeff, min(P, prec, P + v))
-                else:
-                    t = ops.mul(t, power(i, e))
-        acc = ops.add(acc, t)
-    return acc
-
-
-def _pair_check(ops, a, b):
-    if a.p != b.p or a.N != b.N:
-        raise WittError("mismatched Witt vectors")
-    if a.p != ops.p:
-        raise WittError("vector characteristic does not match the ring")
-    return witt_structure_polys(a.p, a.N)
-
-
-def witt_add(ops, a, b):
-    polys = _pair_check(ops, a, b)
-    vals = a.coords + b.coords
-    return WittVector(a.p, a.N,
-                      tuple(_eval_terms(ops, polys.add[n], vals)
-                            for n in range(a.N)))
-
-
-def witt_mul(ops, a, b):
-    polys = _pair_check(ops, a, b)
-    vals = a.coords + b.coords
-    return WittVector(a.p, a.N,
-                      tuple(_eval_terms(ops, polys.mul[n], vals)
-                            for n in range(a.N)))
-
-
-def witt_neg(ops, a):
-    """Solve a + y = 0 coordinate by coordinate.
-
-    The n-th addition polynomial is x_n + y_n + tail(lower coordinates),
-    so each y_n is forced once y_0 .. y_{n-1} are known.  Coordinatewise
-    negation would do for odd p, but this route is uniform in p.
-    """
-    polys = witt_structure_polys(a.p, a.N)
-    ys = []
-    for n in range(a.N):
-        vals = a.coords + tuple(ys) + (ops.zero,) * (a.N - n)
-        t = _eval_terms(ops, polys.add_tail[n], vals)
-        ys.append(ops.neg(ops.add(a.coords[n], t)))
-    return WittVector(a.p, a.N, tuple(ys))
-
-
-def witt_sub(ops, a, b):
-    return witt_add(ops, a, witt_neg(ops, b))
 
 
 def int_to_witt(ops, k, N):
@@ -324,13 +178,112 @@ def int_to_witt(ops, k, N):
     digits = []
     for _ in range(N):
         a = k % p
-        digits.append(ops.from_int(a))
+        digits.append(ops.field.from_int(a))
         k = (k - pow(a, pN // p, pN)) // p
     return WittVector(p, N, tuple(digits))
 
 
 def witt_text(ops, w):
     return "(" + "; ".join(ops.render(c) for c in w.coords) + ")"
+
+
+# --- power series over the Galois ring ---
+
+
+class GaloisRing:
+    """GR(p^j, m) = (Z/p^j)[t]/(g~), a lift of F_q, q = p^m, mod p^j.
+
+    g~ is the field modulus with its digits read as integers.  An element
+    is the tuple of its m coefficients in t, low to high, each in
+    0..p^j - 1; a field element lifts to its base-p digits.  A power
+    series in u is a list of elements, the coefficient of u^i at index i,
+    truncated to a given length.
+    """
+
+    def __init__(self, K, j):
+        self.m = K.m
+        self.P = K.p ** j
+        self.low = K.modulus[:-1]  # t^m = -sum low[i] * t^i
+        self.lifts = [K.coords(a) for a in range(K.q)]
+        self.zero = (0,) * K.m
+        self.one = (1,) + self.zero[1:]
+
+    def mul(self, a, b):
+        m, P = self.m, self.P
+        if m == 1:
+            return (a[0] * b[0] % P,)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b):
+                    prod[i + k] += x * y
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k]
+            if c:
+                for i, r in enumerate(self.low):
+                    prod[k - m + i] -= c * r
+        return tuple(x % P for x in prod[:m])
+
+    def series_mul(self, f, g, L):
+        """f * g, truncated to length L."""
+        mul, zero, P = self.mul, self.zero, self.P
+        acc = [[0] * self.m for _ in range(min(L, len(f) + len(g) - 1))]
+        gs = [(k, b) for k, b in enumerate(g) if b != zero]
+        for i, a in enumerate(f[:L]):
+            if a != zero:
+                for k, b in gs:
+                    if i + k >= L:
+                        break
+                    row = acc[i + k]
+                    for c, x in enumerate(mul(a, b)):
+                        row[c] += x
+        return [tuple(x % P for x in row) for row in acc]
+
+    def series_pow(self, f, e, L):
+        """f^e for e >= 1, f of length at most L."""
+        return power(lambda a, b: self.series_mul(a, b, L), f, f, e - 1)
+
+    def series_inv(self, f, L):
+        """1 / f to length L, for f with constant term 1."""
+        mul, zero, P = self.mul, self.zero, self.P
+        fs = [(i, a) for i, a in enumerate(f[1:L], 1) if a != zero]
+        h = [self.one]
+        for t in range(1, L):
+            acc = [0] * self.m
+            for i, a in fs:
+                if i > t:
+                    break
+                for c, x in enumerate(mul(a, h[t - i])):
+                    acc[c] += x
+            h.append(tuple(-x % P for x in acc))
+        return h
+
+
+def ghost_sum(table, e, M, j):
+    """sum B(n) * n~^-e over the table, coefficients in GR(p^j, m).
+
+    The result is a power series in u = 1/T of length M + 1.  For monic n
+    of degree d, n = T^d * g(u) with g(u) = sum c_(d-i) u^i, so
+    n~^-e = u^(de) * g~(u)^-e; terms with de > M or B(n) = 0 mod p^j are
+    zero and skipped.  The table bound must reach M // e.
+    """
+    R = GaloisRing(table.field, j)
+    P, lifts = R.P, R.lifts
+    acc = [[0] * R.m for _ in range(M + 1)]
+    for n, b in table.nonzero_upto(M // e, P):
+        v = n.degree * e
+        L = M + 1 - v
+        g = [lifts[c] for c in reversed(n.coeffs[-L:])]
+        for t, c in enumerate(R.series_inv(R.series_pow(g, e, L), L)):
+            row = acc[v + t]
+            for i, x in enumerate(c):
+                row[i] += b * x
+    return [tuple(x % P for x in row) for row in acc]
+
+
+def mod_p_series(K, w, M):
+    """The Laurent series over K of a series over GR, read mod p."""
+    return LaurentSeries(K, 0, [K.element_from_coords(c) for c in w], M)
 
 
 # --- the lifted zeta ---
@@ -342,7 +295,9 @@ def check_lifted_args(p, bound, s, M, N):
     These are the checks of lifted_goss_eval that do not read the table,
     so a caller can make them before it builds one.
     """
-    witt_structure_polys(p, N)  # validates the (p, N) range up front
+    if not 1 <= N <= WITT_LEN_BOUND:
+        raise WittError(f"Witt length {N} is out of the supported range "
+                        f"1..{WITT_LEN_BOUND}")
     if s < 0:
         raise WittError("the lifted zeta is defined for s >= 0 only")
     if M < 0:
@@ -363,33 +318,44 @@ def lifted_goss_eval(table, s, M, N):
 
     For s >= 1 each ideal count B(n), taken mod p^N rather than mod p,
     multiplies the Teichmuller lift of n^-s; the result has Laurent
-    series coordinates at precision M.  At s = 0 the series collapses to
+    series coordinates at precision M, found from its ghost components
+    as the module docstring describes.  At s = 0 the series collapses to
     the integer sum of all counts: the top three degree blocks must
     vanish mod p^N (so the sum has stabilized), and the value is a Witt
     vector with field coordinates.  Negative s is not defined here.
     """
     K = table.field
-    check_lifted_args(K.p, table.bound, s, M, N)
-    fops = FieldOps(K)
-    pN = K.p ** N
+    p = K.p
+    check_lifted_args(p, table.bound, s, M, N)
     if s == 0:
+        pN = p ** N
         blocks = table.block_sums()
         for d in range(table.bound - 2, table.bound + 1):
             if blocks[d] % pN:
                 raise WittError(
                     f"degree block {d} is {blocks[d] % pN} mod p^{N}; "
                     f"the s=0 sum has not stabilized at this bound")
-        return int_to_witt(fops, sum(blocks), N)
-    lops = LaurentOps(K, M)
-    acc = witt_zero(lops, N)
-    for n, b in table.nonzero_upto(M // s, pN):
-        bw = int_to_witt(fops, b, N)
-        x = laurent_inv_pow(n, s, M)
-        coords = []
-        for i in range(N):
-            coords.append(x.scale(bw.coords[i]))
-            if i + 1 < N:
-                # x^p is zero at precision M once p * v(x) passes M
-                x = x.pow_int(K.p) if K.p * x.valuation <= M else lops.zero
-        acc = witt_add(lops, acc, WittVector(K.p, N, tuple(coords)))
-    return acc
+        return int_to_witt(FieldOps(K), sum(blocks), N)
+    R = GaloisRing(K, N)
+    coords = []
+    powers = []  # at level k, S~_i^(p^(k-i)) mod p^N for each i < k
+    for k in range(N):
+        pk = p ** k
+        top = p * pk
+        w = ghost_sum(table, s * pk, M, k + 1)
+        powers = [R.series_pow(f, p, M + 1) for f in powers]
+        digits = []
+        for t, c in enumerate(w):
+            num = list(c)
+            for i, f in enumerate(powers):
+                for a, x in enumerate(f[t]):
+                    num[a] -= p**i * x
+            num = [x % top for x in num]
+            if any(x % pk for x in num):
+                raise WittError(
+                    f"ghost component {k} is not divisible by p^{k} at "
+                    f"u^{t}")
+            digits.append(tuple(x // pk for x in num))
+        coords.append(mod_p_series(K, digits, M))
+        powers.append(digits)
+    return WittVector(p, N, tuple(coords))

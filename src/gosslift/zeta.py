@@ -25,8 +25,9 @@ from types import MappingProxyType
 from . import poly, textforms
 from .errors import GossliftError, ZetaError
 from .extension import splitting_types
-from .laurent import LaurentSeries, laurent_inv_pow
+from .laurent import LaurentSeries
 from .poly import MonicPoly
+from .witt import ghost_sum, mod_p_series
 
 
 def local_counts(st, kmax):
@@ -230,10 +231,7 @@ def goss_eval(table, s, M):
     K = table.field
     check_goss_args(table.bound, s, M)
     if s >= 1:
-        acc = LaurentSeries.zero(K, M)
-        for n, b in table.nonzero_upto(M // s, K.p):
-            acc = acc + laurent_inv_pow(n, s, M).scale(K.from_int(b))
-        return acc
+        return mod_p_series(K, ghost_sum(table, s, M, 1), M)
     k = -s
     top = k + 3
     blocks = _power_blocks(table, k, top)

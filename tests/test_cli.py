@@ -365,10 +365,12 @@ def test_huge_characteristic_fails_fast(tmp_path):
 
 
 @pytest.mark.parametrize("extra,needle", [
-    (["--witt-len", "5"], "out of the supported range"),
+    (["--witt-len", "65"], "out of the supported range 1..64"),
+    (["--witt-len", "1000000000"], "out of the supported range 1..64"),
+    (["--witt-len", "0"], "out of the supported range 1..64"),
     (["--s", "-1"], "defined for s >= 0 only"),
     (["--s", "1", "--prec", "13"], "(need 13)"),
-], ids=["length", "negative-s", "bound"])
+], ids=["length", "huge-length", "zero-length", "negative-s", "bound"])
 def test_lifted_bad_arguments_fail_before_the_table(tmp_path, extra, needle):
     # a degree-12 table over F_3 takes tens of seconds to build, so these
     # must be rejected before it is
@@ -378,6 +380,7 @@ def test_lifted_bad_arguments_fail_before_the_table(tmp_path, extra, needle):
     assert res.returncode == 3
     assert res.stderr.startswith("error[witt]:")
     assert needle in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -1,4 +1,7 @@
-"""Laurent tails at 1/T with explicit precision tracking."""
+"""Laurent tails at 1/T with explicit precision tracking.
+
+The package's series are values; the arithmetic checked here is the
+oracle arithmetic in witt_oracle.py."""
 
 import random
 
@@ -6,9 +9,11 @@ import pytest
 
 from gosslift.errors import LaurentError
 from gosslift.field import gf_create
-from gosslift.laurent import LaurentSeries, laurent_inv_pow
+from gosslift.laurent import LaurentSeries
 from gosslift import poly
 from gosslift.poly import MonicPoly
+from witt_oracle import (laurent_inv_pow, series_add, series_mul,
+                         series_neg, series_pow, series_scale, series_sub)
 
 
 def test_normalization():
@@ -53,26 +58,26 @@ def test_add_sub_scale():
     K = gf_create(3)
     a = LaurentSeries.from_tpoly(K, (1, 1), 5)
     b = LaurentSeries.from_tpoly(K, (2, 2), 3)
-    s = a + b
+    s = series_add(a, b)
     assert s.is_zero
     assert s.precision == 3
-    assert (a - a).is_zero
-    assert (a + (-a)).is_zero
-    assert a.scale(0).is_zero
-    assert a.scale(2).coeffs == (2, 2)
-    assert a.scale(2).precision == 5
+    assert series_sub(a, a).is_zero
+    assert series_add(a, series_neg(a)).is_zero
+    assert series_scale(a, 0).is_zero
+    assert series_scale(a, 2).coeffs == (2, 2)
+    assert series_scale(a, 2).precision == 5
 
 
 def test_mul_precision_rule():
     K = gf_create(3)
     a = LaurentSeries(K, 1, (1,), 5)   # T^-1 known through T^-5
     b = LaurentSeries(K, 2, (1,), 4)   # T^-2 known through T^-4
-    c = a * b
+    c = series_mul(a, b)
     assert c.valuation == 3
     assert c.precision == min(5, 4, 1 + 4, 2 + 5)
     one = LaurentSeries.one(K, 6)
-    assert (one * a).coeffs == a.coeffs
-    assert (one * a).precision == 5
+    assert series_mul(one, a).coeffs == a.coeffs
+    assert series_mul(one, a).precision == 5
 
 
 def test_mul_wide_times_narrow():
@@ -82,12 +87,12 @@ def test_mul_wide_times_narrow():
     g = (2, 1)
     a = LaurentSeries.from_tpoly(K, f, 0)
     b = LaurentSeries.from_tpoly(K, g, 0)
-    prod = a * b
+    prod = series_mul(a, b)
     expect = LaurentSeries.from_tpoly(K, poly.pmul(K, f, g), prod.precision)
     assert prod == expect
     narrow = LaurentSeries(K, 4, (1, 1), 4)
     wide = LaurentSeries.from_tpoly(K, (1, 2, 0, 1), 8)
-    assert (narrow * wide).precision == min(4, 8, 4 + 8, -3 + 4)
+    assert series_mul(narrow, wide).precision == min(4, 8, 4 + 8, -3 + 4)
 
 
 def test_mul_matches_polynomial_mul():
@@ -99,7 +104,7 @@ def test_mul_matches_polynomial_mul():
             g = tuple(rng.randrange(K.q) for _ in range(rng.randrange(1, 5)))
             a = LaurentSeries.from_tpoly(K, f, 6)
             b = LaurentSeries.from_tpoly(K, g, 6)
-            prod = a * b
+            prod = series_mul(a, b)
             expect = LaurentSeries.from_tpoly(K, poly.pmul(K, f, g), prod.precision)
             assert prod == expect
 
@@ -122,37 +127,38 @@ def test_distributivity_on_samples():
 
     for _ in range(100):
         a, b, c = rand_series(), rand_series(), rand_series()
-        lhs = (a + b) * c
-        rhs = a * c + b * c
+        lhs = series_mul(series_add(a, b), c)
+        rhs = series_add(series_mul(a, c), series_mul(b, c))
         assert agree(lhs, rhs)
-        assert agree(a * b, b * a)
-        assert agree((a * b) * c, a * (b * c))
+        assert agree(series_mul(a, b), series_mul(b, a))
+        assert agree(series_mul(series_mul(a, b), c),
+                     series_mul(a, series_mul(b, c)))
 
 
 def test_pow_int():
     K = gf_create(3)
     x = LaurentSeries(K, 1, (1, 1), 6)  # T^-1 + T^-2
-    sq = x * x
-    assert x.pow_int(2) == sq
-    assert x.pow_int(0) == LaurentSeries.one(K, 6)
-    assert x.pow_int(1) == x
-    cube = x.pow_int(3)
+    sq = series_mul(x, x)
+    assert series_pow(x, 2) == sq
+    assert series_pow(x, 0) == LaurentSeries.one(K, 6)
+    assert series_pow(x, 1) == x
+    cube = series_pow(x, 3)
     assert cube.valuation == 3
     # at negative valuation a power keeps the precision of the products
     t = LaurentSeries(K, -1, (1,), 6)  # T
-    assert t.pow_int(1) == t
-    assert t.pow_int(2) == t * t
+    assert series_pow(t, 1) == t
+    assert series_pow(t, 2) == series_mul(t, t)
     with pytest.raises(LaurentError):
-        x.pow_int(-1)
+        series_pow(x, -1)
 
 
 def test_mixed_fields_raise():
     a = LaurentSeries.one(gf_create(3), 4)
     b = LaurentSeries.one(gf_create(3, 2), 4)
     with pytest.raises(LaurentError):
-        a + b
+        series_add(a, b)
     with pytest.raises(LaurentError):
-        a * b
+        series_mul(a, b)
 
 
 def test_immutable():
@@ -183,7 +189,8 @@ def test_inv_pow_multiplies_back():
             M = D + rng.randrange(0, 5)
             x = laurent_inv_pow(n, j, M)
             assert x.valuation == D
-            back = x * LaurentSeries.from_tpoly(K, poly.ppow(K, coeffs, j), M)
+            back = series_mul(
+                x, LaurentSeries.from_tpoly(K, poly.ppow(K, coeffs, j), M))
             assert back == LaurentSeries.one(K, M - D)
 
 

@@ -1,21 +1,24 @@
-"""Witt vector arithmetic and the lifted zeta values."""
+"""Witt vector arithmetic, the oracles it runs on, and the lifted zeta."""
 
 import random
 
 import pytest
 
+import witt_oracle
+from gosslift import poly, witt
 from gosslift.errors import WittError
 from gosslift.extension import builtin_extension, trivial_extension
 from gosslift.field import gf_create
 from gosslift.laurent import LaurentSeries
-from gosslift.witt import (FieldOps, LaurentOps, WittPolys, WittVector,
-                           int_to_witt, lifted_goss_eval, teichmuller,
-                           witt_add, witt_mul, witt_neg, witt_structure_polys,
-                           witt_sub, witt_text, witt_zero)
+from gosslift.witt import (WITT_LEN_BOUND, FieldOps, LaurentOps, WittPolys,
+                           WittVector, check_lifted_args, int_to_witt,
+                           lifted_goss_eval, witt_structure_polys, witt_text)
 from gosslift.zeta import DirichletTable, dirichlet_table, goss_eval, rank
-from witt_oracle import (oracle_add, oracle_lifted_goss_eval, oracle_mul,
-                         oracle_neg, sympy_structure_polys,
-                         witt_structure_exprs)
+from witt_oracle import (FieldRing, LaurentRing, oracle_add,
+                         oracle_lifted_goss_eval, oracle_mul, oracle_neg,
+                         series_mul, sympy_structure_polys, teichmuller,
+                         witt_add, witt_mul, witt_neg, witt_structure_exprs,
+                         witt_sub, witt_zero)
 
 K3 = gf_create(3)
 
@@ -77,10 +80,6 @@ def test_structure_polys_cached_and_ranged():
     with pytest.raises(WittError):
         witt_structure_polys(3, 0)
     with pytest.raises(WittError):
-        witt_structure_polys(3, 4)
-    with pytest.raises(WittError):
-        witt_structure_polys(2, 5)
-    with pytest.raises(WittError):
         witt_structure_polys(4, 2)
     with pytest.raises(WittError):
         witt_structure_polys(1, 2)
@@ -93,7 +92,7 @@ def random_field_vector(rng, ops, N):
 
 def test_ring_axioms_field_coords():
     rng = random.Random(0)
-    ops = FieldOps(gf_create(3, 2))
+    ops = FieldRing(gf_create(3, 2))
     for N in (2, 3):
         zero = witt_zero(ops, N)
         one = teichmuller(ops, ops.one, N)
@@ -127,7 +126,7 @@ def random_laurent_vector(rng, ops, N):
 
 def test_ring_axioms_laurent_coords():
     rng = random.Random(1)
-    ops = LaurentOps(K3, 6)
+    ops = LaurentRing(K3, 6)
     N = 2
     zero = witt_zero(ops, N)
     for _ in range(50):
@@ -148,7 +147,7 @@ def test_ring_axioms_laurent_coords():
 
 def test_p_to_the_N_vanishes():
     for p, m, N in ((2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2), (5, 1, 2)):
-        ops = FieldOps(gf_create(p, m))
+        ops = FieldRing(gf_create(p, m))
         assert int_to_witt(ops, p ** N, N) == witt_zero(ops, N)
         acc = witt_zero(ops, N)
         one = teichmuller(ops, ops.one, N)
@@ -159,7 +158,7 @@ def test_p_to_the_N_vanishes():
 
 def test_int_to_witt_is_additive():
     for p, N in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2)):
-        ops = FieldOps(gf_create(p))
+        ops = FieldRing(gf_create(p))
         pN = p ** N
         images = [int_to_witt(ops, k, N) for k in range(pN)]
         assert len(set(images)) == pN
@@ -169,7 +168,7 @@ def test_int_to_witt_is_additive():
 
 
 def test_int_to_witt_multiplicative():
-    ops = FieldOps(gf_create(3))
+    ops = FieldRing(gf_create(3))
     for a in range(9):
         for b in range(9):
             lhs = witt_mul(ops, int_to_witt(ops, a, 2), int_to_witt(ops, b, 2))
@@ -204,7 +203,7 @@ def test_int_to_witt_digits():
 def test_teichmuller_multiplicative_exhaustive():
     for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
         K = gf_create(p, m)
-        ops = FieldOps(K)
+        ops = FieldRing(K)
         for N in (2, 3):
             for x in range(K.q):
                 for y in range(K.q):
@@ -214,7 +213,7 @@ def test_teichmuller_multiplicative_exhaustive():
 
 
 def test_teichmuller_laurent_series():
-    ops = LaurentOps(K3, 9)
+    ops = LaurentRing(K3, 9)
     t_inv = LaurentSeries(K3, 1, (1,), 9)
     t_inv3 = LaurentSeries(K3, 3, (1,), 9)
     cube = witt_mul(ops, witt_mul(ops, teichmuller(ops, t_inv, 2),
@@ -228,16 +227,16 @@ def test_teichmuller_laurent_series():
         b = LaurentSeries(K3, rng.randrange(0, 3),
                           [rng.randrange(3) for _ in range(3)], 9)
         lhs = witt_mul(ops, teichmuller(ops, a, 2), teichmuller(ops, b, 2))
-        assert lhs == teichmuller(ops, a * b, 2)
+        assert lhs == teichmuller(ops, series_mul(a, b), 2)
 
 
 def test_witt_neg_odd_characteristic():
-    ops = FieldOps(K3)
+    ops = FieldRing(K3)
     for c0 in range(3):
         for c1 in range(3):
             a = WittVector(3, 2, (c0, c1))
             assert witt_neg(ops, a).coords == (K3.neg(c0), K3.neg(c1))
-    ops2 = FieldOps(gf_create(2))
+    ops2 = FieldRing(gf_create(2))
     for N in (2, 3):
         for k in range(2 ** N):
             a = int_to_witt(ops2, k, N)
@@ -245,7 +244,7 @@ def test_witt_neg_odd_characteristic():
 
 
 def test_vector_validation():
-    ops = FieldOps(K3)
+    ops = FieldRing(K3)
     with pytest.raises(WittError):
         WittVector(3, 2, (0,))
     a = WittVector(3, 2, (1, 0))
@@ -261,7 +260,7 @@ def test_witt_text():
     ops = FieldOps(K3)
     assert witt_text(ops, int_to_witt(ops, 5, 2)) == "(2; 2)"
     assert witt_text(ops, int_to_witt(ops, 4, 2)) == "(1; 1)"
-    lops = LaurentOps(K3, 4)
+    lops = LaurentRing(K3, 4)
     w = teichmuller(lops, LaurentSeries(K3, 1, (1,), 4), 2)
     text = witt_text(lops, w)
     assert text.startswith("(T^-1 [prec 4]; ")
@@ -333,8 +332,9 @@ def test_lifted_errors():
         lifted_goss_eval(table, -1, 6, 2)
     with pytest.raises(WittError):
         lifted_goss_eval(table, 1, 7, 2)  # bound 6 < need 7
-    with pytest.raises(WittError):
-        lifted_goss_eval(table, 1, 6, 4)  # length 4 needs p = 2
+    for N in (0, WITT_LEN_BOUND + 1):
+        with pytest.raises(WittError, match="supported range 1..64"):
+            lifted_goss_eval(table, 1, 6, N)
 
 
 @pytest.mark.parametrize("p,N", SUPPORTED)
@@ -366,7 +366,7 @@ def test_laurent_arithmetic_matches_term_by_term_oracle(p, m, N):
     """Skipping vanishing terms changes nothing, precision included."""
     K = gf_create(p, m)
     rng = random.Random(100 * p + 10 * m + N)
-    ops = LaurentOps(K, 5)
+    ops = LaurentRing(K, 5)
     cases = [(ops, WittVector(p, N, tuple(random_series(rng, K, 5)
                                           for _ in range(N))),
               WittVector(p, N, tuple(random_series(rng, K, 5)
@@ -376,7 +376,7 @@ def test_laurent_arithmetic_matches_term_by_term_oracle(p, m, N):
         # at the precision boundary: every valuation is >= 0, but a_1 is
         # known only to precision 3 < 4, so the product terms of witt_mul
         # whose valuation passes 4 still lower its precision
-        ops4 = LaurentOps(K, 4)
+        ops4 = LaurentRing(K, 4)
         cases.append((ops4,
                       WittVector(3, 2, (LaurentSeries(K, 1, (1, 2), 4),
                                         LaurentSeries(K, 2, (1,), 3))),
@@ -391,7 +391,7 @@ def test_laurent_arithmetic_matches_term_by_term_oracle(p, m, N):
 def test_field_arithmetic_matches_term_by_term_oracle():
     rng = random.Random(3)
     for p, m, N in ((2, 2, 4), (3, 2, 3), (5, 1, 3)):
-        ops = FieldOps(gf_create(p, m))
+        ops = FieldRing(gf_create(p, m))
         for _ in range(20):
             # a zero coordinate in about half the vectors
             a = random_field_vector(rng, ops, N)
@@ -405,20 +405,32 @@ def test_field_arithmetic_matches_term_by_term_oracle():
 def test_vanishing_terms_cost_no_multiplication(monkeypatch):
     # x0^2 * y0 has valuation 5 = precision + 1 and x0 * y0^2 has 7, so
     # W_2 addition over F_3 needs no product at precision 4
-    ops = LaurentOps(K3, 4)
+    ops = LaurentRing(K3, 4)
     a = WittVector(3, 2, (LaurentSeries(K3, 1, (1, 2), 4), ops.one))
     b = WittVector(3, 2, (LaurentSeries(K3, 3, (2,), 4), ops.one))
     expect = oracle_add(ops, a, b)
     calls = []
-    real = LaurentSeries.__mul__
 
     def counted(x, y):
         calls.append(1)
-        return real(x, y)
+        return series_mul(x, y)
 
-    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    monkeypatch.setattr(witt_oracle, "series_mul", counted)
     assert witt_add(ops, a, b) == expect
     assert calls == []
+
+
+def lifted_table(p, m, kind, kw, D):
+    return dirichlet_table(builtin_extension(gf_create(p, m), kind, **kw), D)
+
+
+def assert_same_text(table, s, M, N, add):
+    """The ghost route prints the oracle's text, precision included."""
+    ops = LaurentOps(table.field, M)
+    got = lifted_goss_eval(table, s, M, N)
+    expect = oracle_lifted_goss_eval(table, s, M, N, add)
+    assert got == expect
+    assert witt_text(ops, got) == witt_text(ops, expect)
 
 
 @pytest.mark.parametrize("p,m,kind,kw,D,s,M,N", [
@@ -427,9 +439,96 @@ def test_vanishing_terms_cost_no_multiplication(monkeypatch):
     (5, 1, "kummer_sqrt", {"c": "T^3 + T + 1"}, 3, 1, 3, 3),
     (2, 2, "artin_schreier", {"m": 1}, 5, 1, 5, 4),
     (3, 2, "artin_schreier", {"m": 1}, 3, 1, 3, 2),
-], ids=["F3-N3-s1", "F3-N3-s2", "F5-N3", "F4-N4", "F9-N2"])
+    (3, 1, "artin_schreier", {"m": 5}, 4, 1, 4, 4),
+    (2, 1, "artin_schreier", {"m": 3}, 5, 1, 5, 5),
+    (2, 2, "artin_schreier", {"m": 1}, 3, 1, 3, 5),
+], ids=["F3-N3-s1", "F3-N3-s2", "F5-N3", "F4-N4", "F9-N2", "F3-N4-D4",
+        "F2-N5", "F4-N5-D3"])
 def test_lifted_goss_eval_matches_oracle_loop(p, m, kind, kw, D, s, M, N):
+    # every term of every Witt sum computed
+    assert_same_text(lifted_table(p, m, kind, kw, D), s, M, N, oracle_add)
+
+
+@pytest.mark.parametrize("p,m,kind,kw,D,s,M,N", [
+    (3, 1, "artin_schreier", {"m": 5}, 6, 1, 6, 4),
+    (3, 1, "artin_schreier", {"m": 5}, 6, 2, 12, 4),
+    (2, 1, "artin_schreier", {"m": 3}, 6, 1, 6, 5),
+    (2, 2, "artin_schreier", {"m": 1}, 4, 1, 4, 5),
+    (5, 1, "kummer_sqrt", {"c": "T^3 + T + 1"}, 4, 1, 4, 3),
+    (3, 2, "kummer_sqrt", {"c": "T^3 + T"}, 3, 1, 3, 3),
+], ids=["F3-N4-s1", "F3-N4-s2", "F2-N5", "F4-N5", "F5-N3", "F9-N3"])
+def test_lifted_goss_eval_matches_witt_sum(p, m, kind, kw, D, s, M, N):
+    # the Witt sums skip vanishing terms, as the package did before it
+    # used ghost components; that arithmetic is checked against the
+    # term-by-term oracle above
+    assert_same_text(lifted_table(p, m, kind, kw, D), s, M, N, witt_add)
+
+
+@pytest.mark.parametrize("p,m,kind,kw,D,s,M", [
+    (3, 1, "artin_schreier", {"m": 5}, 6, 1, 6),
+    (3, 1, "kummer_sqrt", {"c": "T"}, 4, 2, 8),
+    (2, 2, "artin_schreier", {"m": 1}, 4, 1, 4),
+    (5, 1, "kummer_sqrt", {"c": "T^3 + T + 1"}, 3, 1, 3),
+], ids=["F3-AS", "F3-KS-s2", "F4", "F5"])
+def test_lifted_truncates_to_shorter_lengths(p, m, kind, kw, D, s, M):
+    table = lifted_table(p, m, kind, kw, D)
+    longest = lifted_goss_eval(table, s, M, 8)
+    for k in range(1, 8):
+        assert lifted_goss_eval(table, s, M, k).coords == longest.coords[:k]
+    assert longest.coords[0] == goss_eval(table, s, M)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)])
+def test_galois_ring_lifts_the_field(p, m):
     K = gf_create(p, m)
-    table = dirichlet_table(builtin_extension(K, kind, **kw), D)
-    assert (lifted_goss_eval(table, s, M, N)
-            == oracle_lifted_goss_eval(table, s, M, N))
+    R = witt.GaloisRing(K, 3)
+    # t is a root of the lifted modulus in GR(p^3, m)
+    t, t_i = R.lifts[p], R.one
+    value = R.zero
+    for c in K.modulus:
+        value = tuple((x + c * y) % R.P for x, y in zip(value, t_i))
+        t_i = R.mul(t_i, t)
+    assert value == R.zero
+    # mod p it multiplies like F_q, and the Teichmuller lifts
+    # a~^(q^2) multiply like the elements they lift
+    teich = [poly.power(R.mul, R.one, R.lifts[a], K.q ** 2)
+             for a in K.elements()]
+    for a in K.elements():
+        for b in K.elements():
+            ab = K.mul(a, b)
+            assert K.element_from_coords(R.mul(R.lifts[a], R.lifts[b])) == ab
+            assert R.mul(teich[a], teich[b]) == teich[ab]
+
+
+def test_corrupted_ghost_digit_fails_the_exact_division(monkeypatch):
+    table = lifted_table(3, 1, "artin_schreier", {"m": 5}, 6)
+    real = witt.ghost_sum
+
+    def corrupted(table, e, M, j):
+        w = real(table, e, M, j)
+        if j == 2:  # ghost component 1, read mod 9
+            w[3] = ((w[3][0] + 1) % 9,)
+        return w
+
+    lifted_goss_eval(table, 1, 6, 3)
+    monkeypatch.setattr(witt, "ghost_sum", corrupted)
+    with pytest.raises(WittError, match="not divisible by p"):
+        lifted_goss_eval(table, 1, 6, 3)
+
+
+def test_lifted_zeta_uses_no_structure_polynomials(monkeypatch):
+    def refuse(p, N):
+        raise AssertionError("structure polynomials derived at run time")
+
+    monkeypatch.setattr(witt, "witt_structure_polys", refuse)
+    table = lifted_table(2, 2, "artin_schreier", {"m": 1}, 5)
+    check_lifted_args(2, 5, 1, 5, 6)
+    assert lifted_goss_eval(table, 1, 5, 6).N == 6
+    assert lifted_goss_eval(table, 0, 0, 1).N == 1
+    goss_eval(table, 1, 5)
+
+
+def test_longest_supported_length_runs():
+    table = lifted_table(3, 1, "kummer_sqrt", {"c": "T"}, 2)
+    w = lifted_goss_eval(table, 1, 2, WITT_LEN_BOUND)
+    assert w.coords[:3] == lifted_goss_eval(table, 1, 2, 3).coords
