@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from . import textforms
 from .extension import (ExtensionSpec, SplittingType, builtin_extension,
-                        splitting_type, trivial_extension)
+                        splitting_types, trivial_extension)
 from .field import gf_create
 from .gassmann import (cayley_komatsu, coset_cycle_type, coset_types,
                        cyclic_subgroup_classes, gassmann_by_cycle_type,
                        gassmann_check, klein4_pair, psl27_pair)
-from .poly import enumerate_monic_irreducibles
 from .zeta import (compare_zeta, dirichlet_table, goss_eval, pgalois_check,
                    prime_power_residues, reconstruct_splitting, weil_series)
 
@@ -152,8 +151,7 @@ def demo_reconstruct():
         checked = 0
         good = True
         for d in (1, 2, 3):
-            for prime in enumerate_monic_irreducibles(K, d):
-                st = splitting_type(ext, prime)
+            for prime, st in splitting_types(ext, d):
                 residues = prime_power_residues(st, n_ext, 5)
                 rec = reconstruct_splitting(residues, n_ext, 5)
                 good = good and rec == st.inertia_degrees()

@@ -15,11 +15,13 @@ splitting_type, for one prime given from outside, checks the prime,
 reduces onto the residue field A/(pi) and reads the factor degrees of
 f mod pi.  splitting_types, for all primes of one degree in a table,
 evaluates at alpha in the base field's model of F_{q^d}, with alpha the
-root of pi kept by enumerate_monic_irreducibles.  For a separated cover,
-f = A(X) + c0(T) with A over F_q, one sweep of the model counts the
-roots of A(X) = v for every v, and the root count of f(alpha, X) then
-gives the type when f has X-degree at most 3 or A = X^p - X.  Every
-other cover reads the factor degrees of f(alpha, X), as for one prime.
+root of pi kept by enumerate_monic_irreducibles; one pass on logs gives
+a coefficient's values at the roots of all primes of the degree
+(ZechField.root_values).  For a separated cover, f = A(X) + c0(T) with
+A over F_q, one sweep of the model counts the roots of A(X) = v for
+every v, and the root count of f(alpha, X) then gives the type when f
+has X-degree at most 3 or A = X^p - X.  Every other cover reads the
+factor degrees of f(alpha, X), as for one prime.
 
 Config files are sectioned key=value text,
 
@@ -289,9 +291,24 @@ def splitting_types(ext, d):
     F = ext.field.zech_field(d)
     disc = _disc_coeffs(ext)
     unramified = _unramified_step(ext, F)
-    return [(prime, _prime_type(ext, prime, disc, F,
-                                lambda c: poly.peval(F, c, alpha), unramified))
-            for prime, alpha in zip(*F.irreducibles())]
+    return [(prime, _prime_type(ext, prime, disc, F, reduce, unramified))
+            for prime, reduce in zip(F.irreducibles()[0], _at_roots(F))]
+
+
+def _at_roots(F):
+    """For each prime of the model F, in order, the reduction of A onto its
+    residue field: evaluation at its root.  A polynomial's values at all
+    the roots come from one F.root_values pass, made on first use."""
+    values = {}
+
+    def at_root(i):
+        def reduce(c):
+            v = values.get(c)
+            if v is None:
+                v = values[c] = F.root_values(c)
+            return v[i]
+        return reduce
+    return map(at_root, range(len(F.irreducibles()[0])))
 
 
 def _reduced_type(ext, F, reduce):
@@ -344,8 +361,8 @@ def _unramified_step(ext, F):
         types[0] = SplittingType(((1, n),))
     if n == 3:
         types[1] = SplittingType(((1, 1), (1, 2)))
-    c0 = cols[0]
-    return lambda ext, F, reduce: types[counts[F.neg(reduce(c0))]]
+    minus_c0 = poly.pneg(K, cols[0])
+    return lambda ext, F, reduce: types[counts[reduce(minus_c0)]]
 
 
 def _disc_coeffs(ext):
@@ -471,12 +488,12 @@ def _check_irreducible(ext):
     disc = _disc_coeffs(ext)
     for d in (1, 2):
         F = ext.field.zech_field(d)
-        for prime, alpha in zip(*F.irreducibles()):
+        for prime, reduce in zip(F.irreducibles()[0], _at_roots(F)):
             if (prime in ext.overrides or prime in ext.bad_primes
-                    or not poly.peval(F, disc, alpha)):
+                    or not reduce(disc)):
                 continue
             sums = {0}
-            reduced = _reduced_type(ext, F, lambda c: poly.peval(F, c, alpha))
+            reduced = _reduced_type(ext, F, reduce)
             for f in reduced.inertia_degrees():
                 sums |= {s + f for s in sums}
             possible &= sums

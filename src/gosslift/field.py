@@ -12,8 +12,9 @@ on first use and cached on the base field.  Elements are again ints,
 whose base-q digits are coordinates over F_q, and arithmetic goes through
 exp/log/Zech tables of length q^d.  Its Frobenius orbits are the monic
 irreducibles of degree d over F_q, each kept with one root, which is how
-ideal-count tables read off splitting types; value_counts tallies the
-values of a polynomial over F_q in one pass, for root counts.
+ideal-count tables read off splitting types: root_values evaluates a
+polynomial over F_q at all those roots in one pass, and value_counts
+tallies its values on the whole field, for root counts.
 
 ResidueField models F_q[T]/(pi) for one irreducible pi over a table
 field.  Its elements are fixed-width tuples of base-field ints, with
@@ -198,22 +199,24 @@ def _primitive_modulus(K, d):
     order q^d - 1: the first candidate that passes Rabin's test and whose
     Y^((q^d - 1)/r) differs from 1 for every prime r dividing q^d - 1.
 
-    A candidate is skipped untested when (-1)^d g(0), the norm of Y down
-    to F_q, does not generate F_q^*: the norm of a generator of
-    F_{q^d}^* generates F_q^*.
+    Only constant terms g(0) whose (-1)^d g(0), the norm of Y down to
+    F_q, generates F_q^* are tried: the norm of a generator of
+    F_{q^d}^* generates F_q^*.  The constant term varies slowest in the
+    candidate order, so skipping it whole keeps that order.
     """
     n = K.q ** d - 1
     cofactors = [n // r for r in poly.prime_factors(n)]
-    generators = {a for a in range(1, K.q)
-                  if all(K.pow_(a, (K.q - 1) // r) != K.one
-                         for r in poly.prime_factors(K.q - 1))}
     sign = K.one if d % 2 == 0 else K.neg(K.one)
+    constants = [c for c in range(1, K.q)
+                 if all(K.pow_(K.mul(sign, c), (K.q - 1) // r) != K.one
+                        for r in poly.prime_factors(K.q - 1))]
     y = (K.zero, K.one)
-    for lower in itertools.product(range(K.q), repeat=d):
-        g = lower + (K.one,)
-        if (K.mul(sign, lower[0]) in generators and poly.is_irreducible(K, g)
-                and all(poly.ppow_mod(K, y, e, g) != (K.one,) for e in cofactors)):
-            return g
+    for c in constants:
+        for upper in itertools.product(range(K.q), repeat=d - 1):
+            g = (c,) + upper + (K.one,)
+            if (poly.is_irreducible(K, g)
+                    and all(poly.ppow_mod(K, y, e, g) != (K.one,) for e in cofactors)):
+                return g
     raise FieldError("no primitive modulus found")  # unreachable
 
 
@@ -226,10 +229,10 @@ class ZechField:
     F_q in the base field's own encoding, so polynomials over F_q evaluate
     here unchanged and minimal polynomials come out as base-field tuples.
     Y generates the multiplicative group: exp[k] = Y^k for
-    0 <= k < q^d - 1, log inverts exp on nonzero elements, and zech[k] is
-    the log of 1 + Y^k, or -1 where that sum is zero (Huber, "Some
-    comments on Zech's logarithms", IEEE Trans. IT 1990).  Implements the
-    element protocol of poly.py.
+    0 <= k < q^d - 1, log inverts exp on nonzero elements and holds -1 at
+    0, and zech[k] is the log of 1 + Y^k, or -1 where that sum is zero
+    (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 1990).
+    Implements the element protocol of poly.py.
     """
 
     def __init__(self, base, d):
@@ -250,7 +253,16 @@ class ZechField:
         add, mul, neg = base._add, base._mul, base._neg
         # Y * x shifts the digits of x up one place and subtracts top * g
         # from the low digits, of which only the nonzero ones of g change.
-        low = [(q ** i, neg[c]) for i, c in enumerate(self.modulus[:-1]) if c]
+        # After the shift the constant digit is zero (g(0) != 0 as g is
+        # irreducible), so top * -g(0) is its new value; at every other
+        # place i, steps[top] holds the change of x for each old digit.
+        const = neg[self.modulus[0]]
+        low = [(q ** i, neg[c]) for i, c in enumerate(self.modulus[1:-1], 1) if c]
+        steps = [None] + [
+            (mul[top][const],
+             [(place, [(add[digit][mul[top][c]] - digit) * place for digit in range(q)])
+              for place, c in low])
+            for top in range(1, q)]
         top_place = q ** (d - 1)
         # int arrays, not lists: no int object per entry (q^d < 2^31 always).
         # array is a shared library; loading it here spares every CLI start.
@@ -264,18 +276,20 @@ class ZechField:
             top, rest = divmod(x, top_place)
             x = rest * q
             if top:
-                row = mul[top]
-                for place, c in low:
-                    digit = x // place % q
-                    x += (add[digit][row[c]] - digit) * place
-        # 1 + x changes the constant digit only
-        plus_one = [add[c][1] for c in range(q)]
-        zech = array('i', [-1]) * n
-        for k, x in enumerate(exp):
-            c = x % q
-            y = x - c + plus_one[c]
-            if y:
-                zech[k] = log[y]
+                x_const, changes = steps[top]
+                x += x_const
+                for place, change in changes:
+                    x += change[x // place % q]
+        # zech = log o (+1) o exp.  x + 1 changes the constant digit only, so
+        # +1 maps the elements with constant digit c, the slice c::q, onto
+        # the slice that starts at c + 1, in order: log o (+1) is q slice
+        # copies of log.  It is a list while it is read element by element.
+        log[0] = -1
+        logs = log.tolist()
+        log_plus_one = logs[:]
+        for c in range(q):
+            log_plus_one[c::q] = logs[add[c][1]::q]
+        zech = array('i', [log_plus_one[x] for x in exp])
         self._exp, self._log, self._zech = exp, log, zech
         self._irreducibles = None
 
@@ -324,18 +338,14 @@ class ZechField:
             return 0
         return self._exp[self._log[a] * self._proot % self._n]
 
-    def value_counts(self, coeffs):
-        """N with N[v] = #{beta in this field : A(beta) = v}, in one pass.
-
-        A is given by coefficients over the base field, low to high, and
-        is evaluated on logs: a * beta^i is Y^(log a + i log beta).  N is a
-        bytearray indexed by element, so deg A must stay below 256.
-        """
-        exp, zech, n = self._exp, self._zech, self._n
-        terms = [(i, self._log[c]) for i, c in enumerate(coeffs) if c]
-        counts = bytearray(self.order)
-        counts[coeffs[0]] = 1  # beta = 0
-        for k in range(n):
+    def _log_sums(self, coeffs, logs):
+        """For each k in logs, the log of c(Y^k), or -1 where it is 0, for
+        a polynomial c over the base field: c_i Y^(ik) is
+        Y^(log c_i + ik), and the terms are summed by Zech additions."""
+        log, zech, n = self._log, self._zech, self._n
+        terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
+        out = []
+        for k in logs:
             v = -1
             for i, lc in terms:
                 t = (lc + i * k) % n
@@ -344,6 +354,29 @@ class ZechField:
                 else:
                     z = zech[t - v]  # a negative index wraps mod n = len(zech)
                     v = -1 if z < 0 else (v + z) % n
+            out.append(v)
+        return out
+
+    def root_values(self, coeffs):
+        """c(alpha) for a polynomial c over the base field at the root
+        alpha of each prime of irreducibles(), in its order: one pass on
+        logs (see _log_sums)."""
+        exp, roots = self._exp, self.irreducibles()[1]
+        c0 = coeffs[0] if coeffs else 0
+        logs = self._log_sums(coeffs, [self._log[a] for a in roots])
+        return [(exp[v] if v >= 0 else 0) if a else c0 for a, v in zip(roots, logs)]
+
+    def value_counts(self, coeffs):
+        """N with N[v] = #{beta in this field : A(beta) = v}, in one pass.
+
+        A is given by coefficients over the base field, low to high, and
+        is evaluated on logs, as by root_values.  N is a bytearray
+        indexed by element, so deg A must stay below 256.
+        """
+        exp = self._exp
+        counts = bytearray(self.order)
+        counts[coeffs[0]] = 1  # beta = 0
+        for v in self._log_sums(coeffs, range(self._n)):
             counts[exp[v] if v >= 0 else 0] += 1
         return counts
 
@@ -351,27 +384,57 @@ class ZechField:
         """The monic irreducibles of degree d over the base, with one root each.
 
         Returns (primes, roots): primes as MonicPoly in enumeration order
-        and roots[i] a root of primes[i] in this field.  The nonzero
-        elements of degree d are the Y^k whose Frobenius orbit
-        k, qk, q^2 k, ... mod q^d - 1 has length exactly d, and each orbit
-        is the root set of one prime.  In degree 1, T joins with root 0.
+        and roots[i] a root of primes[i] in this field, the power Y^k of
+        least k.  The nonzero elements of degree d are the Y^k whose
+        Frobenius orbit k, qk, q^2 k, ... mod q^d - 1 has length exactly
+        d, and each orbit is the root set of one prime.  In degree 1, T
+        joins with root 0.
+
+        Only one prime per class of the group generated by Frobenius,
+        alpha -> c alpha (c in F_q^*) and alpha -> 1/alpha is a _minpoly
+        product.  On logs these maps are k -> qk, k -> k + i (q^d - 1)/(q - 1)
+        and k -> -k.  If f = sum f_i X^i is the minimal polynomial of
+        alpha, that of c alpha is sum c^(d-i) f_i X^i and that of 1/alpha
+        is X^d f(1/X) / f_0 (Lidl and Niederreiter, Finite Fields, 3.1), so
+        each other prime of the class costs d + 1 base-field products.
         """
         if self._irreducibles is None:
-            q, n, d, exp = self.base.q, self._n, self.deg, self._exp
+            K = self.base
+            q, n, d, exp = K.q, self._n, self.deg, self._exp
+            mul = K._mul
+            step = n // (q - 1)
+            # scales[i]: the rows of c^d, c^(d-1), .., c^0 for c = Y^(i step)
+            scales = [[mul[K.pow_(exp[i * step], d - j)] for j in range(d + 1)]
+                      for i in range(q - 1)]
             found = [((0, 1), 0)] if d == 1 else []
             seen = bytearray(n)
+
+            def orbit(k):
+                """The Frobenius orbit of k, marked as seen."""
+                logs = [k]
+                seen[k] = 1
+                j = k * q % n
+                while j != k:
+                    logs.append(j)
+                    seen[j] = 1
+                    j = j * q % n
+                return logs
+
             for k in range(n):
                 if seen[k]:
                     continue
-                orbit = [k]
-                j = k * q % n
-                while j != k:
-                    orbit.append(j)
-                    j = j * q % n
-                for j in orbit:
-                    seen[j] = 1
-                if len(orbit) == d:
-                    found.append((self._minpoly(orbit), exp[k]))
+                logs = orbit(k)
+                if len(logs) != d:
+                    continue
+                f = self._minpoly(logs)
+                found.append((f, exp[k]))
+                inv0 = mul[K._inv[f[0]]]
+                for start, g in ((k, f), (-k, tuple(inv0[c] for c in reversed(f)))):
+                    for i, rows in enumerate(scales):
+                        j = (start + i * step) % n
+                        if not seen[j]:
+                            found.append((tuple(map(list.__getitem__, rows, g)),
+                                          exp[min(orbit(j))]))
             found.sort()
             self._irreducibles = ([poly.MonicPoly(self.base, c) for c, _ in found],
                                   [root for _, root in found])

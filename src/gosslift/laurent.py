@@ -28,9 +28,12 @@ class LaurentSeries:
         keep = precision - valuation + 1
         if keep < len(coeffs):
             coeffs = coeffs[:max(keep, 0)]
-        while coeffs and coeffs[0] == field.zero:
-            coeffs.pop(0)
-            valuation += 1
+        # one scan and one slice: popping zeros off the front one at a
+        # time would be quadratic in the length
+        lead = next((i for i, c in enumerate(coeffs) if c != field.zero), len(coeffs))
+        if lead:
+            coeffs = coeffs[lead:]
+            valuation += lead
         while coeffs and coeffs[-1] == field.zero:
             coeffs.pop()
         object.__setattr__(self, "field", field)

@@ -51,6 +51,9 @@ from .laurent import LaurentSeries
 from .poly import power
 
 WITT_LEN_BOUND = 64  # the longest Witt vectors a lifted zeta may use
+# the largest precision M of a zeta value at s >= 1, goss or lifted: every
+# evaluation holds series of M + 1 coefficients
+PREC_BOUND = 2 ** 18
 
 
 class WittPolys(namedtuple("WittPolys", "p N add mul add_tail")):
@@ -289,6 +292,14 @@ def mod_p_series(K, w, M):
 # --- the lifted zeta ---
 
 
+def check_prec(M, error):
+    """Raise error unless the precision M of a zeta value at s >= 1 is at
+    most PREC_BOUND."""
+    if M > PREC_BOUND:
+        raise error(f"precision {M} is above {PREC_BOUND}, the largest "
+                    f"supported at s >= 1")
+
+
 def check_lifted_args(p, bound, s, M, N):
     """Reject a lifted zeta request that no table of this bound can serve.
 
@@ -306,6 +317,7 @@ def check_lifted_args(p, bound, s, M, N):
         if bound < 3:
             raise WittError("table bound must be at least 3 for s = 0")
         return
+    check_prec(M, WittError)
     need = -(-M // s)
     if bound < need:
         raise WittError(

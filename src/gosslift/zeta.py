@@ -27,7 +27,7 @@ from .errors import GossliftError, ZetaError
 from .extension import splitting_types
 from .laurent import LaurentSeries
 from .poly import MonicPoly
-from .witt import ghost_sum, mod_p_series
+from .witt import check_prec, ghost_sum, mod_p_series
 
 
 def local_counts(st, kmax):
@@ -142,41 +142,77 @@ class DirichletTable:
 
 
 def dirichlet_table(ext, bound):
-    """Build the table of B(n) for deg n <= bound by expanding the Euler product."""
+    """Build the table of B(n) for deg n <= bound by expanding the Euler product.
+
+    Each prime P of degree d multiplies in its powers P^k, k <= bound/d:
+    P^k's own entry is B(P^k), read from the local counts of its type,
+    and every nonzero entry of degree e >= 1 present before P was reached
+    gives one product, on the base field's own add and mul rows (_times).
+    """
     if bound < 0:
         raise ZetaError("table bound must be nonnegative")
     K = ext.field
-    top = whole_blocks(K.q, TABLE_SIZE_BOUND)
+    q = K.q
+    top = whole_blocks(q, TABLE_SIZE_BOUND)
     if bound > top:
         raise ZetaError(
-            f"table bound {bound} over GF({K.q}) is above {top}, the largest "
+            f"table bound {bound} over GF({q}) is above {top}, the largest "
             f"with at most {TABLE_SIZE_BOUND} entries")
-    counts = [0] * block_start(K.q, bound + 1)
+    starts = [block_start(q, d) for d in range(bound + 1)]
+    counts = [0] * block_start(q, bound + 1)
     counts[0] = 1
-    # the nonzero entries so far, by degree, as (coefficients, count): a
-    # zero cofactor only has zero products, and those the list holds already
+    # the nonzero entries of degree >= 1 so far, by degree, as
+    # (coefficients, count): a zero cofactor only has zero products, and
+    # those the list holds already
     nonzero = [[] for _ in range(bound + 1)]
-    nonzero[0].append(((K.one,), 1))
+    add, mul = K._add, K._mul
     for d in range(1, bound + 1):
+        kmax = bound // d
+        by_type = {}  # local counts for each splitting type met at degree d
         for prime, st in splitting_types(ext, d):
-            kmax = bound // d
-            local = local_counts(st, kmax)
+            local = by_type.get(st)
+            if local is None:
+                local = by_type[st] = local_counts(st, kmax)
+            if not any(local[1:]):
+                continue
             # snapshot: everything present so far is coprime to this prime
             sizes = [len(block) for block in nonzero]
-            power = prime.coeffs
+            power = [K.one]
             for k in range(1, kmax + 1):
-                if k > 1:
-                    power = poly.pmul(K, power, prime.coeffs)
+                power, r = _times(add, mul, q, power, prime.coeffs)
                 ck = local[k]
                 if not ck:
                     continue
-                for e in range(bound - k * d + 1):
-                    out = nonzero[e + k * d]
+                kd = k * d
+                counts[starts[kd] + r] = ck
+                nonzero[kd].append((power, ck))
+                for e in range(1, bound - kd + 1):
+                    out, start = nonzero[e + kd], starts[e + kd]
                     for cf, b in itertools.islice(nonzero[e], sizes[e]):
-                        prod = poly.pmul(K, cf, power)
-                        counts[rank(K, prod)] = bc = b * ck
+                        prod, r = _times(add, mul, q, cf, power)
+                        counts[start + r] = bc = b * ck
                         out.append((prod, bc))
     return DirichletTable(ext.name, K, bound, counts)
+
+
+def _times(add, mul, q, f, g):
+    """(f g, rank of f g within its degree block) for monic f and g over
+    the table field whose add and mul rows are given.
+
+    Schoolbook on the rows, then the digits are read low coefficient
+    first, as rank reads them.
+    """
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            row = mul[a]
+            for j, b in enumerate(g, i):
+                prod[j] = add[prod[j]][row[b]]
+    r = 0
+    for c in prod:
+        r = r * q + c
+    # the loop also took the leading 1 as the last digit
+    return prod, r // q
 
 
 class WeilSeries:
@@ -209,6 +245,7 @@ def check_goss_args(bound, s, M):
     if M < 0:
         raise ZetaError(f"precision {M} must be nonnegative")
     if s >= 1:
+        check_prec(M, ZetaError)
         need = -(-M // s)
         if bound < need:
             raise ZetaError(

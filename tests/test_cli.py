@@ -383,6 +383,19 @@ def test_lifted_bad_arguments_fail_before_the_table(tmp_path, extra, needle):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("kind,tag", [("goss", "zeta"), ("lifted", "witt")])
+def test_huge_precision_at_large_s_exits_3(tmp_path, kind, tag):
+    # s = prec = 10^9 needs only a degree-1 table, so the precision bound
+    # is all that stops series of 10^9 coefficients
+    f = write_cfg(tmp_path, "K.cfg", CFG_K)
+    res = run_child(["zeta", "--kind", kind, "--ext", f, "--max-degree", "1",
+                     "--s", "1000000000", "--prec", "1000000000"], timeout=10)
+    assert res.returncode == 3
+    assert res.stderr.startswith(f"error[{tag}]:")
+    assert "precision 1000000000 is above 262144" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["splitting", "--ext", "K.cfg", "--prime", "T^10000000000"],
     ["table", "--ext", "huge.cfg", "--max-degree", "1"],

@@ -33,6 +33,19 @@ def test_normalization():
     assert LaurentSeries(K, 1, (1,), 5) != LaurentSeries(K, 1, (1,), 6)
 
 
+def test_long_run_of_leading_zeros_is_stripped_at_once():
+    """10^5 leading zeros move the valuation and leave the coefficients."""
+    K = gf_create(3)
+    zeros = 10 ** 5
+    x = LaurentSeries(K, -2, [0] * zeros + [2, 0, 1, 0, 0], zeros + 10)
+    assert x.valuation == zeros - 2
+    assert x.coeffs == (2, 0, 1)
+    assert x.coefficient(zeros - 2) == 2
+    assert x.coefficient(zeros) == 1
+    assert x.precision == zeros + 10
+    assert LaurentSeries(K, 0, [0] * zeros, zeros).is_zero
+
+
 def test_coefficient_window():
     K = gf_create(3)
     x = LaurentSeries(K, 2, (1, 2), 6)

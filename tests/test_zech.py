@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gosslift import extension, poly
+from gosslift import extension, field, poly
 from gosslift.errors import ExtensionError
 from gosslift.extension import (ExtensionSpec, SplittingType, builtin_extension,
                                 parse_extension_file, splitting_type,
@@ -88,6 +88,36 @@ def test_model_modulus_is_first_primitive():
         assert g == first
 
 
+@pytest.mark.parametrize("p, m, d", [(3, 1, 8), (5, 1, 5), (2, 4, 3), (2, 2, 4),
+                                     (3, 2, 3), (7, 1, 3), (2, 1, 1), (3, 1, 1)])
+def test_one_minpoly_product_per_symmetry_class(p, m, d, monkeypatch):
+    """Frobenius, scaling by F_q^* and inversion permute the primes of
+    degree d, and only one prime per class is a _minpoly product: at most
+    0.3 of them at F_3 d=8, F_5 d=5 and F_16 d=3.  Every prime the class
+    derivation gives is still the product over the Frobenius orbit of its
+    root, and that root is the power Y^k of least k in the orbit."""
+    real = field.ZechField._minpoly
+    calls = []
+
+    def counting(self, logs):
+        calls.append(logs)
+        return real(self, logs)
+    monkeypatch.setattr(field.ZechField, "_minpoly", counting)
+    F = field.ZechField(gf_create(p, m), d)
+    primes, roots = F.irreducibles()
+    if (p, m, d) in ((3, 1, 8), (5, 1, 5), (2, 4, 3)):
+        assert len(calls) <= 0.3 * len(primes)
+    q, n = F.base.q, F.order - 1
+    for prime, alpha in zip(primes, roots):
+        if not alpha:
+            assert prime.coeffs == (0, 1)
+            continue
+        k = F._log[alpha]
+        orbit = [k * q ** i % n for i in range(d)]
+        assert min(orbit) == k
+        assert prime.coeffs == real(F, orbit)
+
+
 def trial_division_irreducibles(K, d):
     out = []
     for f in enumerate_monic(K, d):
@@ -123,6 +153,11 @@ def test_roots_are_roots(p, m, bound):
         assert len(primes) == len(roots)
         for prime, alpha in zip(primes, roots):
             assert poly.peval(F, prime.coeffs, alpha) == 0
+        # root_values evaluates on logs what peval evaluates by Horner
+        rng = random.Random(d)
+        for c in ((), (1,), (0, 1), (1, 0, 1), primes[0].coeffs,
+                  tuple(rng.randrange(K.q) for _ in range(6))):
+            assert F.root_values(c) == [poly.peval(F, c, alpha) for alpha in roots]
 
 
 def covers(K):

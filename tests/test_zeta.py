@@ -12,9 +12,9 @@ import pytest
 
 from gosslift.errors import ZetaError
 from gosslift.demos import standard_extensions
-from gosslift.extension import (SplittingType, builtin_extension,
-                                splitting_type, splitting_types,
-                                trivial_extension)
+from gosslift.extension import (ExtensionSpec, SplittingType,
+                                builtin_extension, splitting_type,
+                                splitting_types, trivial_extension)
 from gosslift.field import gf_create
 from gosslift.laurent import LaurentSeries
 from gosslift import poly, textforms
@@ -22,7 +22,8 @@ from gosslift.poly import MonicPoly, enumerate_monic_irreducibles
 from gosslift.textforms import parse_monic
 from gosslift.witt import lifted_goss_eval
 from gosslift.zeta import (DirichletTable, compare_zeta, dirichlet_table,
-                           dump_table, goss_eval, load_table, pgalois_check,
+                           dump_table, goss_eval, load_table, local_counts,
+                           pgalois_check,
                            power_marks, prime_power_residues, rank,
                            reconstruct_splitting, unrank, weil_series)
 
@@ -509,6 +510,46 @@ def test_block_sums_match_the_type_histogram_euler_product():
     for ext, bound in cases:
         table = dirichlet_table(ext, bound)
         assert table.block_sums() == _weil_from_type_histogram(ext, bound), ext.name
+
+
+def factored_counts(ext, bound):
+    """B(n) for every monic n of degree <= bound, in rank order, as the
+    product over n = prod P^k (factor_monic) of the local count
+    local_counts(splitting_type(ext, P), k)[k]: no Euler product, and
+    every type from the residue field of its own prime."""
+    K = ext.field
+    types = {}
+    out = []
+    for d in range(bound + 1):
+        for n in poly.enumerate_monic(K, d):
+            b = 1
+            for prime, k in (poly.factor_monic(K, n.coeffs) if d else ()):
+                if prime not in types:
+                    types[prime] = splitting_type(ext, prime)
+                b *= local_counts(types[prime], k)[k]
+            out.append(b)
+    return out
+
+
+def _q2_cover(K):
+    """X^2 + T*X + 1, ramified at T only: not separated, so its types
+    come from distinct-degree factoring."""
+    return ExtensionSpec("Q2", K, textforms.parse_xt_poly(K, "X^2 + T*X + 1"),
+                         overrides={MonicPoly(K, (0, 1)): SplittingType(((2, 1),))})
+
+
+@pytest.mark.parametrize("make, bound", [
+    (lambda: builtin_extension(gf_create(2, 2), "artin_schreier", m=3), 5),
+    (lambda: _q2_cover(gf_create(2, 2)), 4),
+    (lambda: builtin_extension(gf_create(5), "kummer_sqrt", c="T^3 - T"), 4),
+    (lambda: builtin_extension(gf_create(3, 2), "kummer_sqrt", c="T^2 + g"), 3),
+    (lambda: builtin_extension(gf_create(2, 4), "artin_schreier", m=1), 2),
+    (lambda: _q2_cover(gf_create(2, 4)), 2),
+], ids=["AS_m3-F4", "Q2-F4", "kummer-overrides-F5", "kummer-F9", "AS_m1-F16",
+        "Q2-F16"])
+def test_table_matches_factorization_oracle(make, bound):
+    ext = make()
+    assert dirichlet_table(ext, bound).counts == factored_counts(ext, bound)
 
 
 # sha256 of dump_table text, computed before tables were kept by rank
