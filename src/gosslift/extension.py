@@ -4,14 +4,14 @@ An ExtensionSpec is a monic defining polynomial f in X over A = F_q[T]
 together with override data for the finitely many primes where reduction
 mod a prime does not tell the truth.  A prime pi not dividing the
 discriminant is unramified, f mod pi is squarefree, and the degrees of
-its irreducible factors are the inertia degrees above pi.  Primes that
-divide the discriminant, and any prime the user cannot vouch for, must
-carry an explicit override or the query fails loudly.  Nothing here
-computes integral closures: an override is trusted as given.
+its irreducible factors are the inertia degrees above pi (Kummer's
+theorem; Stichtenoth, Algebraic Function Fields and Codes, 3.3.7).
+Primes that divide the discriminant must carry an explicit override or
+the query fails loudly.  Nothing here computes integral closures: an
+override is trusted as given.
 
-One routine checks a prime (override, bad prime, discriminant), given a
-residue field and a map reducing A onto it, and then reads off the type.
-splitting_type, for one prime given from outside, checks the prime,
+Both paths make the same three checks in the same order: override, then
+ramified, then type.  splitting_type, for one prime given from outside,
 reduces onto the residue field A/(pi) and reads the factor degrees of
 f mod pi.  splitting_types, for all primes of one degree in a table,
 evaluates at alpha in the base field's model of F_{q^d}, with alpha the
@@ -44,6 +44,10 @@ from . import poly, textforms
 from .errors import ExtensionError
 from .field import FiniteField, ResidueField, gf_create
 from .poly import MonicPoly
+
+# degree bound for a prime given from outside: its Rabin test and the
+# factoring over its residue field already take seconds at this degree
+PRIME_DEGREE_BOUND = 200
 
 
 class SplittingType:
@@ -83,7 +87,7 @@ class SplittingType:
 class ExtensionSpec:
     """A degree-n extension of F_q(T) given by a monic defining polynomial."""
 
-    def __init__(self, name, base, xt_coeffs, bad_primes=(), overrides=None):
+    def __init__(self, name, base, xt_coeffs, overrides=None):
         if not isinstance(base, FiniteField):
             raise ExtensionError("base must be a table field")
         xt_coeffs = tuple(poly.ptrim(base, c) for c in xt_coeffs)
@@ -97,10 +101,7 @@ class ExtensionSpec:
         self.field = base
         self.xt_coeffs = xt_coeffs
         self.degree = len(xt_coeffs) - 1
-        self.bad_primes = tuple(bad_primes)
         self.overrides = dict(overrides or {})
-        for p in self.bad_primes:
-            _require_prime(base, p)
         for p, st in self.overrides.items():
             _require_prime(base, p)
             if st.degree != self.degree:
@@ -118,6 +119,9 @@ class ExtensionSpec:
 def _require_prime(base, p):
     if not isinstance(p, MonicPoly) or p.field != base:
         raise ExtensionError("primes must be MonicPoly over the base field")
+    if p.degree > PRIME_DEGREE_BOUND:
+        raise ExtensionError(
+            f"prime degree {p.degree} exceeds bound {PRIME_DEGREE_BOUND}")
     if p.degree < 1:
         raise ExtensionError("the unit polynomial is not a prime")
     if not poly.is_irreducible(base, p.coeffs):
@@ -130,7 +134,7 @@ def _require_prime(base, p):
 def builtin_extension(base, kind, name=None, **params):
     """Named extension families.
 
-    artin_schreier(m): X^p - X - T^m, no finite bad primes.
+    artin_schreier(m): X^p - X - T^m, unramified at every finite prime.
     kummer_sqrt(c):    X^2 - c for squarefree c, p odd; every prime factor
                        of c is overridden as ramified (2,1).
     """
@@ -172,8 +176,7 @@ def builtin_extension(base, kind, name=None, **params):
             for prime, mult in poly.factor_monic(base, c):
                 overrides[prime] = SplittingType(((2, 1),))
         cols = (poly.pneg(base, c), (), (base.one,))
-        return ExtensionSpec(name or "K_sqrt", base, cols,
-                             bad_primes=(), overrides=overrides)
+        return ExtensionSpec(name or "K_sqrt", base, cols, overrides)
     raise ExtensionError(f"unknown builtin extension kind {kind!r}")
 
 
@@ -267,14 +270,19 @@ def _bareiss_det(K, mat):
 def splitting_type(ext, prime):
     """Splitting type of a prime of F_q[T] in the extension.
 
-    Overridden primes return their override; listed bad primes and primes
-    dividing the discriminant fail without an override; everywhere else
-    the type is read off the distinct-degree factorization of the
-    defining polynomial over the residue field.
+    Overridden primes return their override; primes dividing the
+    discriminant fail without one; everywhere else the type is read off
+    the distinct-degree factorization of the defining polynomial over the
+    residue field.
     """
     _require_prime(ext.field, prime)
+    st = ext.overrides.get(prime)
+    if st is not None:
+        return st
     R = ResidueField(ext.field, prime.coeffs)
-    return _prime_type(ext, prime, _disc_coeffs(ext), R, R.project)
+    if R.project(_disc_coeffs(ext)) == R.zero:
+        raise _ramified(ext, prime)
+    return _reduced_type(R, tuple(R.project(c) for c in ext.xt_coeffs))
 
 
 def splitting_types(ext, d):
@@ -283,62 +291,35 @@ def splitting_types(ext, d):
     Overrides win.  Every other prime must be unramified, checked as by
     splitting_type, in the same order and with the same first failing
     prime.  Its type comes from f(alpha, X) over the base field's model F
-    of F_{q^d}, where alpha is the root of the prime that F keeps: from a
-    root count when the cover is separated and the count decides the type
-    (see _unramified_step), and otherwise from the distinct-degree
-    factorization, as for a single prime.
+    of F_{q^d}, where alpha is the root of the prime that F keeps (see
+    _unramified_types).
     """
     F = ext.field.zech_field(d)
-    disc = _disc_coeffs(ext)
-    unramified = _unramified_step(ext, F)
-    return [(prime, _prime_type(ext, prime, disc, F, reduce, unramified))
-            for prime, reduce in zip(F.irreducibles()[0], _at_roots(F))]
+    disc_at = F.root_values(_disc_coeffs(ext))
+    type_at = _unramified_types(ext, F)
+    out = []
+    for i, prime in enumerate(F.irreducibles()[0]):
+        st = ext.overrides.get(prime)
+        if st is None:
+            if not disc_at[i]:
+                raise _ramified(ext, prime)
+            st = type_at(i)
+        out.append((prime, st))
+    return out
 
 
-def _at_roots(F):
-    """For each prime of the model F, in order, the reduction of A onto its
-    residue field: evaluation at its root.  A polynomial's values at all
-    the roots come from one F.root_values pass, made on first use."""
-    values = {}
-
-    def at_root(i):
-        def reduce(c):
-            v = values.get(c)
-            if v is None:
-                v = values[c] = F.root_values(c)
-            return v[i]
-        return reduce
-    return map(at_root, range(len(F.irreducibles()[0])))
+def _ramified(ext, prime):
+    return ExtensionError(f"prime {prime} ramifies in {ext.name}; supply an override")
 
 
-def _reduced_type(ext, F, reduce):
+def _reduced_type(F, fbar):
     """Type of an unramified prime, from f reduced into its residue field F."""
-    fbar = tuple(reduce(c) for c in ext.xt_coeffs)
     counts = poly.distinct_degree_counts(F, fbar)
     return SplittingType(tuple((1, f) for f, c in counts.items() for _ in range(c)))
 
 
-def _prime_type(ext, prime, disc, F, reduce, unramified=_reduced_type):
-    """Type of a prime with residue field F, where reduce maps A onto F.
-
-    disc holds the discriminant's coefficients, or () when f is
-    inseparable: every prime divides a zero discriminant.  unramified
-    reads off the type once the prime is known to be unramified.
-    """
-    st = ext.overrides.get(prime)
-    if st is not None:
-        return st
-    if prime in ext.bad_primes:
-        raise ExtensionError(
-            f"prime {prime} is marked bad for {ext.name} and has no override")
-    if not disc or reduce(disc) == F.zero:
-        raise ExtensionError(
-            f"prime {prime} ramifies in {ext.name}; supply an override")
-    return unramified(ext, F, reduce)
-
-
-def _unramified_step(ext, F):
-    """The last step of _prime_type for the primes whose residue field is F.
+def _unramified_types(ext, F):
+    """i -> type of the i-th prime of the model F, for an unramified prime.
 
     A cover is separated when f = A(X) + c0(T) with A over F_q.  Then
     f(alpha, X) has r = N[-c0(alpha)] roots in F, with N from one sweep
@@ -347,26 +328,27 @@ def _unramified_step(ext, F):
     r = 1 in a cubic means (1,1)(1,2), and r = 0 means (1,n).  When
     A = X^p - X, the roots form a coset of F_p, so there are p of them
     or none (Stichtenoth, Algebraic Function Fields and Codes, 3.7).
-    Every other cover gets _reduced_type.
+    Every other cover factors f(alpha, X) by _reduced_type.
     """
     K, n, cols = ext.field, ext.degree, ext.xt_coeffs
-    if any(len(c) > 1 for c in cols[1:]):
-        return _reduced_type
     a = (0,) + tuple(c[0] if c else 0 for c in cols[1:])
-    if n > 3 and a != (0, K.neg(K.one)) + (0,) * (K.p - 2) + (1,):
-        return _reduced_type
-    counts = F.value_counts(a)
-    types = {n: SplittingType(((1, 1),) * n)}
-    if n > 1:
-        types[0] = SplittingType(((1, n),))
-    if n == 3:
-        types[1] = SplittingType(((1, 1), (1, 2)))
-    minus_c0 = poly.pneg(K, cols[0])
-    return lambda ext, F, reduce: types[counts[reduce(minus_c0)]]
+    if all(len(c) <= 1 for c in cols[1:]) and (
+            n <= 3 or a == (0, K.neg(K.one)) + (0,) * (K.p - 2) + (1,)):
+        counts = F.value_counts(a)
+        types = {n: SplittingType(((1, 1),) * n)}
+        if n > 1:
+            types[0] = SplittingType(((1, n),))
+        if n == 3:
+            types[1] = SplittingType(((1, 1), (1, 2)))
+        minus_c0 = F.root_values(poly.pneg(K, cols[0]))
+        return lambda i: types[counts[minus_c0[i]]]
+    values = [F.root_values(c) for c in cols]
+    return lambda i: _reduced_type(F, tuple(v[i] for v in values))
 
 
 def _disc_coeffs(ext):
-    """Coefficients of the discriminant, or () when f is inseparable."""
+    """Coefficients of the discriminant, or () when f is inseparable: the
+    zero polynomial, which every prime divides."""
     try:
         return discriminant(ext).coeffs
     except ExtensionError:
@@ -418,10 +400,12 @@ def parse_extension(text):
         ext = builtin_extension(base, kind, name=name, **params)
         merged = dict(ext.overrides)
         merged.update(overrides)
-        ext = ExtensionSpec(name, base, ext.xt_coeffs, ext.bad_primes, merged)
+        ext = ExtensionSpec(name, base, ext.xt_coeffs, merged)
     else:
         cols = textforms.parse_xt_poly(base, extsec["poly"])
-        ext = ExtensionSpec(name, base, cols, (), overrides)
+        ext = ExtensionSpec(name, base, cols, overrides)
+    # first: _check_irreducible reads splitting types, which cannot fail
+    # once every ramified prime is known to carry an override
     _validate_cover(ext)
     if has_poly and ext.degree > 1:
         _check_irreducible(ext)
@@ -457,13 +441,12 @@ def _parse_builtin(text):
 
 
 def _validate_cover(ext):
-    """Every prime dividing the discriminant must be overridden or marked bad."""
+    """Every prime dividing the discriminant must be overridden."""
     disc = discriminant(ext)
     if disc.degree == 0:
         return
-    covered = set(ext.overrides) | set(ext.bad_primes)
     for prime, _ in poly.factor_monic(ext.field, disc.coeffs):
-        if prime not in covered:
+        if prime not in ext.overrides:
             raise ExtensionError(
                 f"prime {prime} divides the discriminant of {ext.name} "
                 f"but has no override")
@@ -475,8 +458,8 @@ def _check_irreducible(ext):
     If f = g*h over F_q(T) with g of X-degree k, then f mod pi = g*h mod
     pi at every prime pi, so k is a sum of some of the inertia degrees at
     every unramified pi.  The test intersects those subset sums over the
-    unramified primes of degree <= 2 that carry no override and are not
-    marked bad, and stops once only 0 and n are left: f is irreducible.
+    unramified primes of degree <= 2 that carry no override, and stops
+    once only 0 and n are left: f is irreducible.
     If it cannot decide, an Eisenstein prime still proves f irreducible
     (Stichtenoth, Prop. 3.1.15): a prime P that divides every non-leading
     X-coefficient, while P^2 does not divide the constant one.  Failing
@@ -485,16 +468,12 @@ def _check_irreducible(ext):
     """
     n = ext.degree
     possible = set(range(n + 1))
-    disc = _disc_coeffs(ext)
     for d in (1, 2):
-        F = ext.field.zech_field(d)
-        for prime, reduce in zip(F.irreducibles()[0], _at_roots(F)):
-            if (prime in ext.overrides or prime in ext.bad_primes
-                    or not reduce(disc)):
+        for prime, st in splitting_types(ext, d):
+            if prime in ext.overrides:
                 continue
             sums = {0}
-            reduced = _reduced_type(ext, F, reduce)
-            for f in reduced.inertia_degrees():
+            for f in st.inertia_degrees():
                 sums |= {s + f for s in sums}
             possible &= sums
             if len(possible) == 2:

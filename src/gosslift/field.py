@@ -20,11 +20,15 @@ ResidueField models F_q[T]/(pi) for one irreducible pi over a table
 field.  Its elements are fixed-width tuples of base-field ints, with
 coordinatewise arithmetic; it serves single-prime queries.
 
-The default modulus for F_{p^m} is the lexicographically smallest monic
+Both models carry only what distinct-degree factoring over them calls
+(zero, one, p, order, add, neg, mul, inv, pth_power); FiniteField
+carries the whole protocol of poly.py.
+
+The modulus of F_{p^m} is the lexicographically smallest monic
 irreducible of degree m, comparing coefficient sequences low to high with
 coefficients as integers 0..p-1.  Examples: X^2+X+1 over F_2, X^2+1 over
 F_3.  This pins down a single canonical model per (p, m).  Moduli are
-tested with poly.is_irreducible, and every pow_ is poly.power.
+tested with poly.is_irreducible, and every power is poly.power.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def _is_prime(n):
 class FiniteField:
     """F_q, q = p^m <= FIELD_SIZE_BOUND, elements encoded as ints 0..q-1."""
 
-    def __init__(self, p, m=1, modulus=None):
+    def __init__(self, p, m=1):
         if m < 1:
             raise FieldError(f"extension degree {m} must be positive")
         # before the primality test (trial division); m > 8 is past 2^8 anyway
@@ -58,12 +62,7 @@ class FiniteField:
         self.m = m
         self.q = q
         self.order = q
-        if modulus is None:
-            modulus = _smallest_irreducible(p, m) if m > 1 else (0, 1)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise FieldError("modulus must be monic of degree m")
-        self.modulus = modulus
+        self.modulus = _smallest_irreducible(p, m) if m > 1 else (0, 1)
         self.zero = 0
         self.one = 1
         self.generator = p if m > 1 else None
@@ -232,7 +231,8 @@ class ZechField:
     0 <= k < q^d - 1, log inverts exp on nonzero elements and holds -1 at
     0, and zech[k] is the log of 1 + Y^k, or -1 where that sum is zero
     (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 1990).
-    Implements the element protocol of poly.py.
+    Implements what distinct-degree factoring uses of poly.py's element
+    protocol.
     """
 
     def __init__(self, base, d):
@@ -249,7 +249,6 @@ class ZechField:
         n = self.order - 1
         self._n = n
         self._half = n // 2 if self.p != 2 else 0  # log of -1
-        self._proot = pow(self.p, base.m * d - 1, n)  # inverse of p mod n
         add, mul, neg = base._add, base._mul, base._neg
         # Y * x shifts the digits of x up one place and subtracts top * g
         # from the low digits, of which only the nonzero ones of g change.
@@ -293,9 +292,6 @@ class ZechField:
         self._exp, self._log, self._zech = exp, log, zech
         self._irreducibles = None
 
-    def elements(self):
-        return range(self.order)
-
     def add(self, a, b):
         if not a:
             return b
@@ -311,9 +307,6 @@ class ZechField:
             return 0
         return self._exp[(self._log[a] + self._half) % self._n]
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if not a or not b:
             return 0
@@ -325,18 +318,10 @@ class ZechField:
             raise FieldError("inverse of zero")
         return self._exp[-self._log[a] % self._n]
 
-    def from_int(self, k):
-        return k % self.p
-
     def pth_power(self, a):
         if not a:
             return 0
         return self._exp[self._log[a] * self.p % self._n]
-
-    def pth_root(self, a):
-        if not a:
-            return 0
-        return self._exp[self._log[a] * self._proot % self._n]
 
     def _log_sums(self, coeffs, logs):
         """For each k in logs, the log of c(Y^k), or -1 where it is 0, for
@@ -496,21 +481,9 @@ class ResidueField:
         r = poly.pmod(self.base, f, self.modulus)
         return tuple(r) + (0,) * (self.deg - len(r))
 
-    def lift(self, a):
-        return poly.ptrim(self.base, a)
-
-    def elements(self):
-        for tup in itertools.product(self.base.elements(), repeat=self.deg):
-            yield tup
-
     def add(self, a, b):
         t = self.base._add
         return tuple(t[x][y] for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        t = self.base._add
-        n = self.base._neg
-        return tuple(t[x][n[y]] for x, y in zip(a, b))
 
     def neg(self, a):
         n = self.base._neg
@@ -540,7 +513,7 @@ class ResidueField:
         return tuple(acc)
 
     def inv(self, a):
-        al = self.lift(a)
+        al = poly.ptrim(self.base, a)
         if not al:
             raise FieldError("inverse of zero")
         # extended euclid over the base field
@@ -555,27 +528,8 @@ class ResidueField:
         s0 = poly.pscale(base, lead, s0)
         return tuple(s0) + (0,) * (self.deg - len(s0))
 
-    def from_int(self, k):
-        return (k % self.p,) + (0,) * (self.deg - 1)
-
-    def pow_(self, a, e):
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        return poly.power(self.mul, self.one, a, e)
-
     def pth_power(self, a):
-        return self.pow_(a, self.p)
-
-    def pth_root(self, a):
-        return self.pow_(a, self.order // self.p)
-
-    def __eq__(self, other):
-        return (isinstance(other, ResidueField)
-                and self.base == other.base and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.base, self.modulus))
+        return poly.power(self.mul, self.one, a, self.p)
 
     def __repr__(self):
         return f"ResidueField({self.base!r}, deg={self.deg})"

@@ -146,14 +146,14 @@ class PermGroup:
 
     __slots__ = ("n", "name", "gens", "elements", "_set", "_classes")
 
-    def __init__(self, n, gens, name="", bound=CLOSURE_BOUND):
+    def __init__(self, n, gens, name=""):
         gens = tuple(tuple(g) for g in gens)
         for g in gens:
             if sorted(g) != list(range(n)):
                 raise GroupError(f"{g} is not a permutation of 0..{n - 1}")
-        closure = close_generators(gens, n, bound)
+        closure = close_generators(gens, n, CLOSURE_BOUND)
         if closure is None:
-            raise GroupError(f"closure exceeded {bound} elements")
+            raise GroupError(f"closure exceeded {CLOSURE_BOUND} elements")
         self.n = n
         self.name = name
         self.gens = gens

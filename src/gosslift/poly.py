@@ -7,8 +7,11 @@ its docstring asks for a table field, only uses the small protocol
 shared by field.FiniteField, field.ZechField and field.ResidueField:
 
     K.zero, K.one, K.p, K.order
-    K.add(a, b), K.sub(a, b), K.neg(a), K.mul(a, b), K.inv(a)
-    K.from_int(k), K.pth_power(a), K.pth_root(a)
+    K.add(a, b), K.neg(a), K.mul(a, b), K.inv(a), K.pth_power(a)
+
+K.from_int(k), K.pth_root(a) and K.elements() are used only over table
+fields, by factor_monic (whose squarefree step takes p-th roots),
+pderiv, equal_degree_split and enumerate_monic.
 
 Each algorithm of the package has one implementation here: power is the
 square-and-multiply behind every power of a field element, polynomial,

@@ -199,13 +199,13 @@ def _var_part(var, exp):
     return f"{var}^{exp}"
 
 
-def format_terms(field, pairs, var="T"):
+def format_terms(field, pairs):
     """Render [(element, exponent)] as grammar text; exponents may be negative."""
     parts = []
     for elem, exp in pairs:
         if elem == field.zero:
             continue
-        vp = [p for p in [_var_part(var, exp)] if p]
+        vp = [p for p in [_var_part("T", exp)] if p]
         for digit, gexp in _element_monomials(field, elem):
             parts.append(_piece(digit, gexp, vp))
     return " + ".join(parts) if parts else "0"

@@ -6,6 +6,7 @@ prints a single summary line on success.  Wall-clock limits are
 asserted inside the tests; run with -s to see the lines.
 """
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -114,9 +115,9 @@ def _curve_counts(ms, kmax):
         pi = enumerate_monic_irreducibles(K, k)[0]
         F = ResidueField(K, pi.coeffs)
         lhs = Counter()
-        xs = list(F.elements())
+        xs = list(itertools.product(range(K.q), repeat=k))
         for y in xs:
-            lhs[F.sub(F.mul(F.mul(y, y), y), y)] += 1
+            lhs[F.add(F.mul(F.mul(y, y), y), F.neg(y))] += 1
         for m in ms:
             counts[m].append(sum(lhs[_rpow(F, x, m)] for x in xs))
     return counts

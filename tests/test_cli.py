@@ -58,6 +58,7 @@ poly=X - T
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
+CONFIGS = os.path.join(os.path.dirname(SRC), "configs")
 
 # runs main in a fresh interpreter, then reports which of sympy (a test-only
 # oracle), dataclasses and inspect (slow imports) got loaded
@@ -393,6 +394,16 @@ def test_huge_precision_at_large_s_exits_3(tmp_path, kind, tag):
     assert res.returncode == 3
     assert res.stderr.startswith(f"error[{tag}]:")
     assert "precision 1000000000 is above 262144" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_high_degree_prime_exits_3():
+    # refused before Rabin's test, which alone would run for minutes
+    res = run_child(["splitting", "--ext", os.path.join(CONFIGS, "K_sqrt.cfg"),
+                     "--prime", "T^1000 + T + 2"], timeout=10)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error[extension]:")
+    assert "prime degree 1000 exceeds bound 200" in res.stderr
     assert "Traceback" not in res.stderr
 
 

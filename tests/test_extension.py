@@ -1,9 +1,12 @@
 """Extension specs, splitting types, discriminants, and config parsing."""
 
+import itertools
+
 import pytest
 
 from gosslift.errors import ExtensionError
-from gosslift.extension import (ExtensionSpec, SplittingType, builtin_extension,
+from gosslift.extension import (PRIME_DEGREE_BOUND, ExtensionSpec,
+                                SplittingType, builtin_extension,
                                 discriminant, parse_extension,
                                 parse_extension_file, splitting_type,
                                 trivial_extension)
@@ -96,7 +99,6 @@ def test_builtin_artin_schreier():
     assert ext.degree == 3
     assert ext.poly_text() == "X^3 + 2*X + 2*T^5"
     assert ext.overrides == {}
-    assert ext.bad_primes == ()
     K2 = gf_create(2)
     ext2 = builtin_extension(K2, "artin_schreier", m=1, name="W")
     assert ext2.poly_text() == "X^2 + X + T"
@@ -138,7 +140,8 @@ def test_kummer_split_iff_square():
                 continue
             R = ResidueField(K, p.coeffs)
             cbar = R.project(c)
-            squares = {R.mul(a, a) for a in R.elements()}
+            squares = {R.mul(a, a)
+                       for a in itertools.product(range(K.q), repeat=R.deg)}
             st = splitting_type(ext, p)
             seen.add(st.pairs)
             if cbar in squares:
@@ -155,7 +158,7 @@ def trace_to_prime(R, a):
     for _ in range(R.base.m * R.deg):
         acc = R.add(acc, x)
         x = R.pth_power(x)
-    return R.lift(acc)
+    return poly.ptrim(R.base, acc)
 
 
 def test_artin_schreier_split_iff_trace_zero():
@@ -199,14 +202,22 @@ def test_ramified_without_override_raises():
         splitting_type(ext, MonicPoly(K, (0, 1)))
 
 
-def test_bad_prime_without_override_raises():
+def test_prime_degree_bound_comes_before_rabin(monkeypatch):
+    """A prime of degree above PRIME_DEGREE_BOUND is refused, given as a
+    query or as an override, before Rabin's test runs."""
     K = gf_create(3)
-    t = MonicPoly(K, (0, 1))
-    ext = ExtensionSpec("bare", K, parse_xt_poly(K, "X^2 - T"), bad_primes=(t,))
-    with pytest.raises(ExtensionError):
-        splitting_type(ext, t)
-    # other primes still work
-    assert splitting_type(ext, MonicPoly(K, (1, 1))).degree == 2
+    ext = builtin_extension(K, "artin_schreier", m=1)
+    big = MonicPoly(K, (2, 1) + (0,) * (PRIME_DEGREE_BOUND - 1) + (1,))
+    assert big.degree == PRIME_DEGREE_BOUND + 1
+
+    def no_rabin(K, g):
+        raise AssertionError("Rabin's test ran")
+    monkeypatch.setattr(poly, "is_irreducible", no_rabin)
+    with pytest.raises(ExtensionError, match=f"exceeds bound {PRIME_DEGREE_BOUND}"):
+        splitting_type(ext, big)
+    with pytest.raises(ExtensionError, match=f"exceeds bound {PRIME_DEGREE_BOUND}"):
+        parse_extension(_poly_cfg(3, "X^2 - T", "[override]\nprime=T^1000 + T + 2\n"
+                                                "type=(2,1)\n"))
 
 
 CONFIG_POLY = """
@@ -355,3 +366,22 @@ def test_undecided_polynomial_is_rejected():
     with pytest.raises(ExtensionError, match="could not decide"):
         parse_extension(_poly_cfg(3, "X^2 - T^2",
                                   "[override]\nprime=T\ntype=(2,1)\n"))
+
+
+def test_separated_poly_covers_are_certified_without_factoring(monkeypatch):
+    """A separated poly= cover is certified from root counts alone, with
+    no distinct-degree factoring; any other cover still factors."""
+    calls = []
+    real = poly.distinct_degree_counts
+
+    def counting(F, f):
+        calls.append(f)
+        return real(F, f)
+    monkeypatch.setattr(poly, "distinct_degree_counts", counting)
+    as16 = "[field]\np=2\nm=4\n[extension]\nname=K\npoly=X^2 + X + T\n"
+    assert parse_extension(as16).degree == 2
+    assert parse_extension(_poly_cfg(3, "X^3 + 2*X + T^5 + T")).degree == 3
+    assert not calls
+    assert parse_extension(_poly_cfg(2, "X^2 + T*X + 1",
+                                     "[override]\nprime=T\ntype=(2,1)\n")).degree == 2
+    assert calls

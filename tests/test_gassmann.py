@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from gosslift import gassmann
 from gosslift.errors import GroupError
 from gosslift.gassmann import (PermGroup, all_subgroups_of_order, are_conjugate,
                                builtin_group, cayley_komatsu, close_generators,
@@ -73,23 +74,25 @@ def test_perm_group_s3():
     assert parse_perm("(1 2)", 3) not in C3
 
 
-def test_perm_group_validation():
+def test_perm_group_validation(monkeypatch):
     with pytest.raises(GroupError):
         PermGroup(3, [(0, 0, 1)])
+    monkeypatch.setattr(gassmann, "CLOSURE_BOUND", 3)
     with pytest.raises(GroupError):
-        PermGroup(6, [parse_perm("(1 2 3 4 5 6)", 6)], bound=3)
+        PermGroup(6, [parse_perm("(1 2 3 4 5 6)", 6)])
     with pytest.raises(GroupError):
         symmetric_group(0)
     assert symmetric_group(1).order == 1
 
 
-def test_close_generators_limit():
+def test_close_generators_limit(monkeypatch):
     c6 = [parse_perm("(1 2 3 4 5 6)", 6)]
     powers = {tuple((i + k) % 6 for i in range(6)) for k in range(6)}
     assert close_generators(c6, 6, 6) == powers
     assert close_generators(c6, 6, 5) is None
+    monkeypatch.setattr(gassmann, "CLOSURE_BOUND", 5)
     with pytest.raises(GroupError, match="closure exceeded 5 elements"):
-        PermGroup(6, c6, bound=5)
+        PermGroup(6, c6)
 
 
 def test_klein_four():

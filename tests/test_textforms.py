@@ -106,7 +106,6 @@ def test_format_terms_negative_exponents():
     assert format_terms(K, pairs) == "T^-1 + 2*T^-2"
     assert format_terms(K, [(0, -1)]) == "0"
     assert format_terms(K, [(1, 0)]) == "1"
-    assert format_terms(K, [(2, 3)], var="u") == "2*u^3"
 
 
 def test_format_generator_terms():

@@ -43,22 +43,20 @@ def test_model_matches_residue_field(p, m, d):
     assert F.order == K.q ** d
     assert K.zech_field(d) is F
     R = ResidueField(K, F.modulus)
-    enc = {digits(F, a): a for a in F.elements()}
+    enc = {digits(F, a): a for a in range(F.order)}
     assert len(enc) == F.order
-    elements = list(F.elements())
+    elements = list(range(F.order))
     if len(elements) > 100:
         elements = [0, 1] + random.Random(d).sample(elements, 100)
     for a in elements:
         ra = digits(F, a)
         assert digits(F, F.neg(a)) == R.neg(ra)
         assert digits(F, F.pth_power(a)) == R.pth_power(ra)
-        assert F.pth_power(F.pth_root(a)) == a
         if a:
             assert digits(F, F.inv(a)) == R.inv(ra)
         for b in elements:
             rb = digits(F, b)
             assert digits(F, F.add(a, b)) == R.add(ra, rb)
-            assert digits(F, F.sub(a, b)) == R.sub(ra, rb)
             assert digits(F, F.mul(a, b)) == R.mul(ra, rb)
     # the base field sits inside as the ints below q
     for a, b in itertools.product(K.elements(), repeat=2):
@@ -200,18 +198,13 @@ def test_table_ramified_without_override_raises_first_prime():
     types come from root counts."""
     K = gf_create(3)
     cases = (
-        ("bare", "X^2 - T^2 - 2", (), "T + 1", "ramifies in bare; supply an override"),
-        ("cubic", "X^2 - T^3 - T^2 - T - 2", (), "T^3 + T^2 + T + 2",
-         "ramifies in cubic; supply an override"),
-        ("insep", "X^3 - T", (), "T", "ramifies in insep; supply an override"),
-        ("badp", "X^2 - T - 1", (parse_monic(K, "T"),), "T",
-         "is marked bad for badp and has no override"),
-        ("asbad", "X^3 - X - T^2", (parse_monic(K, "T^2 + 1"),), "T^2 + 1",
-         "is marked bad for asbad and has no override"),
+        ("bare", "X^2 - T^2 - 2", "T + 1"),
+        ("cubic", "X^2 - T^3 - T^2 - T - 2", "T^3 + T^2 + T + 2"),
+        ("insep", "X^3 - T", "T"),
     )
-    for name, f, bad, prime, reason in cases:
-        ext = ExtensionSpec(name, K, parse_xt_poly(K, f), bad_primes=bad)
-        message = f"prime {prime} {reason}"
+    for name, f, prime in cases:
+        ext = ExtensionSpec(name, K, parse_xt_poly(K, f))
+        message = f"prime {prime} ramifies in {name}; supply an override"
         with pytest.raises(ExtensionError) as table_err:
             dirichlet_table(ext, 4)
         assert str(table_err.value) == message
@@ -229,12 +222,19 @@ def test_splitting_type_routes_ramified_primes_to_overrides():
 
 
 def model_path_types(ext, d):
-    """splitting_types with the distinct-degree last step at every prime."""
+    """splitting_types with the distinct-degree last step at every prime,
+    on values at the roots taken by Horner's rule."""
     F = ext.field.zech_field(d)
     disc = extension._disc_coeffs(ext)
-    return [(prime, extension._prime_type(
-                ext, prime, disc, F, lambda c: poly.peval(F, c, alpha)))
-            for prime, alpha in zip(*F.irreducibles())]
+    out = []
+    for prime, alpha in zip(*F.irreducibles()):
+        st = ext.overrides.get(prime)
+        if st is None:
+            assert poly.peval(F, disc, alpha)
+            st = extension._reduced_type(
+                F, tuple(poly.peval(F, c, alpha) for c in ext.xt_coeffs))
+        out.append((prime, st))
+    return out
 
 
 def simple_cubic():
