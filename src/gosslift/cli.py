@@ -17,10 +17,10 @@ from .gassmann import (cayley_komatsu, gassmann_by_cycle_type,
                        gassmann_check, klein4_pair, parse_group_file,
                        psl27_pair, psl211_pair)
 from .textforms import parse_monic
-from .witt import (FieldOps, LaurentOps, check_lifted_args, lifted_goss_eval,
-                   witt_text)
-from .zeta import (check_goss_args, compare_zeta, dirichlet_table, dump_table,
-                   goss_eval, weil_series)
+from .witt import (FieldOps, LaurentOps, check_args, check_lifted_args,
+                   lifted_goss_eval, witt_text)
+from .zeta import (compare_zeta, dirichlet_table, dump_table, goss_eval,
+                   weil_series)
 
 
 def _cmd_splitting(args):
@@ -35,7 +35,11 @@ def _cmd_table(args):
     ext = parse_extension_file(args.ext)
     table = dirichlet_table(ext, args.max_degree)
     if args.dump:
-        dump_table(table, args.dump)
+        try:
+            with open(args.dump, "w", encoding="utf-8") as fh:
+                fh.write(dump_table(table))
+        except OSError as e:
+            raise ZetaError(f"cannot write table to {args.dump}: {e}") from None
         print(f"wrote {len(table.counts)} entries to {args.dump}")
     else:
         print(dump_table(table), end="")
@@ -49,10 +53,9 @@ def _cmd_zeta(args):
     # fail before building the table; a negative bound is the table's own
     # error
     if args.kind == "lifted" and args.max_degree >= 0:
-        check_lifted_args(ext.field.p, args.max_degree, args.s, args.prec,
-                          args.witt_len)
+        check_lifted_args(args.max_degree, args.s, args.prec, args.witt_len)
     elif args.kind == "goss" and args.max_degree >= 0:
-        check_goss_args(args.max_degree, args.s, args.prec)
+        check_args(args.max_degree, args.s, args.prec, ZetaError)
     table = dirichlet_table(ext, args.max_degree)
     if args.kind == "weil":
         print(weil_series(table))

@@ -286,7 +286,8 @@ def splitting_type(ext, prime):
 
 
 def splitting_types(ext, d):
-    """(prime, splitting type) for every prime of degree d, in enumeration order.
+    """Yield (prime, splitting type) for every prime of degree d, in
+    enumeration order, each type worked out when its pair is taken.
 
     Overrides win.  Every other prime must be unramified, checked as by
     splitting_type, in the same order and with the same first failing
@@ -297,15 +298,13 @@ def splitting_types(ext, d):
     F = ext.field.zech_field(d)
     disc_at = F.root_values(_disc_coeffs(ext))
     type_at = _unramified_types(ext, F)
-    out = []
     for i, prime in enumerate(F.irreducibles()[0]):
         st = ext.overrides.get(prime)
         if st is None:
             if not disc_at[i]:
                 raise _ramified(ext, prime)
             st = type_at(i)
-        out.append((prime, st))
-    return out
+        yield prime, st
 
 
 def _ramified(ext, prime):

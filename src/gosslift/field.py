@@ -27,8 +27,12 @@ carries the whole protocol of poly.py.
 The modulus of F_{p^m} is the lexicographically smallest monic
 irreducible of degree m, comparing coefficient sequences low to high with
 coefficients as integers 0..p-1.  Examples: X^2+X+1 over F_2, X^2+1 over
-F_3.  This pins down a single canonical model per (p, m).  Moduli are
-tested with poly.is_irreducible, and every power is poly.power.
+F_3.  This pins down a single canonical model per (p, m).  F_p adds and
+multiplies mod p.  F_{p^m}, m >= 2, is read off the ZechField of degree m
+over F_p, whose irreducibles come in this same order: the first is the
+modulus, and the add and mul tables are the model's arithmetic carried
+back along a = sum a_i g^i, for g the root of the modulus that the model
+keeps.  Every power is poly.power.
 """
 
 from __future__ import annotations
@@ -62,43 +66,17 @@ class FiniteField:
         self.m = m
         self.q = q
         self.order = q
-        self.modulus = _smallest_irreducible(p, m) if m > 1 else (0, 1)
         self.zero = 0
         self.one = 1
         self.generator = p if m > 1 else None
-        self._build_tables()
         self._zech_cache = {}
-
-    def _build_tables(self):
-        p, m, q = self.p, self.m, self.q
-        coords = [self.coords(a) for a in range(q)]
-        self._add = [
-            [self.element_from_coords([(x + y) % p for x, y in zip(coords[a], coords[b])])
-             for b in range(q)]
-            for a in range(q)
-        ]
-        self._neg = [self.element_from_coords([(-x) % p for x in coords[a]]) for a in range(q)]
-        red = self.modulus[:-1]
-        mul_table = []
-        for a in range(q):
-            row = []
-            ca = coords[a]
-            for b in range(q):
-                cb = coords[b]
-                prod = [0] * (2 * m - 1)
-                for i, x in enumerate(ca):
-                    if x:
-                        for j, y in enumerate(cb):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                for k in range(2 * m - 2, m - 1, -1):
-                    c = prod[k]
-                    if c:
-                        prod[k] = 0
-                        for i, r in enumerate(red):
-                            prod[k - m + i] = (prod[k - m + i] - c * r) % p
-                row.append(self.element_from_coords(prod[:m]))
-            mul_table.append(row)
-        self._mul = mul_table
+        if m == 1:
+            self.modulus = (0, 1)
+            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
+            self._mul = [[a * b % p for b in range(q)] for a in range(q)]
+        else:
+            self.modulus, self._add, self._mul = _zech_tables(p, m)
+        self._neg = [row.index(0) for row in self._add]
         self._inv = [None] + [self.pow_(a, q - 2) for a in range(1, q)]
         self._pth = pth = [self.pow_(a, p) for a in range(q)]
         pthroot = [None] * q
@@ -178,13 +156,23 @@ class FiniteField:
         return f"GF({self.q})"
 
 
-def _smallest_irreducible(p, m):
-    """Lexicographically first monic irreducible of degree m over F_p."""
-    base = FiniteField(p)
-    for lower in itertools.product(range(p), repeat=m):
-        if poly.is_irreducible(base, lower + (1,)):
-            return lower + (1,)
-    raise FieldError("no irreducible modulus found")  # unreachable
+def _zech_tables(p, m):
+    """(modulus, add table, mul table) of F_{p^m}, m >= 2, read off the
+    degree-m model Z over F_p (see the module docstring).  Both encode F_p
+    as the ints below p, so phi(a) = sum a_i g^i is phi(a) = a_0 + g phi(a')
+    for a = a_0 + p a', by Horner's rule."""
+    Z = gf_create(p).zech_field(m)
+    primes, roots = Z.irreducibles()
+    g = roots[0]
+    phi = [0] * Z.order
+    for a in range(1, Z.order):
+        phi[a] = Z.add(a % p, Z.mul(g, phi[a // p]))
+    back = [0] * Z.order
+    for a, x in enumerate(phi):
+        back[x] = a
+    add = [[back[Z.add(x, y)] for y in phi] for x in phi]
+    mul = [[back[Z.mul(x, y)] for y in phi] for x in phi]
+    return primes[0].coeffs, add, mul
 
 
 @functools.lru_cache(maxsize=None)

@@ -292,37 +292,35 @@ def mod_p_series(K, w, M):
 # --- the lifted zeta ---
 
 
-def check_prec(M, error):
-    """Raise error unless the precision M of a zeta value at s >= 1 is at
-    most PREC_BOUND."""
-    if M > PREC_BOUND:
-        raise error(f"precision {M} is above {PREC_BOUND}, the largest "
-                    f"supported at s >= 1")
+def check_args(bound, s, M, error):
+    """Raise error unless a table of this bound serves a zeta value, goss
+    or lifted, at s to precision M.  The table is not read, so a caller
+    can check before it builds one."""
+    if M < 0:
+        raise error(f"precision {M} must be nonnegative")
+    if s >= 1:
+        if M > PREC_BOUND:
+            raise error(f"precision {M} is above {PREC_BOUND}, the largest "
+                        f"supported at s >= 1")
+        need = -(-M // s)
+        if bound < need:
+            raise error(f"table bound {bound} is too small for s={s}, "
+                        f"prec {M} (need {need})")
+    elif bound < 3 - s:
+        raise error(f"table bound {bound} is too small for s={s} "
+                    f"(need {3 - s})")
 
 
-def check_lifted_args(p, bound, s, M, N):
-    """Reject a lifted zeta request that no table of this bound can serve.
-
-    These are the checks of lifted_goss_eval that do not read the table,
-    so a caller can make them before it builds one.
-    """
+def check_lifted_args(bound, s, M, N):
+    """Reject a lifted zeta request that no table of this bound can serve,
+    before the table is built: check_args, for a length N in range and
+    s >= 0."""
     if not 1 <= N <= WITT_LEN_BOUND:
         raise WittError(f"Witt length {N} is out of the supported range "
                         f"1..{WITT_LEN_BOUND}")
     if s < 0:
         raise WittError("the lifted zeta is defined for s >= 0 only")
-    if M < 0:
-        raise WittError(f"precision {M} must be nonnegative")
-    if s == 0:
-        if bound < 3:
-            raise WittError("table bound must be at least 3 for s = 0")
-        return
-    check_prec(M, WittError)
-    need = -(-M // s)
-    if bound < need:
-        raise WittError(
-            f"table bound {bound} is too small for s={s}, prec {M} "
-            f"(need {need})")
+    check_args(bound, s, M, WittError)
 
 
 def lifted_goss_eval(table, s, M, N):
@@ -338,7 +336,7 @@ def lifted_goss_eval(table, s, M, N):
     """
     K = table.field
     p = K.p
-    check_lifted_args(p, table.bound, s, M, N)
+    check_lifted_args(table.bound, s, M, N)
     if s == 0:
         pN = p ** N
         blocks = table.block_sums()

@@ -27,7 +27,7 @@ from .errors import GossliftError, ZetaError
 from .extension import splitting_types
 from .laurent import LaurentSeries
 from .poly import MonicPoly
-from .witt import check_prec, ghost_sum, mod_p_series
+from .witt import check_args, ghost_sum, mod_p_series
 
 
 def local_counts(st, kmax):
@@ -236,26 +236,6 @@ def weil_series(table):
 # --- zeta evaluation mod p ---
 
 
-def check_goss_args(bound, s, M):
-    """Reject a goss_eval request that no table of this bound can serve.
-
-    These are the checks of goss_eval that do not read the table, so a
-    caller can make them before it builds one.
-    """
-    if M < 0:
-        raise ZetaError(f"precision {M} must be nonnegative")
-    if s >= 1:
-        check_prec(M, ZetaError)
-        need = -(-M // s)
-        if bound < need:
-            raise ZetaError(
-                f"table bound {bound} is too small for s={s}, prec {M} "
-                f"(need {need})")
-    elif bound < 3 - s:
-        raise ZetaError(
-            f"table bound {bound} is too small for s={s} (need {3 - s})")
-
-
 def goss_eval(table, s, M):
     """The characteristic-p zeta value at integer s, as a Laurent series.
 
@@ -266,7 +246,7 @@ def goss_eval(table, s, M):
     vanish identically, otherwise the evaluation fails.
     """
     K = table.field
-    check_goss_args(table.bound, s, M)
+    check_args(table.bound, s, M, ZetaError)
     if s >= 1:
         return mod_p_series(K, ghost_sum(table, s, M, 1), M)
     k = -s
@@ -453,7 +433,7 @@ def _term_texts(K, lo, hi, *lead):
             for terms in itertools.product(*columns)]
 
 
-def dump_table(table, path=None):
+def dump_table(table):
     """One line per entry, '<poly> <B(n)>', with a header comment."""
     name = str(table.ext_name).replace(" ", "_")
     lines = [f"# ext={name} p={table.field.p} m={table.field.m} "
@@ -461,17 +441,10 @@ def dump_table(table, path=None):
     texts = itertools.chain.from_iterable(
         monic_texts(table.field, d) for d in range(table.bound + 1))
     lines += [f"{n} {b}" for n, b in zip(texts, table.counts)]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise ZetaError(f"cannot write table to {path}: {e}") from None
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def load_table(text_or_path, from_path=False):
+def load_table(text):
     """Parse dump_table text back into a table.
 
     Lines may come in any order, but each modulus must be spelled as
@@ -479,14 +452,6 @@ def load_table(text_or_path, from_path=False):
     above the bound or listed twice, or a table that does not hold all
     (q^(D+1) - 1)/(q - 1) monic moduli of degree <= D raises ZetaError.
     """
-    if from_path:
-        try:
-            with open(text_or_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise ZetaError(f"cannot read table from {text_or_path}: {e}") from None
-    else:
-        text = text_or_path
     header = None
     lines = []
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -112,10 +112,21 @@ def test_table_dump_file(tmp_path, capsys):
     assert main(["table", "--ext", k, "--max-degree", "1",
                  "--dump", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote 4 entries to {out}\n"
-    table = load_table(str(out), from_path=True)
+    table = load_table(out.read_text(encoding="utf-8"))
     assert table.ext_name == "K"
     assert table.bound == 1
     assert len(table.entries) == 4
+
+
+def test_table_dump_to_an_unwritable_path_exits_3(tmp_path, capsys):
+    k = write_cfg(tmp_path, "K.cfg", CFG_K)
+    bad = tmp_path / "no" / "such" / "dir.txt"
+    assert main(["table", "--ext", k, "--max-degree", "1",
+                 "--dump", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[zeta]: cannot write table to {bad}:")
+    assert "Traceback" not in captured.err
 
 
 def test_zeta_weil(tmp_path, capsys):

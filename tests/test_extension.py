@@ -368,9 +368,8 @@ def test_undecided_polynomial_is_rejected():
                                   "[override]\nprime=T\ntype=(2,1)\n"))
 
 
-def test_separated_poly_covers_are_certified_without_factoring(monkeypatch):
-    """A separated poly= cover is certified from root counts alone, with
-    no distinct-degree factoring; any other cover still factors."""
+def _count_distinct_degree(monkeypatch):
+    """The list of polynomials poly.distinct_degree_counts is called on."""
     calls = []
     real = poly.distinct_degree_counts
 
@@ -378,6 +377,13 @@ def test_separated_poly_covers_are_certified_without_factoring(monkeypatch):
         calls.append(f)
         return real(F, f)
     monkeypatch.setattr(poly, "distinct_degree_counts", counting)
+    return calls
+
+
+def test_separated_poly_covers_are_certified_without_factoring(monkeypatch):
+    """A separated poly= cover is certified from root counts alone, with
+    no distinct-degree factoring; any other cover still factors."""
+    calls = _count_distinct_degree(monkeypatch)
     as16 = "[field]\np=2\nm=4\n[extension]\nname=K\npoly=X^2 + X + T\n"
     assert parse_extension(as16).degree == 2
     assert parse_extension(_poly_cfg(3, "X^3 + 2*X + T^5 + T")).degree == 3
@@ -385,3 +391,13 @@ def test_separated_poly_covers_are_certified_without_factoring(monkeypatch):
     assert parse_extension(_poly_cfg(2, "X^2 + T*X + 1",
                                      "[override]\nprime=T\ntype=(2,1)\n")).degree == 2
     assert calls
+
+
+def test_certification_stops_at_the_first_deciding_prime(monkeypatch):
+    """X^2 + T*X + 1 over F_16 is factored at each unramified prime until
+    one is inert, not at all 15 primes of degree 1 before deciding."""
+    calls = _count_distinct_degree(monkeypatch)
+    text = ("[field]\np=2\nm=4\n[extension]\nname=K\npoly=X^2 + T*X + 1\n"
+            "[override]\nprime=T\ntype=(2,1)\n")
+    assert parse_extension(text).degree == 2
+    assert 0 < len(calls) <= 3

@@ -22,6 +22,35 @@ def test_canonical_moduli():
     assert gf_create(5, 2).modulus == (1, 1, 1)
 
 
+EXTENSION_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9)
+                    if p ** m <= FIELD_SIZE_BOUND]
+
+
+@pytest.mark.parametrize("p, m", EXTENSION_FIELDS)
+def test_modulus_is_the_first_irreducible_candidate(p, m):
+    """The lexicographic search over candidate moduli is the oracle."""
+    Fp = gf_create(p)
+    first = next(lower + (1,) for lower in itertools.product(range(p), repeat=m)
+                 if poly.is_irreducible(Fp, lower + (1,)))
+    assert gf_create(p, m).modulus == first
+
+
+@pytest.mark.parametrize("p, m", EXTENSION_FIELDS)
+def test_products_are_schoolbook_products_reduced_by_the_modulus(p, m):
+    """All pairs up to q = 81; above, every a*g and 2,000 seeded pairs."""
+    K, Fp = gf_create(p, m), gf_create(p)
+    q = K.q
+    if q <= 81:
+        pairs = list(itertools.product(range(q), repeat=2))
+    else:
+        rng = random.Random(q)
+        pairs = [(a, K.generator) for a in range(q)]
+        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        prod = poly.pmod(Fp, poly.pmul(Fp, K.coords(a), K.coords(b)), K.modulus)
+        assert K.mul(a, b) == K.element_from_coords(prod)
+
+
 def test_gf_create_caches():
     assert gf_create(3, 2) is gf_create(3, 2)
     assert gf_create(3) == FiniteField(3)

@@ -522,7 +522,7 @@ def test_lifted_zeta_uses_no_structure_polynomials(monkeypatch):
 
     monkeypatch.setattr(witt, "witt_structure_polys", refuse)
     table = lifted_table(2, 2, "artin_schreier", {"m": 1}, 5)
-    check_lifted_args(2, 5, 1, 5, 6)
+    check_lifted_args(5, 1, 5, 6)
     assert lifted_goss_eval(table, 1, 5, 6).N == 6
     assert lifted_goss_eval(table, 0, 0, 1).N == 1
     goss_eval(table, 1, 5)

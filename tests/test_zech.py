@@ -180,7 +180,7 @@ def test_table_types_match_splitting_type(p, m, bound):
         table = dirichlet_table(ext, bound)
         seen = set()
         for d in range(1, bound + 1):
-            got = splitting_types(ext, d)
+            got = list(splitting_types(ext, d))
             assert [prime for prime, _ in got] == enumerate_monic_irreducibles(K, d)
             for prime, st in got:
                 assert st == splitting_type(ext, prime)
@@ -286,7 +286,7 @@ def test_root_counts_match_distinct_degree_types(make, bound, monkeypatch):
     calls = counted_distinct_degree(monkeypatch)
     seen = set()
     for d in range(1, bound + 1):
-        got = splitting_types(ext, d)
+        got = list(splitting_types(ext, d))
         assert not calls
         assert got == model_path_types(ext, d)
         seen |= {st.pairs for _, st in got}
@@ -311,7 +311,7 @@ def test_other_covers_fall_back_to_distinct_degree_types(monkeypatch):
     calls = counted_distinct_degree(monkeypatch)
     for ext, bound in covers:
         for d in range(1, bound + 1):
-            got = splitting_types(ext, d)
+            got = list(splitting_types(ext, d))
             factored = sum(prime not in ext.overrides for prime, _ in got)
             assert len(calls) == factored > 0
             assert got == model_path_types(ext, d)
