@@ -2,7 +2,8 @@
 
 Verbs: splitting, table, zeta, compare, gassmann, demo.  Exit codes:
 0 success (comparison verdicts are data, not errors), 2 usage error,
-3 data or validation error, 4 failed demo assertion.
+3 data or validation error, or a request that ran out of memory, 4 failed
+demo assertion.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .gassmann import (cayley_komatsu, gassmann_by_cycle_type,
 from .textforms import parse_monic
 from .witt import (FieldOps, LaurentOps, check_args, check_lifted_args,
                    lifted_goss_eval, witt_text)
-from .zeta import (compare_zeta, dirichlet_table, dump_table, goss_eval,
+from .zeta import (compare_zeta, dirichlet_table, dump_blocks, goss_eval,
                    weil_series)
 
 
@@ -37,12 +38,12 @@ def _cmd_table(args):
     if args.dump:
         try:
             with open(args.dump, "w", encoding="utf-8") as fh:
-                fh.write(dump_table(table))
+                fh.writelines(dump_blocks(table))
         except OSError as e:
             raise ZetaError(f"cannot write table to {args.dump}: {e}") from None
         print(f"wrote {len(table.counts)} entries to {args.dump}")
     else:
-        print(dump_table(table), end="")
+        sys.stdout.writelines(dump_blocks(table))
     return 0
 
 
@@ -181,6 +182,10 @@ def main(argv=None):
         return args.func(args)
     except GossliftError as exc:
         print(f"error[{exc.tag}]: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # the request's own objects are gone by now, so printing works
+        print(f"error[memory]: {args.verb} ran out of memory", file=sys.stderr)
         return 3
 
 

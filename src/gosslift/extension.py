@@ -18,10 +18,12 @@ evaluates at alpha in the base field's model of F_{q^d}, with alpha the
 root of pi kept by enumerate_monic_irreducibles; one pass on logs gives
 a coefficient's values at the roots of all primes of the degree
 (ZechField.root_values).  For a separated cover, f = A(X) + c0(T) with
-A over F_q, one sweep of the model counts the roots of A(X) = v for
-every v, and the root count of f(alpha, X) then gives the type when f
-has X-degree at most 3 or A = X^p - X.  Every other cover reads the
-factor degrees of f(alpha, X), as for one prime.
+A over F_q, the root count of f(alpha, X) gives the type when f has
+X-degree at most 3 or A = X^p - X.  That count is read off the trace of
+-c0(alpha) when A = X^p - X, off log c0(alpha) when A = X^n, and off one
+sweep of the model, which counts the roots of A(X) = v for every v, for
+any other A.  Every other cover reads the factor degrees of f(alpha, X),
+as for one prime.
 
 Config files are sectioned key=value text,
 
@@ -38,6 +40,7 @@ is rejected.
 
 from __future__ import annotations
 
+import math
 import re
 
 from . import poly, textforms
@@ -296,12 +299,13 @@ def splitting_types(ext, d):
     _unramified_types).
     """
     F = ext.field.zech_field(d)
-    disc_at = F.root_values(_disc_coeffs(ext))
+    disc_at = F.root_logs(_disc_coeffs(ext))
     type_at = _unramified_types(ext, F)
+    overrides = ext.overrides
     for i, prime in enumerate(F.irreducibles()[0]):
-        st = ext.overrides.get(prime)
+        st = overrides.get(prime) if overrides else None
         if st is None:
-            if not disc_at[i]:
+            if disc_at[i] < 0:
                 raise _ramified(ext, prime)
             st = type_at(i)
         yield prime, st
@@ -320,27 +324,39 @@ def _reduced_type(F, fbar):
 def _unramified_types(ext, F):
     """i -> type of the i-th prime of the model F, for an unramified prime.
 
-    A cover is separated when f = A(X) + c0(T) with A over F_q.  Then
-    f(alpha, X) has r = N[-c0(alpha)] roots in F, with N from one sweep
-    F.value_counts(A).  For an unramified prime f(alpha, X) is squarefree,
-    and r fixes its type in two cases.  When n <= 3, r = n means (1,1)^n,
-    r = 1 in a cubic means (1,1)(1,2), and r = 0 means (1,n).  When
-    A = X^p - X, the roots form a coset of F_p, so there are p of them
-    or none (Stichtenoth, Algebraic Function Fields and Codes, 3.7).
-    Every other cover factors f(alpha, X) by _reduced_type.
+    A cover is separated when f = A(X) + c0(T) with A over F_q.  Then the
+    type is fixed by r, the number of roots in F of A(X) = v at
+    v = -c0(alpha), in three cases.  When A = X^p - X, the roots form a
+    coset of F_p, so r is p or 0 (Stichtenoth, Algebraic Function Fields
+    and Codes, 3.7), and r = p exactly when the trace of v down to F_p is 0
+    (Lidl and Niederreiter, Finite Fields, 2.25): F.traceless.  Else, for
+    an unramified prime f(alpha, X) is squarefree, and when n <= 3, r = n
+    means (1,1)^n, r = 1 in a cubic means (1,1)(1,2), and r = 0 means
+    (1,n).  For A = X^n and v != 0, r = g = gcd(n, q^d - 1) when g divides
+    log v and 0 otherwise; any other A of degree n <= 3 takes N[v] from
+    one sweep N = F.value_counts(A).  Every other cover factors
+    f(alpha, X) by _reduced_type.
     """
     K, n, cols = ext.field, ext.degree, ext.xt_coeffs
     a = (0,) + tuple(c[0] if c else 0 for c in cols[1:])
-    if all(len(c) <= 1 for c in cols[1:]) and (
-            n <= 3 or a == (0, K.neg(K.one)) + (0,) * (K.p - 2) + (1,)):
-        counts = F.value_counts(a)
+    if all(len(c) <= 1 for c in cols[1:]):
         types = {n: SplittingType(((1, 1),) * n)}
         if n > 1:
             types[0] = SplittingType(((1, n),))
-        if n == 3:
-            types[1] = SplittingType(((1, 1), (1, 2)))
-        minus_c0 = F.root_values(poly.pneg(K, cols[0]))
-        return lambda i: types[counts[minus_c0[i]]]
+        minus_c0 = poly.pneg(K, cols[0])
+        if a == (0, K.neg(K.one)) + (0,) * (K.p - 2) + (1,):
+            split = F.traceless(F.root_values(minus_c0))
+            return lambda i: types[n if split[i] else 0]
+        if n <= 3:
+            if n == 3:
+                types[1] = SplittingType(((1, 1), (1, 2)))
+            if not any(a[1:-1]):
+                g = math.gcd(n, F.order - 1)
+                logs = F.root_logs(minus_c0)
+                return lambda i: types[0 if logs[i] % g else g]
+            counts = F.value_counts(a)
+            values = F.root_values(minus_c0)
+            return lambda i: types[counts[values[i]]]
     values = [F.root_values(c) for c in cols]
     return lambda i: _reduced_type(F, tuple(v[i] for v in values))
 

@@ -10,11 +10,15 @@ size bound FIELD_SIZE_BOUND keeps the tables small.
 ZechField models F_{q^d} over a FiniteField F_q, one per degree d, built
 on first use and cached on the base field.  Elements are again ints,
 whose base-q digits are coordinates over F_q, and arithmetic goes through
-exp/log/Zech tables of length q^d.  Its Frobenius orbits are the monic
-irreducibles of degree d over F_q, each kept with one root, which is how
-ideal-count tables read off splitting types: root_values evaluates a
-polynomial over F_q at all those roots in one pass, and value_counts
-tallies its values on the whole field, for root counts.
+exp/log/Zech tables of length q^d; the exp table is stepped out for
+(q^d - 1)/(q - 1) powers only, the rest being scalar multiples of those.
+Its Frobenius orbits are the monic irreducibles of degree d over F_q,
+each kept with one root, found one class of PGL(2, q) at a time.  That
+is how ideal-count tables read off splitting types: root_logs and
+root_values evaluate a polynomial over F_q at all those roots in one
+pass, traceless tells which values have trace 0 down to F_p, and
+value_counts tallies a polynomial's values on the whole field, for the
+root counts that neither gives.
 
 ResidueField models F_q[T]/(pi) for one irreducible pi over a table
 field.  Its elements are fixed-width tuples of base-field ints, with
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from . import poly
 from .errors import FieldError
@@ -185,24 +190,43 @@ def _primitive_modulus(K, d):
     """Lexicographically first monic g of degree d over K in which Y has
     order q^d - 1: the first candidate that passes Rabin's test and whose
     Y^((q^d - 1)/r) differs from 1 for every prime r dividing q^d - 1.
+    For d >= 2 a candidate with a root in F_q is skipped before Rabin's
+    test, and the powers of Y are taken in the residue field F_q[Y]/(g).
 
     Only constant terms g(0) whose (-1)^d g(0), the norm of Y down to
     F_q, generates F_q^* are tried: the norm of a generator of
     F_{q^d}^* generates F_q^*.  The constant term varies slowest in the
-    candidate order, so skipping it whole keeps that order.
+    candidate order, so skipping it whole keeps that order.  The same
+    filter settles the primes r dividing q - 1, since there
+    Y^((q^d - 1)/r) = N(Y)^((q - 1)/r), so only the other primes are tested.
     """
     n = K.q ** d - 1
-    cofactors = [n // r for r in poly.prime_factors(n)]
+    units = poly.prime_factors(K.q - 1)
+    cofactors = [n // r for r in poly.prime_factors(n) if r not in units]
     sign = K.one if d % 2 == 0 else K.neg(K.one)
     constants = [c for c in range(1, K.q)
                  if all(K.pow_(K.mul(sign, c), (K.q - 1) // r) != K.one
-                        for r in poly.prime_factors(K.q - 1))]
-    y = (K.zero, K.one)
+                        for r in units)]
+    add, mul = K._add, K._mul
+
+    def has_root(g):
+        for row in mul[1:]:
+            v = 0
+            for c in reversed(g):
+                v = add[row[v]][c]
+            if not v:
+                return True
+        return False
+
+    def primitive(g):
+        R = ResidueField(K, g)
+        y = R.project((0, 1))
+        return all(poly.power(R.mul, R.one, y, e) != R.one for e in cofactors)
+
     for c in constants:
         for upper in itertools.product(range(K.q), repeat=d - 1):
             g = (c,) + upper + (K.one,)
-            if (poly.is_irreducible(K, g)
-                    and all(poly.ppow_mod(K, y, e, g) != (K.one,) for e in cofactors)):
+            if not (d > 1 and has_root(g)) and poly.is_irreducible(K, g) and primitive(g):
                 return g
     raise FieldError("no primitive modulus found")  # unreachable
 
@@ -256,8 +280,12 @@ class ZechField:
         from array import array
         exp = array('i', [0]) * n
         log = array('i', [0]) * self.order
+        # Y^k for k below (q^d - 1)/(q - 1), step by step; then
+        # Y^(k + i step) = c^i Y^k with c = Y^step in F_q^*, and c^i scales
+        # each base-q digit, so each later block is one pass over the first
+        step = n // (q - 1)
         x = 1
-        for k in range(n):
+        for k in range(step):
             exp[k] = x
             log[x] = k
             top, rest = divmod(x, top_place)
@@ -267,6 +295,19 @@ class ZechField:
                 x += x_const
                 for place, change in changes:
                     x += change[x // place % q]
+        h = d // 2
+        lo_place = q ** h
+        first = exp[:step]
+        c = x
+        for start in range(step, n, step):
+            row = mul[c]
+            lo = _digit_table(q, h, lambda i, a: row[a] * q ** i)
+            hi = _digit_table(q, d - h, lambda i, a: row[a] * q ** (h + i))
+            block = [lo[v % lo_place] + hi[v // lo_place] for v in first]
+            exp[start:start + step] = array('i', block)
+            for k, v in enumerate(block, start):
+                log[v] = k
+            c = mul[c][x]
         # zech = log o (+1) o exp.  x + 1 changes the constant digit only, so
         # +1 maps the elements with constant digit c, the slice c::q, onto
         # the slice that starts at c + 1, in order: log o (+1) is q slice
@@ -279,6 +320,7 @@ class ZechField:
         zech = array('i', [log_plus_one[x] for x in exp])
         self._exp, self._log, self._zech = exp, log, zech
         self._irreducibles = None
+        self._trace_tables = None
 
     def add(self, a, b):
         if not a:
@@ -330,14 +372,21 @@ class ZechField:
             out.append(v)
         return out
 
+    def root_logs(self, coeffs):
+        """The log of c(alpha), or -1 where it is 0, for a polynomial c over
+        the base field at the root alpha of each prime of irreducibles(),
+        in its order: one pass on logs (see _log_sums)."""
+        log, roots = self._log, self.irreducibles()[1]
+        c0 = log[coeffs[0]] if coeffs else -1
+        if len(coeffs) <= 1:
+            return [c0] * len(roots)
+        logs = self._log_sums(coeffs, [log[a] for a in roots])
+        return [v if a else c0 for a, v in zip(roots, logs)]
+
     def root_values(self, coeffs):
-        """c(alpha) for a polynomial c over the base field at the root
-        alpha of each prime of irreducibles(), in its order: one pass on
-        logs (see _log_sums)."""
-        exp, roots = self._exp, self.irreducibles()[1]
-        c0 = coeffs[0] if coeffs else 0
-        logs = self._log_sums(coeffs, [self._log[a] for a in roots])
-        return [(exp[v] if v >= 0 else 0) if a else c0 for a, v in zip(roots, logs)]
+        """c(alpha) at the kept root of each prime, as root_logs reads it."""
+        exp = self._exp
+        return [exp[v] if v >= 0 else 0 for v in self.root_logs(coeffs)]
 
     def value_counts(self, coeffs):
         """N with N[v] = #{beta in this field : A(beta) = v}, in one pass.
@@ -353,6 +402,34 @@ class ZechField:
             counts[exp[v] if v >= 0 else 0] += 1
         return counts
 
+    def traceless(self, values):
+        """For each element v, whether Tr(v) = 0, for Tr the trace from
+        this field down to F_p.
+
+        Tr is F_p-linear in the base-p digits of v, so it is the sum of a
+        term read off the low half of those digits and one read off the
+        high half; the second table holds minus its term, so Tr(v) = 0
+        exactly when the two lookups agree.  The tables are built from Tr
+        of the single-digit elements p^j, each a sum of md conjugates.
+        """
+        if self._trace_tables is None:
+            p, n = self.p, self._n
+            digits = self.deg * self.base.m
+            conjugates = [p ** j % n for j in range(digits)]
+            traces = []
+            for j in range(digits):
+                lg = self._log[p ** j]
+                t = 0
+                for e in conjugates:
+                    t = self.add(t, self._exp[lg * e % n])
+                traces.append(t)
+            h = digits // 2
+            lo = _digit_table(p, h, lambda i, a: a * traces[i])
+            hi = _digit_table(p, digits - h, lambda i, a: a * traces[h + i])
+            self._trace_tables = ([t % p for t in lo], [-t % p for t in hi], p ** h)
+        lo, minus_hi, place = self._trace_tables
+        return [lo[v % place] == minus_hi[v // place] for v in values]
+
     def irreducibles(self):
         """The monic irreducibles of degree d over the base, with one root each.
 
@@ -363,54 +440,66 @@ class ZechField:
         d, and each orbit is the root set of one prime.  In degree 1, T
         joins with root 0.
 
-        Only one prime per class of the group generated by Frobenius,
-        alpha -> c alpha (c in F_q^*) and alpha -> 1/alpha is a _minpoly
-        product.  On logs these maps are k -> qk, k -> k + i (q^d - 1)/(q - 1)
-        and k -> -k.  If f = sum f_i X^i is the minimal polynomial of
-        alpha, that of c alpha is sum c^(d-i) f_i X^i and that of 1/alpha
-        is X^d f(1/X) / f_0 (Lidl and Niederreiter, Finite Fields, 3.1), so
-        each other prime of the class costs d + 1 base-field products.
+        Only one prime per class of the group generated by Frobenius and
+        the Moebius maps alpha -> c alpha (c in F_q^*), alpha -> 1/alpha
+        and alpha -> alpha + 1, which make up PGL(2, q), is a _minpoly
+        product.  On logs the three maps are k -> k + (q^d - 1)/(q - 1)
+        (c = Y^((q^d - 1)/(q - 1)) generates F_q^*), k -> -k and
+        k -> zech[k].  If f = sum f_i X^i is the minimal polynomial of
+        alpha, that of c alpha is sum c^(d-i) f_i X^i, that of 1/alpha is
+        X^d f(1/X) / f_0 (Lidl and Niederreiter, Finite Fields, 3.1) and
+        that of alpha + 1 is f(X - 1).  Scaling and inversion cost d + 1
+        base-field products, so a class takes one Taylor shift for each
+        of its orbits under those two.  Every class meets the logs below
+        (q^d - 1)/(q - 1), so only those are walked.
         """
         if self._irreducibles is None:
             K = self.base
-            q, n, d, exp = K.q, self._n, self.deg, self._exp
-            mul = K._mul
+            q, n, d, exp, zech = K.q, self._n, self.deg, self._exp, self._zech
+            mul, inv = K._mul, K._inv
             step = n // (q - 1)
             # scales[i]: the rows of c^d, c^(d-1), .., c^0 for c = Y^(i step)
             scales = [[mul[K.pow_(exp[i * step], d - j)] for j in range(d + 1)]
                       for i in range(q - 1)]
-            found = [((0, 1), 0)] if d == 1 else []
+            frobenius = [q ** i % n for i in range(d)]
+            shift = _taylor_shift(K, d)
+            found = [(b"\0\1", (0, 1), 0)] if d == 1 else []
             seen = bytearray(n)
+            todo = []  # kept (log, prime) whose alpha + 1 is still to be tried
 
-            def orbit(k):
-                """The Frobenius orbit of k, marked as seen."""
-                logs = [k]
-                seen[k] = 1
-                j = k * q % n
-                while j != k:
-                    logs.append(j)
-                    seen[j] = 1
-                    j = j * q % n
-                return logs
+            def keep(j, f):
+                """Keep the unseen prime f with root Y^j and every prime
+                that scaling and inversion make from it."""
+                for start, g in ((j, f), (-j % n, None)):
+                    for i, rows in enumerate(scales):
+                        s = (start + i * step) % n
+                        if seen[s]:
+                            continue
+                        if g is None:
+                            row = mul[inv[f[0]]]
+                            g = tuple([row[c] for c in reversed(f)])
+                        h = tuple(map(list.__getitem__, rows, g)) if i else g
+                        logs = [s * e % n for e in frobenius]
+                        for e in logs:
+                            seen[e] = 1
+                        found.append((bytes(h), h, exp[min(logs)]))
+                        todo.append((s, h))
 
-            for k in range(n):
+            for k in range(step):
                 if seen[k]:
                     continue
-                logs = orbit(k)
-                if len(logs) != d:
-                    continue
-                f = self._minpoly(logs)
-                found.append((f, exp[k]))
-                inv0 = mul[K._inv[f[0]]]
-                for start, g in ((k, f), (-k, tuple(inv0[c] for c in reversed(f)))):
-                    for i, rows in enumerate(scales):
-                        j = (start + i * step) % n
-                        if not seen[j]:
-                            found.append((tuple(map(list.__getitem__, rows, g)),
-                                          exp[min(orbit(j))]))
+                logs = [k * e % n for e in frobenius]
+                if logs.count(k) != 1:
+                    continue  # a root of lower degree
+                keep(k, self._minpoly(logs))
+                while todo:
+                    j, f = todo.pop()
+                    t = zech[j]
+                    if t >= 0 and not seen[t]:
+                        keep(t, shift(f))
             found.sort()
-            self._irreducibles = ([poly.MonicPoly(self.base, c) for c, _ in found],
-                                  [root for _, root in found])
+            self._irreducibles = (poly.monic_polys(K, [c for _, c, _ in found]),
+                                  [root for _, _, root in found])
         return self._irreducibles
 
     def _minpoly(self, logs):
@@ -440,6 +529,47 @@ class ZechField:
 
     def __repr__(self):
         return f"ZechField({self.base!r}, deg={self.deg})"
+
+
+def _digit_table(q, digits, term):
+    """t[x] = the sum of term(i, x_i) over the base-q digits x_i of x, for
+    every x below q^digits."""
+    t = [0]
+    for i in range(digits):
+        terms = [term(i, a) for a in range(q)]
+        t = [v + w for w in terms for v in t]
+    return t
+
+
+def _taylor_shift(K, d):
+    """The map f -> f(X - 1) on polynomials of degree d over the table
+    field K.
+
+    Over F_p with (d + 1)(p - 1)^2 < 256, f(X - 1) = sum f_i (X - 1)^i is
+    one sum of products of small ints with ints whose bytes are the
+    coefficients of (X - 1)^i reduced mod p: no coefficient of the sum
+    carries out of its byte, and bytes.translate reduces it mod p.  Other
+    fields shift by Horner's rule on the base field's tables.
+    """
+    p = K.p
+    if K.q == p and (d + 1) * (p - 1) ** 2 < 256:
+        rows = []
+        binomial = [1]  # (X - 1)^i, constant first
+        for _ in range(d + 1):
+            rows.append(int.from_bytes(bytes(binomial), "little"))
+            binomial = [(a - b) % p for a, b in zip([0] + binomial, binomial + [0])]
+        residues = bytes(b % p for b in range(256))
+        return lambda f: tuple(sum(map(operator.mul, f, rows))
+                               .to_bytes(d + 1, "little").translate(residues))
+    add, neg = K._add, K._neg
+
+    def shift(f):
+        c = list(f)
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] = add[c[j]][neg[c[j + 1]]]
+        return tuple(c)
+    return shift
 
 
 class ResidueField:

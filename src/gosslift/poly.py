@@ -177,9 +177,8 @@ def _reduction_rows(K, f, maxdeg):
     if d < 1:
         raise PolyError("reduction rows need a modulus of degree at least 1")
     z, one = K.zero, K.one
-    rows = []
-    for k in range(min(d, maxdeg + 1)):
-        rows.append(tuple(one if i == k else z for i in range(d)))
+    zeros = (z,) * d
+    rows = [zeros[:k] + (one,) + zeros[k + 1:] for k in range(min(d, maxdeg + 1))]
     if maxdeg < d:
         return rows
     add, mul = K.add, K.mul
@@ -203,18 +202,16 @@ def _frobenius_mod(K, h, f, rows):
     """h^p mod f via the characteristic p power map on coefficients."""
     d = pdeg(f)
     p = K.p
-    add, z = K.add, K.zero
+    add, mul, z = K.add, K.mul, K.zero
     pth = K.pth_power
     acc = [z] * d
     for i, c in enumerate(h):
         if c == z:
             continue
         cp = pth(c)
-        row = rows[i * p]
-        for j in range(d):
-            rj = row[j]
+        for j, rj in enumerate(rows[i * p]):
             if rj != z:
-                acc[j] = add(acc[j], K.mul(cp, rj))
+                acc[j] = add(acc[j], mul(cp, rj))
     return ptrim(K, acc)
 
 
@@ -430,6 +427,24 @@ class MonicPoly:
 
     def __repr__(self):
         return f"MonicPoly({self})"
+
+
+def monic_polys(field, coeff_tuples):
+    """The MonicPoly of each coefficient tuple, which must already be
+    trimmed and monic: neither is checked, and the slots are set through
+    their descriptors, as __init__ would set them."""
+    new = object.__new__
+    set_field, set_coeffs, set_hash = (
+        MonicPoly.field.__set__, MonicPoly.coeffs.__set__, MonicPoly._hash.__set__)
+    p, m = field.p, field.m
+    out = []
+    for c in coeff_tuples:
+        f = new(MonicPoly)
+        set_field(f, field)
+        set_coeffs(f, c)
+        set_hash(f, hash((p, m, c)))
+        out.append(f)
+    return out
 
 
 def enumerate_monic(field, d):

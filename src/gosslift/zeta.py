@@ -14,7 +14,13 @@ of the same table of nonnegative integers:
   * the lifted zeta (see witt.py) keeps B as an integer mod p^N.
 
 Tables carry the bound D up to which they were built; every verdict they
-support is a verdict "for all n of degree <= D" and nothing more.
+support is a verdict "for all n of degree <= D" and nothing more.  A
+table is built by expanding the Euler product over the primes of degree
+<= D (dirichlet_table): over F_p with (D + 1)(p - 1)^2 < 256 each product
+is one product of ints whose bytes are the coefficients, elsewhere it
+runs on the base field's tables.  Its text form (dump_table, load_table)
+is written in pieces (dump_blocks), so the whole text of a large table is
+never held at once.
 """
 
 from __future__ import annotations
@@ -147,7 +153,12 @@ def dirichlet_table(ext, bound):
     Each prime P of degree d multiplies in its powers P^k, k <= bound/d:
     P^k's own entry is B(P^k), read from the local counts of its type,
     and every nonzero entry of degree e >= 1 present before P was reached
-    gives one product, on the base field's own add and mul rows (_times).
+    gives one product.  Over F_p with (bound + 1)(p - 1)^2 < 256 a
+    product is one product of ints whose bytes are the coefficients
+    (_byte_products); other fields multiply on the base field's tables
+    (_row_products).  A product of degree above bound - d is never a
+    cofactor again, since later primes have degree d or more, so only
+    its count is kept.
     """
     if bound < 0:
         raise ZetaError("table bound must be nonnegative")
@@ -162,57 +173,122 @@ def dirichlet_table(ext, bound):
     counts = [0] * block_start(q, bound + 1)
     counts[0] = 1
     # the nonzero entries of degree >= 1 so far, by degree, as
-    # (coefficients, count): a zero cofactor only has zero products, and
+    # (polynomial, count): a zero cofactor only has zero products, and
     # those the list holds already
     nonzero = [[] for _ in range(bound + 1)]
-    add, mul = K._add, K._mul
+    if K.m == 1 and (bound + 1) * (K.p - 1) ** 2 < 256:
+        first, times, rows, expand = _byte_products(K)
+    else:
+        first, times, rows, expand = _row_products(K)
     for d in range(1, bound + 1):
         kmax = bound // d
+        last = bound - d  # the highest degree that is still a cofactor
         by_type = {}  # local counts for each splitting type met at degree d
         for prime, st in splitting_types(ext, d):
-            local = by_type.get(st)
+            local = by_type.get(st.pairs)
             if local is None:
-                local = by_type[st] = local_counts(st, kmax)
+                local = by_type[st.pairs] = local_counts(st, kmax)
             if not any(local[1:]):
                 continue
             # snapshot: everything present so far is coprime to this prime
-            sizes = [len(block) for block in nonzero]
-            power = [K.one]
+            sizes = [len(block) for block in nonzero] if d < bound else None
+            base, r = first(prime.coeffs)
+            power = base
             for k in range(1, kmax + 1):
-                power, r = _times(add, mul, q, power, prime.coeffs)
+                kd = k * d
+                if k > 1:
+                    power, r = times(power, base, kd)
                 ck = local[k]
                 if not ck:
                     continue
-                kd = k * d
                 counts[starts[kd] + r] = ck
-                nonzero[kd].append((power, ck))
+                if kd == bound:
+                    continue
+                if kd <= last:
+                    nonzero[kd].append((power, ck))
+                by = rows(power)
                 for e in range(1, bound - kd + 1):
-                    out, start = nonzero[e + kd], starts[e + kd]
-                    for cf, b in itertools.islice(nonzero[e], sizes[e]):
-                        prod, r = _times(add, mul, q, cf, power)
-                        counts[start + r] = bc = b * ck
-                        out.append((prod, bc))
+                    if sizes[e]:
+                        expand(itertools.islice(nonzero[e], sizes[e]), by, e + kd,
+                               counts, starts[e + kd], ck,
+                               nonzero[e + kd] if e + kd <= last else None)
     return DirichletTable(ext.name, K, bound, counts)
 
 
-def _times(add, mul, q, f, g):
-    """(f g, rank of f g within its degree block) for monic f and g over
-    the table field whose add and mul rows are given.
+def _byte_products(K):
+    """Polynomial products over F_p on ints whose byte i is coefficient i.
 
-    Schoolbook on the rows, then the digits are read low coefficient
-    first, as rank reads them.
+    The caller keeps (deg + 1)(p - 1)^2 < 256, so each coefficient of an
+    int product, a sum of at most deg + 1 products of residues, stays in
+    its own byte; bytes.translate reduces the bytes mod p or spells them
+    as base-p digits, low coefficient first, which int() reads as the
+    rank times p plus the leading 1 (p < 16 here, so int() takes base p).
+    Returns (first, times, rows, expand) as dirichlet_table uses them.
     """
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            row = mul[a]
-            for j, b in enumerate(g, i):
-                prod[j] = add[prod[j]][row[b]]
-    r = 0
-    for c in prod:
-        r = r * q + c
-    # the loop also took the leading 1 as the last digit
-    return prod, r // q
+    p = K.p
+    residues = bytes(b % p for b in range(256))
+    digits = bytes(ord("0123456789abcdef"[b % p]) for b in range(256))
+
+    def first(coeffs):
+        raw = bytes(coeffs)
+        return int.from_bytes(raw, "little"), int(raw.translate(digits), p) // p
+
+    def times(f, g, deg):
+        raw = (f * g).to_bytes(deg + 1, "little")
+        return (int.from_bytes(raw.translate(residues), "little"),
+                int(raw.translate(digits), p) // p)
+
+    def expand(cofactors, power, deg, counts, start, ck, out):
+        width = deg + 1
+        if out is None:
+            for cf, b in cofactors:
+                counts[start + int((cf * power).to_bytes(width, "little")
+                                   .translate(digits), p) // p] = b * ck
+            return
+        for cf, b in cofactors:
+            raw = (cf * power).to_bytes(width, "little")
+            counts[start + int(raw.translate(digits), p) // p] = bc = b * ck
+            out.append((int.from_bytes(raw.translate(residues), "little"), bc))
+
+    return first, times, lambda power: power, expand
+
+
+def _row_products(K):
+    """Polynomial products over a table field, as coefficient lists, on
+    its add and mul tables; a power P^k that takes cofactors gets the rows
+    c * P^k, one for each c in the field, made once.  Returns (first,
+    times, rows, expand) as dirichlet_table uses them."""
+    add, mul, q = K._add, K._mul, K.q
+
+    def ranked(prod):
+        # the digits low coefficient first; the leading 1 is read last
+        r = 0
+        for c in prod:
+            r = r * q + c
+        return prod, r // q
+
+    def product(f, rows, deg):
+        prod = [0] * (deg + 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, c in enumerate(rows[a], i):
+                    prod[j] = add[prod[j]][c]
+        return ranked(prod)
+
+    def rows(power):
+        return [[row[c] for c in power] for row in mul]
+
+    def times(f, g, deg):
+        return product(f, rows(g), deg)
+
+    def expand(cofactors, by, deg, counts, start, ck, out):
+        for cf, b in cofactors:
+            prod, r = product(cf, by, deg)
+            counts[start + r] = bc = b * ck
+            if out is not None:
+                out.append((prod, bc))
+
+    return ranked, times, rows, expand
 
 
 class WeilSeries:
@@ -411,14 +487,17 @@ def monic_texts(K, d):
     the low terms; the low digits are the more significant part of the
     rank, so the block is a product of two string tables.
     """
+    highs, lows = _text_halves(K, d)
+    return itertools.chain.from_iterable(
+        [hi + low for hi in highs] if low else highs for low in lows)
+
+
+def _text_halves(K, d):
+    """(highs, lows): the texts of degree d are hi + low for each low in
+    lows, then for each hi in highs; each low text carries its " + "."""
     h = d // 2
     highs = _term_texts(K, h, d, textforms.format_terms(K, [(K.one, d)]))
-    for low in _term_texts(K, 0, h):
-        if low:
-            low = " + " + low
-            yield from [hi + low for hi in highs]
-        else:
-            yield from highs
+    return highs, [" + " + low if low else "" for low in _term_texts(K, 0, h)]
 
 
 def _term_texts(K, lo, hi, *lead):
@@ -433,15 +512,29 @@ def _term_texts(K, lo, hi, *lead):
             for terms in itertools.product(*columns)]
 
 
-def dump_table(table):
-    """One line per entry, '<poly> <B(n)>', with a header comment."""
+def dump_blocks(table):
+    """The text of dump_table in pieces, in order: the header line, then
+    one piece for each run of q^(d - d//2) lines of degree d that share
+    their low terms (see monic_texts).  Writing the pieces as they come
+    keeps one run of text in memory at a time."""
+    K, counts = table.field, table.counts
     name = str(table.ext_name).replace(" ", "_")
-    lines = [f"# ext={name} p={table.field.p} m={table.field.m} "
-             f"D={table.bound}"]
-    texts = itertools.chain.from_iterable(
-        monic_texts(table.field, d) for d in range(table.bound + 1))
-    lines += [f"{n} {b}" for n, b in zip(texts, table.counts)]
-    return "\n".join(lines) + "\n"
+    yield f"# ext={name} p={K.p} m={K.m} D={table.bound}\n"
+    r = 0
+    for d in range(table.bound + 1):
+        highs, lows = _text_halves(K, d)
+        for low in lows:
+            run = counts[r:r + len(highs)]
+            r += len(highs)
+            # each line is hi + (low + its count): one join per run
+            ends = {b: f"{low} {b}\n" for b in set(run)}
+            yield "".join([hi + ends[b] for hi, b in zip(highs, run)])
+
+
+def dump_table(table):
+    """One line per entry, '<poly> <B(n)>', after a header comment: the
+    pieces of dump_blocks joined."""
+    return "".join(dump_blocks(table))
 
 
 def load_table(text):

@@ -11,10 +11,12 @@ import sys
 
 import pytest
 
+import gosslift.cli as cli
 import gosslift.demos as demos
 from gosslift.cli import main
 from gosslift.demos import DemoReport
-from gosslift.zeta import load_table
+from gosslift.extension import parse_extension_file
+from gosslift.zeta import dirichlet_table, dump_table, load_table
 
 CFG_K = """
 [field]
@@ -454,3 +456,25 @@ def test_goss_bound_fails_before_the_table(tmp_path):
     assert res.returncode == 3
     assert res.stderr.startswith("error[zeta]:")
     assert "(need 100)" in res.stderr
+
+
+@pytest.mark.parametrize("verb", [
+    ["table", "--max-degree", "1"],
+    ["zeta", "--kind", "weil", "--max-degree", "1"],
+])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, verb):
+    def exhausted(ext, bound):
+        raise MemoryError
+    monkeypatch.setattr(cli, "dirichlet_table", exhausted)
+    k = write_cfg(tmp_path, "K.cfg", CFG_K)
+    assert main(verb[:1] + ["--ext", k] + verb[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[memory]: {verb[0]} ran out of memory\n"
+
+
+def test_table_stdout_is_the_dump_text(tmp_path, capsys):
+    k = write_cfg(tmp_path, "K.cfg", CFG_K)
+    assert main(["table", "--ext", k, "--max-degree", "5"]) == 0
+    table = dirichlet_table(parse_extension_file(k), 5)
+    assert capsys.readouterr().out == dump_table(table)

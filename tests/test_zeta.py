@@ -17,7 +17,7 @@ from gosslift.extension import (ExtensionSpec, SplittingType,
                                 splitting_types, trivial_extension)
 from gosslift.field import gf_create
 from gosslift.laurent import LaurentSeries
-from gosslift import poly, textforms
+from gosslift import poly, textforms, zeta
 from gosslift.poly import MonicPoly, enumerate_monic_irreducibles
 from gosslift.textforms import parse_monic
 from gosslift.witt import lifted_goss_eval
@@ -93,20 +93,51 @@ def test_artin_schreier_table_small_entries():
     assert vals["T^3"] == 10
 
 
-def test_table_multiplicativity():
+def test_table_multiplicativity(monkeypatch):
+    """B(n1 n2) = B(n1) B(n2) for coprime n1, n2, on both sides of the
+    packing condition (bound + 1)(p - 1)^2 < 256: F_7 packs its products
+    into bytes at D=6 and multiplies on its tables at D=7."""
+    made = []
+    for name in ("_byte_products", "_row_products"):
+        real = getattr(zeta, name)
+        monkeypatch.setattr(zeta, name,
+                            lambda K, name=name, real=real: made.append(name) or real(K))
+    K7 = gf_create(7)
     rng = random.Random(0)
-    for ext in (builtin_extension(K3, "kummer_sqrt", c="T"),
-                builtin_extension(K3, "artin_schreier", m=5)):
-        table = dirichlet_table(ext, 6)
-        keys = list(table.entries)
-        for _ in range(100):
-            n1, n2 = rng.choice(keys), rng.choice(keys)
-            if n1.degree + n2.degree > 6:
+    for ext, bound, kernel in (
+            (builtin_extension(K3, "kummer_sqrt", c="T"), 6, "_byte_products"),
+            (builtin_extension(K3, "artin_schreier", m=5), 6, "_byte_products"),
+            (builtin_extension(K7, "artin_schreier", m=2), 6, "_byte_products"),
+            (builtin_extension(K7, "artin_schreier", m=2), 7, "_row_products")):
+        K = ext.field
+        table = dirichlet_table(ext, bound)
+        assert made.pop() == kernel
+        checked = 0
+        while checked < 100:
+            e1 = rng.randrange(1, bound)
+            e2 = rng.randrange(1, bound - e1 + 1)
+            r1, r2 = (rng.randrange(table.starts[e], table.starts[e + 1])
+                      for e in (e1, e2))
+            n1, n2 = unrank(K, r1), unrank(K, r2)
+            if poly.pgcd(K, n1.coeffs, n2.coeffs) != (1,):
                 continue
-            if poly.pgcd(K3, n1.coeffs, n2.coeffs) != (1,):
-                continue
-            prod = n1 * n2
-            assert table.entries[prod] == table.entries[n1] * table.entries[n2]
+            prod = rank(K, (n1 * n2).coeffs)
+            assert table.counts[prod] == table.counts[r1] * table.counts[r2]
+            checked += 1
+
+
+@pytest.mark.parametrize("field, kind, params, bound", [
+    ((3, 1), "kummer_sqrt", {"c": "T^3 - T"}, 7),
+    ((3, 1), "artin_schreier", {"m": 5}, 8),
+    ((5, 1), "kummer_sqrt", {"c": "T^3 + T + 1"}, 4),
+    ((2, 1), "artin_schreier", {"m": 3}, 10),
+])
+def test_byte_and_row_products_build_the_same_table(field, kind, params, bound,
+                                                    monkeypatch):
+    ext = builtin_extension(gf_create(*field), kind, **params)
+    packed = dirichlet_table(ext, bound)
+    monkeypatch.setattr(zeta, "_byte_products", zeta._row_products)
+    assert dirichlet_table(ext, bound).counts == packed.counts
 
 
 def test_table_equality_ignores_name():
