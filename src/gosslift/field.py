@@ -49,6 +49,8 @@ from . import poly
 from .errors import FieldError
 
 FIELD_SIZE_BOUND = 256
+# elements per step when ZechField builds its arrays through Python ints
+_CHUNK = 1 << 16
 
 
 def _is_prime(n):
@@ -303,21 +305,25 @@ class ZechField:
             row = mul[c]
             lo = _digit_table(q, h, lambda i, a: row[a] * q ** i)
             hi = _digit_table(q, d - h, lambda i, a: row[a] * q ** (h + i))
-            block = [lo[v % lo_place] + hi[v // lo_place] for v in first]
-            exp[start:start + step] = array('i', block)
-            for k, v in enumerate(block, start):
-                log[v] = k
+            for i in range(0, step, _CHUNK):
+                block = array('i', [lo[v % lo_place] + hi[v // lo_place]
+                                    for v in first[i:i + _CHUNK]])
+                exp[start + i:start + i + len(block)] = block
+                for k, v in enumerate(block, start + i):
+                    log[v] = k
             c = mul[c][x]
         # zech = log o (+1) o exp.  x + 1 changes the constant digit only, so
         # +1 maps the elements with constant digit c, the slice c::q, onto
         # the slice that starts at c + 1, in order: log o (+1) is q slice
-        # copies of log.  It is a list while it is read element by element.
+        # copies of log.  zech is read off it in chunks, so that no list of
+        # q^d ints is ever held.
         log[0] = -1
-        logs = log.tolist()
-        log_plus_one = logs[:]
+        log_plus_one = log[:]
         for c in range(q):
-            log_plus_one[c::q] = logs[add[c][1]::q]
-        zech = array('i', [log_plus_one[x] for x in exp])
+            log_plus_one[c::q] = log[add[c][1]::q]
+        zech = array('i')
+        for i in range(0, n, _CHUNK):
+            zech += array('i', [log_plus_one[x] for x in exp[i:i + _CHUNK]])
         self._exp, self._log, self._zech = exp, log, zech
         self._irreducibles = None
         self._trace_tables = None

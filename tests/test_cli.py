@@ -5,6 +5,10 @@ code exactly: in process, or in a fresh interpreter where a test needs
 one (a timeout, or a clean sys.modules).
 """
 
+import argparse
+import errno
+import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -478,3 +482,134 @@ def test_table_stdout_is_the_dump_text(tmp_path, capsys):
     assert main(["table", "--ext", k, "--max-degree", "5"]) == 0
     table = dirichlet_table(parse_extension_file(k), 5)
     assert capsys.readouterr().out == dump_table(table)
+
+
+# one bad option per verb, with every required argument present, so that
+# the top-level parser reports it under its own usage line
+BAD_OPTIONS = [
+    ["splitting", "--ext", "K.cfg", "--prime", "T", "--bogus"],
+    ["table", "--ext", "K.cfg", "--bogus"],
+    ["zeta", "--kind", "weil", "--ext", "K.cfg", "--bogus"],
+    ["compare", "--kind", "weil", "A.cfg", "B.cfg", "--bogus"],
+    ["gassmann", "--bogus"],
+    ["demo", "genus", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nosuch"],
+    *([verb, "-h"] for verb in cli.VERBS),
+    *BAD_OPTIONS,
+], ids=lambda argv: " ".join(argv) or "no-verb")
+def test_one_verb_parser_prints_what_the_full_parser_prints(argv, capsys):
+    def outcome(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    parser = cli._build_parser(argv)
+    verbs, = (a.choices for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction))
+    assert list(verbs) == (argv[:1] if argv and argv[0] in cli.VERBS
+                           else list(cli.VERBS))
+    assert outcome(parser) == outcome(cli._build_parser([]))
+
+
+def test_one_verb_parser_parses_what_the_full_parser_parses():
+    for argv in (["table", "--ext", "K.cfg", "--max-degree", "3"],
+                 ["compare", "--kind", "goss", "A.cfg", "B.cfg"],
+                 ["demo", "genus"]):
+        assert (vars(cli._build_parser(argv).parse_args(argv))
+                == vars(cli._build_parser([]).parse_args(argv)))
+
+
+class FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_write_returns_3_in_process(tmp_path, capsys, monkeypatch):
+    k = write_cfg(tmp_path, "K.cfg", CFG_K)
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert main(["zeta", "--kind", "weil", "--ext", k]) == 3
+    assert capsys.readouterr().err == (
+        "error[io]: zeta cannot write its output: No space left on device\n")
+
+
+AS_CUBIC = os.path.join(CONFIGS, "as_cubic.cfg")
+AS_CUBIC_D8 = ["table", "--ext", AS_CUBIC, "--max-degree", "8"]
+AS_CUBIC_D8_SHA256 = ("687ffc4d0c573da1121ed9d579a396a89d0298690"
+                      "8d54f1d70b628bdf2ba1493")
+
+
+def run_module(args, stdout=subprocess.PIPE, code=None):
+    """gosslift as `python -m gosslift.cli ARGS` (or `python -c CODE ARGS`):
+    exit code, stdout bytes, stderr text."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    head = ["-c", code] if code else ["-m", "gosslift.cli"]
+    res = subprocess.run([sys.executable, *head, *args], env=env,
+                         stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+    return res.returncode, res.stdout, res.stderr.decode()
+
+
+def test_run_exits_0_with_every_byte_of_the_pinned_table():
+    rc, out, err = run_module(AS_CUBIC_D8)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out).hexdigest() == AS_CUBIC_D8_SHA256
+
+
+def test_run_writes_the_whole_dump_file(tmp_path):
+    path = str(tmp_path / "as_cubic.txt")
+    rc, out, err = run_module(AS_CUBIC_D8 + ["--dump", path])
+    assert (rc, out, err) == (0, f"wrote 9841 entries to {path}\n".encode(), "")
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == AS_CUBIC_D8_SHA256
+
+
+def test_run_exit_codes_2_3_and_4(tmp_path):
+    rc, out, err = run_module(["zeta", "--kind", "bogus", "--ext", "K.cfg"])
+    assert (rc, out) == (2, b"")
+    assert err.startswith("usage: gosslift zeta")
+    rc, out, err = run_module(["table", "--ext", str(tmp_path / "nope.cfg")])
+    assert (rc, out) == (3, b"")
+    assert err.startswith("error[extension]: cannot read extension config")
+    assert err.count("\n") == 1
+    # the demo is replaced by one that fails, then run() takes over
+    broken = ("import sys, gosslift.cli as cli, gosslift.demos as demos; "
+              "r = demos.DemoReport('forced failure'); r.check('forced', False); "
+              "demos.DEMOS['reconstruct'] = lambda: r; "
+              "sys.argv[1:] = ['demo', 'reconstruct']; cli.run()")
+    rc, out, err = run_module([], code=broken)
+    assert (rc, err) == (4, "")
+    assert b"FAIL: forced" in out
+
+
+# the table fails mid-stream, the short zeta line at the final flush
+WRITERS = pytest.mark.parametrize("args,verb", [
+    (AS_CUBIC_D8, "table"),
+    (["zeta", "--kind", "weil", "--ext",
+      os.path.join(CONFIGS, "K_sqrt.cfg")], "zeta"),
+], ids=["table", "zeta"])
+
+
+@WRITERS
+def test_run_into_a_closed_pipe_exits_3_with_one_line(args, verb):
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        rc, _, err = run_module(args, stdout=w)
+    finally:
+        os.close(w)
+    assert rc == 3
+    assert err == f"error[io]: {verb} cannot write its output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@WRITERS
+def test_run_onto_a_full_disk_exits_3_with_one_line(args, verb):
+    with open("/dev/full", "wb") as full:
+        rc, _, err = run_module(args, stdout=full)
+    assert rc == 3
+    assert err == (f"error[io]: {verb} cannot write its output: "
+                   "No space left on device\n")

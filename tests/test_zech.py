@@ -64,6 +64,23 @@ def test_model_matches_residue_field(p, m, d):
         assert F.mul(a, b) == K.mul(a, b)
 
 
+@pytest.mark.parametrize("p, m, d", [(2, 1, 6), (3, 1, 5), (2, 2, 3),
+                                     (5, 1, 3), (7, 1, 2)])
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_model_tables_do_not_depend_on_the_chunk_size(p, m, d, chunk,
+                                                      monkeypatch):
+    """Models above field._CHUNK elements build exp, log and zech a chunk
+    at a time; small chunks must give the one-chunk tables, which
+    test_model_matches_residue_field checks."""
+    K = gf_create(p, m)
+    whole = field.ZechField(K, d)
+    monkeypatch.setattr(field, "_CHUNK", chunk)
+    chunked = field.ZechField(K, d)
+    assert chunked._exp == whole._exp
+    assert chunked._log == whole._log
+    assert chunked._zech == whole._zech
+
+
 def test_model_modulus_is_first_primitive():
     """Y generates F_{q^d}^*, and no earlier candidate in order does."""
     for p, m, d in ((2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1), (3, 2, 1)):
