@@ -211,19 +211,27 @@ def main(argv=None):
             sys.stdout.flush()
         return code
     except GossliftError as exc:
-        print(f"error[{exc.tag}]: {exc}", file=sys.stderr)
-        return 3
+        return _error(f"error[{exc.tag}]: {exc}")
     except MemoryError:
         # the request's own objects are gone by now, so printing works
-        print(f"error[memory]: {args.verb} ran out of memory", file=sys.stderr)
-        return 3
+        return _error(f"error[memory]: {args.verb} ran out of memory")
     except OSError as exc:
         # the verbs turn every OSError of a file they read, or of the
         # --dump file, into a GossliftError: this one is a write to stdout,
         # mid-stream or in the flush above
-        print(f"error[io]: {args.verb} cannot write its output: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return 3
+        return _error(f"error[io]: {args.verb} cannot write its output: "
+                      f"{exc.strerror or exc}")
+
+
+def _error(line):
+    """Print one error line to stderr and return exit code 3.  A stderr
+    that cannot be written loses the line, not the code."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+    return 3
 
 
 def run():

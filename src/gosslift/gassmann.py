@@ -13,6 +13,12 @@ Permutations act on 0..n-1 and are stored as tuples; composition is
 (a*b)(i) = a(b(i)), i.e. b first.  Everything here is exhaustive search
 over explicitly enumerated groups, sized for degrees up to a few dozen
 and orders up to a few thousand.
+
+Products run in C: x*p is operator.itemgetter(*p) applied to x, and a
+walk that multiplies by the same p many times makes that getter once.
+Each group keeps what its searches learn about it (see PermGroup), so a
+conjugation orbit of subgroups is walked once per group and a coset
+table is built once per subgroup.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from operator import itemgetter
 
 from .errors import GroupError
 
@@ -31,9 +38,19 @@ def identity_perm(n):
     return tuple(range(n))
 
 
+def _times(p):
+    """The map x -> x*p (p applied first), one C-level call per x.
+
+    itemgetter with a single index returns that item rather than a
+    1-tuple; below two points every permutation is the identity, and
+    tuple maps a tuple to itself.
+    """
+    return itemgetter(*p) if len(p) > 1 else tuple
+
+
 def compose(a, b):
     """Apply b, then a."""
-    return tuple([a[i] for i in b])
+    return _times(b)(a)
 
 
 def inverse(a):
@@ -45,37 +62,62 @@ def inverse(a):
 
 def conjugate(g, x):
     """g x g^-1."""
-    return _conjugate_by(g, inverse(g), x)
+    return _conjugator(g)(x)
 
 
-def _conjugate_by(g, gi, x):
-    """g x g^-1, for a caller that has formed gi = g^-1 once."""
-    return tuple([g[x[i]] for i in gi])
+def _conjugator(g):
+    """The map x -> g x g^-1: g*x is one itemgetter call on g, and the
+    getter of g^-1 is made once."""
+    if len(g) < 2:
+        return tuple
+    gi_times = itemgetter(*inverse(g))
+    return lambda x: gi_times(itemgetter(*x)(g))
 
 
-def _conjugate_set(g, gi, s):
-    return frozenset(_conjugate_by(g, gi, x) for x in s)
+def _conjugate_set(c, s):
+    return frozenset(map(c, s))
+
+
+def _conjugate_element(c, x):
+    return c(x)
 
 
 def _conjugation_orbit(G, start, act):
     """The conjugates of start under G, each mapped to some h in G that
     carries start to it, in the order found.
 
-    act(g, g^-1, item) conjugates one item (an element or an element
-    set).  The walk steps by the generators of G only: G is finite, so
-    products of its generators reach every element, and each generator
-    is inverted once.
+    act(c, item) conjugates one item (an element or an element set) by
+    c, the conjugator of a generator.  The walk steps by the generators
+    of G only: G is finite, so products of its generators reach every
+    element, and each generator is inverted once.  The transporters h
+    are relative to start, so they belong to this walk alone.
     """
-    steps = [(g, inverse(g)) for g in G.gens]
+    steps = [(g, _conjugator(g)) for g in G.gens]
     reached = {start: identity_perm(G.n)}
     queue = [start]
     for item in queue:
-        for g, gi in steps:
-            image = act(g, gi, item)
+        h = reached[item]
+        for g, c in steps:
+            image = act(c, item)
             if image not in reached:
-                reached[image] = compose(g, reached[item])
+                reached[image] = compose(g, h)
                 queue.append(image)
     return reached
+
+
+def _orbit_label(G, s, orbit=None):
+    """The label G keeps for the conjugation orbit of the element set s.
+
+    The first time, every set of the orbit is labelled s; the orbit is
+    walked here unless the caller has just walked it from s.
+    """
+    label = G._orbit_labels.get(s)
+    if label is None:
+        if orbit is None:
+            orbit = _conjugation_orbit(G, s, _conjugate_set)
+        G._orbit_labels.update(dict.fromkeys(orbit, s))
+        label = s
+    return label
 
 
 def cycle_type(a):
@@ -142,9 +184,16 @@ def format_perm(a):
 
 
 class PermGroup:
-    """A permutation group on 0..n-1, fully enumerated at construction."""
+    """A permutation group on 0..n-1, fully enumerated at construction.
 
-    __slots__ = ("n", "name", "gens", "elements", "_set", "_classes")
+    Besides its elements the group keeps what its own searches learn:
+    its conjugacy classes, a label for every element set whose
+    conjugation orbit under it has been walked (so each orbit is walked
+    once), and the coset table of each subgroup asked about.
+    """
+
+    __slots__ = ("n", "name", "gens", "elements", "_set", "_classes",
+                 "_orbit_labels", "_coset_tables")
 
     def __init__(self, n, gens, name=""):
         gens = tuple(tuple(g) for g in gens)
@@ -154,12 +203,25 @@ class PermGroup:
         closure = close_generators(gens, n, CLOSURE_BOUND)
         if closure is None:
             raise GroupError(f"closure exceeded {CLOSURE_BOUND} elements")
+        self._fill(n, gens, closure, name)
+
+    @classmethod
+    def _from_closure(cls, n, gens, closure, name=""):
+        """The group of valid generators gens whose closure the caller has
+        already computed: no second closure and no second check."""
+        self = cls.__new__(cls)
+        self._fill(n, gens, closure, name)
+        return self
+
+    def _fill(self, n, gens, closure, name):
         self.n = n
         self.name = name
         self.gens = gens
         self.elements = tuple(sorted(closure))
         self._set = closure
         self._classes = None
+        self._orbit_labels = {}
+        self._coset_tables = {}
 
     @property
     def order(self):
@@ -179,7 +241,7 @@ class PermGroup:
             for x in self.elements:
                 if x in seen:
                     continue
-                cls = _conjugation_orbit(self, x, _conjugate_by)
+                cls = _conjugation_orbit(self, x, _conjugate_element)
                 seen.update(cls)
                 classes.append(tuple(sorted(cls)))
             classes.sort(key=lambda c: (len(c), c[0]))
@@ -200,15 +262,20 @@ class PermGroup:
 
 def close_generators(gens, n, limit, within=None):
     """The group generated by gens as a frozenset, or None as soon as it
-    grows past limit elements or, when a set within is given, leaves it."""
+    grows past limit elements or, when a set within is given, leaves it.
+
+    The walk steps by right multiplication x -> x*g, one itemgetter per
+    generator; in a finite group that reaches the same closure as left
+    multiplication.
+    """
+    steps = list(map(_times, gens))
     e = identity_perm(n)
     seen = {e}
     frontier = [e]
     while frontier:
         nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(g, x)
+        for step in steps:
+            for y in map(step, frontier):
                 if y not in seen:
                     if len(seen) >= limit or (within is not None
                                               and y not in within):
@@ -270,7 +337,10 @@ def gassmann_check(G, H1, H2):
 
 
 def are_conjugate(G, H1, H2):
-    return H2._set in _conjugation_orbit(G, H1._set, _conjugate_set)
+    label = _orbit_label(G, H1._set)
+    # the whole orbit of H1 is labelled now, so H2 is in it exactly when
+    # it carries the same label
+    return G._orbit_labels.get(H2._set) is label
 
 
 def coset_cycle_type(G, H, g):
@@ -284,17 +354,28 @@ def coset_cycle_type(G, H, g):
         raise GroupError("subgroup is not contained in the group")
     if g not in G:
         raise GroupError("element is outside the group")
-    coset_of = {}
-    reps = []
-    for x in G.elements:
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for h in H.elements:
-            coset_of[compose(x, h)] = idx
-    action = tuple(coset_of[compose(g, x)] for x in reps)
+    coset_of, reps_times = _coset_table(G, H)
+    action = tuple([coset_of[t(g)] for t in reps_times])
     return cycle_type(action)
+
+
+def _coset_table(G, H):
+    """The index of the left coset xH of every x in G, and for each coset
+    the map g -> g*x of its representative x; built once per subgroup and
+    kept in G."""
+    table = G._coset_tables.get(H._set)
+    if table is None:
+        coset_of = {}
+        reps = []
+        h_times = list(map(_times, H.elements))
+        for x in G.elements:
+            if x in coset_of:
+                continue
+            coset_of.update(dict.fromkeys([t(x) for t in h_times], len(reps)))
+            reps.append(x)
+        table = (coset_of, list(map(_times, reps)))
+        G._coset_tables[H._set] = table
+    return table
 
 
 def coset_types(G, H, C):
@@ -345,10 +426,17 @@ def all_subgroups_of_order(G, k):
     subgroups is closed under conjugation, so the conjugates of what the
     search finds are exactly that set.
 
-    Two cuts keep the closures short.  A closure stops at its first
-    element whose order does not divide k.  And b is skipped when it lies
-    in an order-k subgroup already found that holds a: then <a, b> is
-    that subgroup or smaller.
+    Three cuts keep the closures short or skip them.  A closure stops at
+    its first element whose order does not divide k.  b is skipped when
+    the order of b*a does not divide k, since <a, b> holds b*a.  And b is
+    skipped when it lies in an order-k subgroup already found that holds
+    a: then <a, b> is that subgroup or smaller.
+
+    Each closure is computed once: the subgroups are built from the sets
+    the search closed (their conjugates from the conjugated sets), with
+    generators carried along the search's own conjugation walk.  G
+    labels every orbit that walk covers, so conjugacy_classes_of and
+    are_conjugate on these subgroups walk nothing again.
     """
     if k < 1 or G.order % k:
         raise GroupError(f"{k} does not divide the group order {G.order}")
@@ -366,7 +454,8 @@ def all_subgroups_of_order(G, k):
             continue
         covered = set().union(*(s for s in found if a in s))
         tries = [(a,)] if orders[a] == k else []
-        tries += [(a, b) for b in cands if b != a]
+        a_times = _times(a)
+        tries += [(a, b) for b in cands if b != a and a_times(b) in within]
         for gens in tries:
             if gens[-1] in covered:
                 continue
@@ -375,20 +464,21 @@ def all_subgroups_of_order(G, k):
                 found[cl] = gens
                 covered |= cl
     found = _conjugates_of(G, found)
-    return [PermGroup(G.n, found[cl], name=f"order{k}")
+    return [PermGroup._from_closure(G.n, found[cl], cl, name=f"order{k}")
             for cl in sorted(found, key=lambda s: tuple(sorted(s)))]
 
 
 def _conjugates_of(G, found):
     """Close {element set: generators} under conjugation by G; each new
-    set gets the conjugated generators."""
+    set gets the conjugated generators.  G labels every orbit walked."""
     out = {}
     for s, gens in found.items():
         if s in out:
             continue
-        for image, h in _conjugation_orbit(G, s, _conjugate_set).items():
-            hi = inverse(h)
-            out[image] = tuple(_conjugate_by(h, hi, x) for x in gens)
+        orbit = _conjugation_orbit(G, s, _conjugate_set)
+        for image, h in orbit.items():
+            out[image] = tuple(map(_conjugator(h), gens))
+        _orbit_label(G, s, orbit)
     return out
 
 
@@ -400,18 +490,10 @@ def subgroups_of_order(G, k):
 
 def conjugacy_classes_of(G, subgroups):
     """Bucket subgroups of G into conjugacy classes, preserving order."""
-    buckets = []
-    assigned = {}
+    buckets = {}
     for H in subgroups:
-        key = H._set
-        if key in assigned:
-            buckets[assigned[key]].append(H)
-            continue
-        idx = len(buckets)
-        buckets.append([H])
-        for image in _conjugation_orbit(G, key, _conjugate_set):
-            assigned.setdefault(image, idx)
-    return buckets
+        buckets.setdefault(_orbit_label(G, H._set), []).append(H)
+    return list(buckets.values())
 
 
 def cyclic_subgroup_classes(G):
@@ -426,7 +508,7 @@ def cyclic_subgroup_classes(G):
         cl = close_generators([cls[0]], G.n, G.order + 1)
         found.setdefault(cl, () if len(cl) == 1 else (cls[0],))
     found = _conjugates_of(G, found)
-    subs = [PermGroup(G.n, found[cl])
+    subs = [PermGroup._from_closure(G.n, found[cl], cl)
             for cl in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))]
     return conjugacy_classes_of(G, subs)
 

@@ -543,14 +543,15 @@ AS_CUBIC_D8_SHA256 = ("687ffc4d0c573da1121ed9d579a396a89d0298690"
                       "8d54f1d70b628bdf2ba1493")
 
 
-def run_module(args, stdout=subprocess.PIPE, code=None):
+def run_module(args, stdout=subprocess.PIPE, code=None,
+               stderr=subprocess.PIPE):
     """gosslift as `python -m gosslift.cli ARGS` (or `python -c CODE ARGS`):
-    exit code, stdout bytes, stderr text."""
+    exit code, stdout bytes, stderr text ("" when stderr is not piped)."""
     env = dict(os.environ, PYTHONPATH=SRC)
     head = ["-c", code] if code else ["-m", "gosslift.cli"]
     res = subprocess.run([sys.executable, *head, *args], env=env,
-                         stdout=stdout, stderr=subprocess.PIPE, timeout=60)
-    return res.returncode, res.stdout, res.stderr.decode()
+                         stdout=stdout, stderr=stderr, timeout=60)
+    return res.returncode, res.stdout, (res.stderr or b"").decode()
 
 
 def test_run_exits_0_with_every_byte_of_the_pinned_table():
@@ -613,3 +614,19 @@ def test_run_onto_a_full_disk_exits_3_with_one_line(args, verb):
     assert rc == 3
     assert err == (f"error[io]: {verb} cannot write its output: "
                    "No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args,full_stdout", [
+    (["table", "--ext", os.path.join(CONFIGS, "nosuch.cfg"),
+      "--max-degree", "2"], False),
+    # stdout fails at the final flush, then so does the error[io] line
+    (["zeta", "--kind", "weil", "--ext",
+      os.path.join(CONFIGS, "K_sqrt.cfg")], True),
+], ids=["error", "io"])
+def test_run_exits_3_when_the_error_line_cannot_be_written(args, full_stdout):
+    with open("/dev/full", "wb") as full:
+        stdout = full if full_stdout else subprocess.PIPE
+        rc, out, _ = run_module(args, stdout=stdout, stderr=full)
+    assert rc == 3
+    assert out in (None, b"")

@@ -15,8 +15,9 @@ from gosslift.gassmann import (PermGroup, all_subgroups_of_order, are_conjugate,
                                gassmann_by_cycle_type, gassmann_check,
                                identity_perm, inverse, parse_perm,
                                parse_group_file, parse_group_text, perm_order,
-                               psl27, psl211, psl211_pair, klein4,
+                               psl27, psl27_pair, psl211, psl211_pair, klein4,
                                subgroups_of_order, symmetric_group)
+import subgroup_oracle
 from subgroup_oracle import oracle_subgroups_of_order
 
 
@@ -366,7 +367,7 @@ def test_subgroup_search_matches_pair_oracle(G, orders):
     """Class representatives as first generator find what all pairs find."""
     for k in orders or _divisors(G.order):
         got = all_subgroups_of_order(G, k)
-        assert _element_sets(got) == _element_sets(oracle_subgroups_of_order(G, k))
+        assert _element_sets(got) == oracle_subgroups_of_order(G, k)
         assert all(H.order == k for H in got)
 
 
@@ -419,3 +420,93 @@ def test_conjugacy_machinery_matches_brute_force():
             expected = any(frozenset(conjugate(g, h) for h in H1.elements)
                            == H2._set for g in G.elements)
             assert are_conjugate(G, H1, H2) == expected
+
+
+def _assert_generated_by_own_gens(subgroups):
+    # closed with the oracle's list products, not the package kernel
+    for H in subgroups:
+        assert subgroup_oracle.close_generators(H.gens, H.n, H.order + 1) \
+            == H._set
+
+
+def _partition(buckets):
+    return {frozenset(H.elements for H in b) for b in buckets}
+
+
+@pytest.mark.parametrize("make,orders", [
+    (lambda: symmetric_group(4), None),
+    (lambda: symmetric_group(5), None),
+    (psl27, (24,)),
+    (psl211, (6, 12)),
+], ids=["S4", "S5", "PSL27", "PSL211"])
+def test_found_subgroups_are_generated_by_their_generators(make, orders):
+    """Each found subgroup keeps generators from its own conjugation walk,
+    also when its group walked the orbit first from another member."""
+    G = make()
+    searches = [(lambda F, k=k: all_subgroups_of_order(F, k))
+                for k in orders or _divisors(G.order)]
+    searches.append(lambda F: [H for b in cyclic_subgroup_classes(F)
+                               for H in b])
+    for search in searches:
+        subs = search(G)
+        _assert_generated_by_own_gens(subs)
+        buckets = conjugacy_classes_of(G, subs)
+        F1 = make()
+        for b in buckets:
+            assert are_conjugate(F1, b[-1], b[0])
+        F2 = make()
+        assert _partition(conjugacy_classes_of(F2, subs[::-1])) \
+            == _partition(buckets)
+        for F in (F1, F2):
+            again = search(F)
+            assert _element_sets(again) == _element_sets(subs)
+            _assert_generated_by_own_gens(again)
+
+
+def test_groups_on_one_and_two_points():
+    e1, e2, t = (0,), (0, 1), (1, 0)
+    assert compose(e1, e1) == e1 and conjugate(e1, e1) == e1
+    assert compose(t, t) == e2 and conjugate(t, t) == t
+    assert close_generators([e1], 1, 1) == {e1}
+    assert close_generators([t], 2, 2) == {e2, t}
+    assert close_generators([t], 2, 1) is None
+    S1 = symmetric_group(1)
+    S2 = symmetric_group(2)
+    assert (S1.elements, S2.elements) == ((e1,), (e2, t))
+    assert S1.conjugacy_classes() == ((e1,),)
+    assert S2.conjugacy_classes() == ((e2,), (t,))
+    assert [H.elements for H in all_subgroups_of_order(S1, 1)] == [(e1,)]
+    assert [H.elements for H in all_subgroups_of_order(S2, 2)] == [(e2, t)]
+    assert [[H.elements for H in b] for b in cyclic_subgroup_classes(S1)] \
+        == [[(e1,)]]
+    assert [[H.elements for H in b] for b in cyclic_subgroup_classes(S2)] \
+        == [[(e2,)], [(e2, t)]]
+    assert coset_cycle_type(S1, S1, e1) == (1,)
+    trivial = PermGroup(2, [])
+    assert coset_cycle_type(S2, trivial, t) == (2,)
+    assert coset_cycle_type(S2, S2, t) == (1,)
+    for G in (S1, S2):
+        report = gassmann_check(G, G, G)
+        assert report.gassmann and report.conjugate
+
+
+def _fresh_coset_cycle_type(G, H, g):
+    """coset_cycle_type from a coset map built for this g alone, with
+    list products."""
+    def mul(a, b):
+        return tuple([a[i] for i in b])
+    coset_of = {}
+    reps = []
+    for x in G.elements:
+        if x not in coset_of:
+            coset_of.update((mul(x, h), len(reps)) for h in H.elements)
+            reps.append(x)
+    return cycle_type(tuple(coset_of[mul(g, x)] for x in reps))
+
+
+def test_kept_coset_table_matches_a_fresh_build():
+    G, H1, H2 = psl27_pair()
+    for H in (H1, H2):
+        for g in G.elements:
+            assert coset_cycle_type(G, H, g) == _fresh_coset_cycle_type(G, H, g)
+    assert len(G._coset_tables) == 2
