@@ -6,24 +6,25 @@ mod a prime does not tell the truth.  A prime pi not dividing the
 discriminant is unramified, f mod pi is squarefree, and the degrees of
 its irreducible factors are the inertia degrees above pi (Kummer's
 theorem; Stichtenoth, Algebraic Function Fields and Codes, 3.3.7).
-Primes that divide the discriminant must carry an explicit override or
-the query fails loudly.  Nothing here computes integral closures: an
-override is trusted as given.
+A spec is checked once, when it is built: f must be separable, and every
+prime that divides the discriminant must carry an override, or the spec
+is refused, naming the first such prime.  Nothing here computes integral
+closures: an override is trusted as given.
 
-Both paths make the same three checks in the same order: override, then
-ramified, then type.  splitting_type, for one prime given from outside,
-reduces onto the residue field A/(pi) and reads the factor degrees of
-f mod pi.  splitting_types, for all primes of one degree in a table,
-evaluates at alpha in the base field's model of F_{q^d}, with alpha the
-root of pi kept by enumerate_monic_irreducibles; one pass on logs gives
-a coefficient's values at the roots of all primes of the degree
-(ZechField.root_values).  For a separated cover, f = A(X) + c0(T) with
-A over F_q, the root count of f(alpha, X) gives the type when f has
-X-degree at most 3 or A = X^p - X.  That count is read off the trace of
--c0(alpha) when A = X^p - X, off log c0(alpha) when A = X^n, and off one
-sweep of the model, which counts the roots of A(X) = v for every v, for
-any other A.  Every other cover reads the factor degrees of f(alpha, X),
-as for one prime.
+So both paths take the override, else the type of an unramified prime.
+splitting_type, for one prime given from outside, reduces onto the
+residue field A/(pi) and reads the factor degrees of f mod pi.
+splitting_types, for all primes of one degree in a table, evaluates at
+alpha in the base field's model of F_{q^d}, with alpha the root of pi
+kept by ZechField.irreducibles; one pass on logs gives a coefficient's
+values at the roots of all primes of the degree (ZechField.root_values).
+For a separated cover, f = A(X) + c0(T) with A over F_q, the root count
+of f(alpha, X) gives the type when f has X-degree at most 3 or
+A = X^p - X.  That count is read off the trace of -c0(alpha) when
+A = X^p - X, off log c0(alpha) when A = X^n, and off one sweep of the
+model, which counts the roots of A(X) = v for every v, for any other A.
+Every other cover reads the factor degrees of f(alpha, X), as for one
+prime.
 
 Config files are sectioned key=value text,
 
@@ -32,10 +33,11 @@ Config files are sectioned key=value text,
     [override]   prime=T  type=(2,1)
 
 with as many [override] sections as needed, and builtin=NAME:k=v,... as an
-alternative to poly.  Values may contain spaces (continuation tokens
-without '=' are appended), and '#' starts a comment.  A poly= of X-degree
-above 1 must pass an irreducibility test at small primes, or the config
-is rejected.
+alternative to poly.  Those are the only sections and keys; any other, or
+a key given twice in one section, is refused.  Values may contain spaces
+(continuation tokens without '=' are appended), and '#' starts a comment.
+A poly= of X-degree above 1 must pass an irreducibility test at small
+primes, or the config is rejected.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ class SplittingType:
 
 
 class ExtensionSpec:
-    """A degree-n extension of F_q(T) given by a monic defining polynomial."""
+    """A degree-n extension of F_q(T) given by a monic defining polynomial,
+    built only as a valid cover (_validate_cover)."""
 
     def __init__(self, name, base, xt_coeffs, overrides=None):
         if not isinstance(base, FiniteField):
@@ -111,6 +114,7 @@ class ExtensionSpec:
                 raise ExtensionError(
                     f"override at {p} has total degree {st.degree}, expected {self.degree}")
         self._disc = None
+        _validate_cover(self)
 
     def __repr__(self):
         return f"ExtensionSpec({self.name}, degree {self.degree} over GF({self.field.q}))"
@@ -131,16 +135,34 @@ def _require_prime(base, p):
         raise ExtensionError(f"{p} is not irreducible")
 
 
+def _validate_cover(ext):
+    """Refuse an inseparable f, and the first prime in enumeration order
+    that divides the discriminant but has no override."""
+    for prime, _ in poly.factor_monic(ext.field, discriminant(ext).coeffs):
+        if prime not in ext.overrides:
+            raise ExtensionError(
+                f"prime {prime} divides the discriminant of {ext.name} "
+                f"but has no override")
+
+
 # --- builtins ---
 
 
 def builtin_extension(base, kind, name=None, **params):
     """Named extension families.
 
-    artin_schreier(m): X^p - X - T^m, unramified at every finite prime.
+    artin_schreier(m): X^p - X - T^m, unramified at every finite prime,
+                       for 1 <= m <= textforms.MAX_TEXT_DEGREE.
     kummer_sqrt(c):    X^2 - c for squarefree c, p odd; every prime factor
                        of c is overridden as ramified (2,1).
     """
+    default, cols, overrides = _builtin_cover(base, kind, params)
+    return ExtensionSpec(name or default, base, cols, overrides)
+
+
+def _builtin_cover(base, kind, params):
+    """(default name, X-coefficients, overrides) of a builtin family, from
+    a dict of its parameters, which it pops."""
     if kind == "artin_schreier":
         try:
             m = int(params.pop("m"))
@@ -150,13 +172,14 @@ def builtin_extension(base, kind, name=None, **params):
             raise ExtensionError("artin_schreier exponent m must be an integer") from None
         if params:
             raise ExtensionError(f"unknown artin_schreier parameters {sorted(params)}")
-        if m < 1:
-            raise ExtensionError("artin_schreier needs m >= 1")
+        if not 1 <= m <= textforms.MAX_TEXT_DEGREE:
+            raise ExtensionError(
+                f"artin_schreier needs 1 <= m <= {textforms.MAX_TEXT_DEGREE}")
         p = base.p
         tm = (base.zero,) * m + (base.one,)
         # X^p - X - T^m
         cols = [poly.pneg(base, tm), (base.neg(base.one),)] + [()] * (p - 2) + [(base.one,)]
-        return ExtensionSpec(name or f"AS_m{m}", base, cols)
+        return f"AS_m{m}", cols, {}
     if kind == "kummer_sqrt":
         if base.p == 2:
             raise ExtensionError("kummer_sqrt needs odd characteristic")
@@ -179,7 +202,7 @@ def builtin_extension(base, kind, name=None, **params):
             for prime, mult in poly.factor_monic(base, c):
                 overrides[prime] = SplittingType(((2, 1),))
         cols = (poly.pneg(base, c), (), (base.one,))
-        return ExtensionSpec(name or "K_sqrt", base, cols, overrides)
+        return "K_sqrt", cols, overrides
     raise ExtensionError(f"unknown builtin extension kind {kind!r}")
 
 
@@ -273,46 +296,34 @@ def _bareiss_det(K, mat):
 def splitting_type(ext, prime):
     """Splitting type of a prime of F_q[T] in the extension.
 
-    Overridden primes return their override; primes dividing the
-    discriminant fail without one; everywhere else the type is read off
-    the distinct-degree factorization of the defining polynomial over the
-    residue field.
+    Overridden primes return their override.  Every other prime is
+    unramified, as the spec was validated when it was built, and its type
+    is read off the distinct-degree factorization of the defining
+    polynomial over the residue field.
     """
     _require_prime(ext.field, prime)
     st = ext.overrides.get(prime)
     if st is not None:
         return st
     R = ResidueField(ext.field, prime.coeffs)
-    if R.project(_disc_coeffs(ext)) == R.zero:
-        raise _ramified(ext, prime)
     return _reduced_type(R, tuple(R.project(c) for c in ext.xt_coeffs))
 
 
 def splitting_types(ext, d):
-    """Yield (prime, splitting type) for every prime of degree d, in
-    enumeration order, each type worked out when its pair is taken.
+    """Yield (prime, splitting type) for every prime of degree d, the
+    prime as its coefficient tuple, in enumeration order, each type
+    worked out when its pair is taken.
 
-    Overrides win.  Every other prime must be unramified, checked as by
-    splitting_type, in the same order and with the same first failing
-    prime.  Its type comes from f(alpha, X) over the base field's model F
-    of F_{q^d}, where alpha is the root of the prime that F keeps (see
-    _unramified_types).
+    Overrides win.  Every other prime is unramified, and its type comes
+    from f(alpha, X) over the base field's model F of F_{q^d}, where
+    alpha is the root of the prime that F keeps (see _unramified_types).
     """
     F = ext.field.zech_field(d)
-    disc_at = F.root_logs(_disc_coeffs(ext))
     type_at = _unramified_types(ext, F)
-    overrides = ext.overrides
+    overrides = {p.coeffs: st for p, st in ext.overrides.items()}
     for i, prime in enumerate(F.irreducibles()[0]):
-        st = overrides.get(prime) if overrides else None
-        if st is None:
-            if disc_at[i] < 0:
-                raise _ramified(ext, prime)
-            st = type_at(i)
-        yield prime, st
-
-
-def _ramified(ext, prime):
-    return ExtensionError(f"prime {prime} ramifies in {ext.name}; supply an override")
+        st = overrides.get(prime)
+        yield prime, type_at(i) if st is None else st
 
 
 def _reduced_type(F, fbar):
@@ -361,15 +372,6 @@ def _unramified_types(ext, F):
     return lambda i: _reduced_type(F, tuple(v[i] for v in values))
 
 
-def _disc_coeffs(ext):
-    """Coefficients of the discriminant, or () when f is inseparable: the
-    zero polynomial, which every prime divides."""
-    try:
-        return discriminant(ext).coeffs
-    except ExtensionError:
-        return ()
-
-
 # --- config parsing ---
 
 
@@ -378,7 +380,7 @@ _TYPE_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
 
 def parse_extension(text):
     """Build an ExtensionSpec from sectioned key=value config text."""
-    sections = _read_sections(text)
+    sections, override_sections = _read_sections(text)
     fld = sections.get("field")
     if not fld:
         raise ExtensionError("config is missing the [field] section")
@@ -401,7 +403,7 @@ def parse_extension(text):
     if has_poly == has_builtin:
         raise ExtensionError("[extension] needs exactly one of poly= or builtin=")
     overrides = {}
-    for osec in sections.get("override_list", []):
+    for osec in override_sections:
         try:
             prime = textforms.parse_monic(base, osec["prime"])
             st = _parse_type(osec["type"])
@@ -411,17 +413,13 @@ def parse_extension(text):
             raise ExtensionError(f"duplicate override for prime {prime}")
         overrides[prime] = st
     if has_builtin:
-        kind, params = _parse_builtin(extsec["builtin"])
-        ext = builtin_extension(base, kind, name=name, **params)
-        merged = dict(ext.overrides)
-        merged.update(overrides)
-        ext = ExtensionSpec(name, base, ext.xt_coeffs, merged)
+        _, cols, builtin_overrides = _builtin_cover(
+            base, *_parse_builtin(extsec["builtin"]))
+        # the config's own overrides win
+        overrides = {**builtin_overrides, **overrides}
     else:
         cols = textforms.parse_xt_poly(base, extsec["poly"])
-        ext = ExtensionSpec(name, base, cols, overrides)
-    # first: _check_irreducible reads splitting types, which cannot fail
-    # once every ramified prime is known to carry an override
-    _validate_cover(ext)
+    ext = ExtensionSpec(name, base, cols, overrides)
     if has_poly and ext.degree > 1:
         _check_irreducible(ext)
     return ext
@@ -449,22 +447,13 @@ def _parse_builtin(text):
     if rest:
         for piece in rest.split(","):
             k, eq, v = piece.partition("=")
+            k = k.strip()
             if not eq:
                 raise ExtensionError(f"bad builtin parameter {piece!r}")
-            params[k.strip()] = v.strip()
+            if k in params:
+                raise ExtensionError(f"builtin parameter {k!r} given twice")
+            params[k] = v.strip()
     return head.strip(), params
-
-
-def _validate_cover(ext):
-    """Every prime dividing the discriminant must be overridden."""
-    disc = discriminant(ext)
-    if disc.degree == 0:
-        return
-    for prime, _ in poly.factor_monic(ext.field, disc.coeffs):
-        if prime not in ext.overrides:
-            raise ExtensionError(
-                f"prime {prime} divides the discriminant of {ext.name} "
-                f"but has no override")
 
 
 def _check_irreducible(ext):
@@ -483,9 +472,10 @@ def _check_irreducible(ext):
     """
     n = ext.degree
     possible = set(range(n + 1))
+    overridden = {p.coeffs for p in ext.overrides}
     for d in (1, 2):
         for prime, st in splitting_types(ext, d):
-            if prime in ext.overrides:
+            if prime in overridden:
                 continue
             sums = {0}
             for f in st.inertia_degrees():
@@ -506,37 +496,42 @@ def _check_irreducible(ext):
         f"decide; factor degrees still possible: {left}")
 
 
+# the keys each section may hold
+_SECTION_KEYS = {"field": ("p", "m"), "extension": ("name", "poly", "builtin"),
+                 "override": ("prime", "type")}
+
+
 def _read_sections(text):
-    sections = {}
-    current = None
+    """({name: keys} for [field] and [extension], [keys of each [override]])."""
+    sections, overrides = {}, []
+    current = last = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0]
-        tokens = line.split()
-        for tok in tokens:
+        for tok in line.split():
             if tok.startswith("["):
                 name = tok.strip("[]").strip().lower()
+                if name not in _SECTION_KEYS:
+                    raise ExtensionError(f"unknown section [{name}]")
                 if name == "override":
-                    sections.setdefault("override_list", []).append({})
-                    current = sections["override_list"][-1]
+                    current = {}
+                    overrides.append(current)
+                elif name in sections:
+                    raise ExtensionError(f"duplicate [{name}] section")
                 else:
-                    if name in sections:
-                        raise ExtensionError(f"duplicate [{name}] section")
-                    sections[name] = {}
-                    current = sections[name]
+                    current = sections[name] = {}
+                last = None
             elif "=" in tok:
                 if current is None:
                     raise ExtensionError("key=value before any [section] header")
                 k, _, v = tok.partition("=")
-                current[k.strip()] = v
-                current["__last"] = k.strip()
+                if k not in _SECTION_KEYS[name]:
+                    raise ExtensionError(f"unknown key {k!r} in the [{name}] section")
+                if k in current:
+                    raise ExtensionError(f"key {k!r} given twice in the [{name}] section")
+                current[k] = v
+                last = k
             else:
-                if current is None or "__last" not in current:
+                if last is None:
                     raise ExtensionError(f"stray token {tok!r} in config")
-                last = current["__last"]
-                current[last] = current[last] + " " + tok
-    for sec in list(sections.values()):
-        if isinstance(sec, dict):
-            sec.pop("__last", None)
-    for osec in sections.get("override_list", []):
-        osec.pop("__last", None)
-    return sections
+                current[last] += " " + tok
+    return sections, overrides

@@ -12,13 +12,13 @@ on first use and cached on the base field.  Elements are again ints,
 whose base-q digits are coordinates over F_q, and arithmetic goes through
 exp/log/Zech tables of length q^d; the exp table is stepped out for
 (q^d - 1)/(q - 1) powers only, the rest being scalar multiples of those.
-Its Frobenius orbits are the monic irreducibles of degree d over F_q,
-each kept with one root, found one class of PGL(2, q) at a time.  That
-is how ideal-count tables read off splitting types: root_logs and
-root_values evaluate a polynomial over F_q at all those roots in one
-pass, traceless tells which values have trace 0 down to F_p, and
-value_counts tallies a polynomial's values on the whole field, for the
-root counts that neither gives.
+Its Frobenius orbits are the monic irreducibles of degree d over F_q, as
+coefficient tuples, each kept with one root, found one class of PGL(2, q)
+at a time.  That is how ideal-count tables read off splitting types:
+root_logs and root_values evaluate a polynomial over F_q at all those
+roots in one pass, traceless tells which values have trace 0 down to
+F_p, and value_counts tallies a polynomial's values on the whole field,
+for the root counts that neither gives.
 
 ResidueField models F_q[T]/(pi) for one irreducible pi over a table
 field.  Its elements are fixed-width tuples of base-field ints, with
@@ -179,7 +179,7 @@ def _zech_tables(p, m):
         back[x] = a
     add = [[back[Z.add(x, y)] for y in phi] for x in phi]
     mul = [[back[Z.mul(x, y)] for y in phi] for x in phi]
-    return primes[0].coeffs, add, mul
+    return primes[0], add, mul
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,7 +439,8 @@ class ZechField:
     def irreducibles(self):
         """The monic irreducibles of degree d over the base, with one root each.
 
-        Returns (primes, roots): primes as MonicPoly in enumeration order
+        Returns (primes, roots): primes as coefficient tuples over the
+        base, low to high, in enumeration order (that of poly.MonicPoly),
         and roots[i] a root of primes[i] in this field, the power Y^k of
         least k.  The nonzero elements of degree d are the Y^k whose
         Frobenius orbit k, qk, q^2 k, ... mod q^d - 1 has length exactly
@@ -504,7 +505,7 @@ class ZechField:
                     if t >= 0 and not seen[t]:
                         keep(t, shift(f))
             found.sort()
-            self._irreducibles = (poly.monic_polys(K, [c for _, c, _ in found]),
+            self._irreducibles = ([c for _, c, _ in found],
                                   [root for _, _, root in found])
         return self._irreducibles
 

@@ -22,6 +22,10 @@ and equal-degree splitting, with no model of an extension field.
 MonicPoly wraps a monic polynomial over a table field together with its
 field; it is hashable and totally ordered (degree, then coefficients read
 low to high), which fixes the enumeration order used everywhere else.
+It is the form of a prime given from outside (a config, a query, a
+factor); the primes a table walks stay plain coefficient tuples
+(field.ZechField.irreducibles), and enumerate_monic_irreducibles wraps
+them.
 """
 
 from __future__ import annotations
@@ -429,24 +433,6 @@ class MonicPoly:
         return f"MonicPoly({self})"
 
 
-def monic_polys(field, coeff_tuples):
-    """The MonicPoly of each coefficient tuple, which must already be
-    trimmed and monic: neither is checked, and the slots are set through
-    their descriptors, as __init__ would set them."""
-    new = object.__new__
-    set_field, set_coeffs, set_hash = (
-        MonicPoly.field.__set__, MonicPoly.coeffs.__set__, MonicPoly._hash.__set__)
-    p, m = field.p, field.m
-    out = []
-    for c in coeff_tuples:
-        f = new(MonicPoly)
-        set_field(f, field)
-        set_coeffs(f, c)
-        set_hash(f, hash((p, m, c)))
-        out.append(f)
-    return out
-
-
 def enumerate_monic(field, d):
     """All monic degree-d polynomials, ordered by coefficients low to high."""
     if d < 0:
@@ -487,4 +473,4 @@ def enumerate_monic_irreducibles(field, d):
     """
     if d < 1:
         raise PolyError("irreducibles have degree at least 1")
-    return field.zech_field(d).irreducibles()[0]
+    return [MonicPoly(field, c) for c in field.zech_field(d).irreducibles()[0]]

@@ -192,7 +192,7 @@ def dirichlet_table(ext, bound):
                 continue
             # snapshot: everything present so far is coprime to this prime
             sizes = [len(block) for block in nonzero] if d < bound else None
-            base, r = first(prime.coeffs)
+            base, r = first(prime)
             power = base
             for k in range(1, kmax + 1):
                 kd = k * d

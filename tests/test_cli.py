@@ -370,6 +370,32 @@ def test_gassmann_loads_no_dataclasses():
     assert lines[-3:] == NOTHING_LOADED
 
 
+@pytest.mark.parametrize("field, ext, needle", [
+    ("p=3", "builtin=artin_schreier:m=1,name=foo",
+     "unknown artin_schreier parameters ['name']"),
+    ("p=3", "builtin=artin_schreier:m=1,base=foo",
+     "unknown artin_schreier parameters ['base']"),
+    ("p=3", "builtin=artin_schreier:m=1,kind=foo",
+     "unknown artin_schreier parameters ['kind']"),
+    ("p=3", "builtin=artin_schreier:m=1,m=2", "builtin parameter 'm' given twice"),
+    ("p=3", "builtin=artin_schreier:m=99999999",
+     "artin_schreier needs 1 <= m <= 1000"),
+    ("p=3 M=2", "poly=X - T", "unknown key 'M' in the [field] section"),
+    ("p=3 p=5", "poly=X - T", "key 'p' given twice in the [field] section"),
+    ("p=3", "poly=X - T poly=X + T", "key 'poly' given twice in the [extension] section"),
+], ids=["name", "base", "kind", "repeated-m", "huge-m", "unknown-key",
+        "repeated-p", "repeated-poly"])
+def test_bad_config_keys_exit_3(tmp_path, field, ext, needle):
+    """Each exits 3 with one error[extension] line: no traceback, and no
+    table of another field or cover than the one written."""
+    cfg = write_cfg(tmp_path, "bad.cfg",
+                    f"[field]\n{field}\n[extension]\nname=K\n{ext}\n")
+    res = run_child(["table", "--ext", cfg, "--max-degree", "1"], timeout=20)
+    assert res.returncode == 3
+    assert res.stdout.splitlines() == NOTHING_LOADED
+    assert res.stderr == f"error[extension]: {needle}\n"
+
+
 def test_huge_characteristic_fails_fast(tmp_path):
     # p is prime, so it is the size bound that must reject it, before
     # any primality test by trial division

@@ -1,6 +1,7 @@
 """Extension specs, splitting types, discriminants, and config parsing."""
 
 import itertools
+import re
 
 import pytest
 
@@ -13,7 +14,8 @@ from gosslift.extension import (PRIME_DEGREE_BOUND, ExtensionSpec,
 from gosslift.field import ResidueField, gf_create
 from gosslift import poly
 from gosslift.poly import MonicPoly, enumerate_monic_irreducibles
-from gosslift.textforms import parse_monic, parse_tpoly, parse_xt_poly
+from gosslift.textforms import (MAX_TEXT_DEGREE, parse_monic, parse_tpoly,
+                                parse_xt_poly)
 
 
 def primes_through(K, bound):
@@ -108,6 +110,17 @@ def test_builtin_artin_schreier():
         builtin_extension(K, "artin_schreier", m=1, junk=2)
 
 
+def test_artin_schreier_exponent_is_bounded():
+    """m is a term degree, bounded as a poly= term is."""
+    K = gf_create(3)
+    top = builtin_extension(K, "artin_schreier", m=MAX_TEXT_DEGREE)
+    assert len(top.xt_coeffs[0]) == MAX_TEXT_DEGREE + 1
+    for m in (MAX_TEXT_DEGREE + 1, 99999999):
+        with pytest.raises(ExtensionError,
+                           match=f"artin_schreier needs 1 <= m <= {MAX_TEXT_DEGREE}"):
+            builtin_extension(K, "artin_schreier", m=m)
+
+
 def test_builtin_kummer():
     K = gf_create(3)
     ext = builtin_extension(K, "kummer_sqrt", c="T^2 + T")
@@ -196,10 +209,12 @@ def test_splitting_rejects_bad_input():
 
 
 def test_ramified_without_override_raises():
+    """A spec whose ramified prime carries no override is never built, so
+    no splitting type can be asked of it."""
     K = gf_create(3)
-    ext = ExtensionSpec("bare", K, parse_xt_poly(K, "X^2 - T"))
-    with pytest.raises(ExtensionError):
-        splitting_type(ext, MonicPoly(K, (0, 1)))
+    with pytest.raises(ExtensionError,
+                       match="prime T divides the discriminant of bare but has no override"):
+        ExtensionSpec("bare", K, parse_xt_poly(K, "X^2 - T"))
 
 
 def test_prime_degree_bound_comes_before_rabin(monkeypatch):
@@ -293,6 +308,29 @@ def test_parse_extension_errors():
     for text in bad:
         with pytest.raises(ExtensionError):
             parse_extension(text)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[field] p=3 M=2\n[extension] name=K poly=X-T", "'M' in the [field]"),
+    ("[field] p=3 p=5\n[extension] name=K poly=X-T", "'p' given twice in the [field]"),
+    ("[field] p=3\n[extension] name=K poly=X-T poly=X+T",
+     "'poly' given twice in the [extension]"),
+    ("[field] p=3\n[extension] name=K name=L poly=X-T",
+     "'name' given twice in the [extension]"),
+    ("[field] p=3\n[extension] name=K poly=X^2-T\n[override] prime=T prime=T+1 type=(2,1)",
+     "'prime' given twice in the [override]"),
+    ("[field] p=3\n[extension] name=K poly=X-T\n[override] prime=T type=(1,1) type=(1,1)",
+     "'type' given twice in the [override]"),
+    ("[field] p=3\n[extension] name=K poly=X-T ramified=T", "'ramified' in the [extension]"),
+    ("[field] p=3\n[extension] name=K poly=X-T\n[overrides] prime=T type=(1,1)",
+     "unknown section [overrides]"),
+], ids=["unknown-key", "repeated-p", "repeated-poly", "repeated-name", "repeated-prime",
+        "repeated-type", "unknown-extension-key", "unknown-section"])
+def test_unknown_and_repeated_keys_refused(text, key):
+    """Each section holds only its own keys, each at most once: nothing
+    is dropped or overwritten without a word."""
+    with pytest.raises(ExtensionError, match=re.escape(key)):
+        parse_extension(text)
 
 
 def test_duplicate_override_rejected():

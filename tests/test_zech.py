@@ -128,12 +128,12 @@ def test_one_minpoly_product_per_symmetry_class(p, m, d, monkeypatch):
     q, n = F.base.q, F.order - 1
     for prime, alpha in zip(primes, roots):
         if not alpha:
-            assert prime.coeffs == (0, 1)
+            assert prime == (0, 1)
             continue
         k = F._log[alpha]
         orbit = [k * q ** i % n for i in range(d)]
         assert min(orbit) == k
-        assert prime.coeffs == real(F, orbit)
+        assert prime == real(F, orbit)
 
 
 def trial_division_irreducibles(K, d):
@@ -158,7 +158,7 @@ def test_irreducibles_over_f2_degree_one():
     K = gf_create(2)
     F = K.zech_field(1)
     primes, roots = F.irreducibles()
-    assert [f.coeffs for f in primes] == [(0, 1), (1, 1)]
+    assert primes == [(0, 1), (1, 1)]
     assert roots == [0, 1]
 
 
@@ -170,10 +170,10 @@ def test_roots_are_roots(p, m, bound):
         primes, roots = F.irreducibles()
         assert len(primes) == len(roots)
         for prime, alpha in zip(primes, roots):
-            assert poly.peval(F, prime.coeffs, alpha) == 0
+            assert poly.peval(F, prime, alpha) == 0
         # root_values evaluates on logs what peval evaluates by Horner
         rng = random.Random(d)
-        for c in ((), (1,), (0, 1), (1, 0, 1), primes[0].coeffs,
+        for c in ((), (1,), (0, 1), (1, 0, 1), primes[0],
                   tuple(rng.randrange(K.q) for _ in range(6))):
             assert F.root_values(c) == [poly.peval(F, c, alpha) for alpha in roots]
 
@@ -200,7 +200,7 @@ def test_table_types_match_splitting_type(p, m, bound):
         table = dirichlet_table(ext, bound)
         seen = set()
         for d in range(1, bound + 1):
-            got = list(splitting_types(ext, d))
+            got = [(MonicPoly(K, prime), st) for prime, st in splitting_types(ext, d)]
             assert [prime for prime, _ in got] == enumerate_monic_irreducibles(K, d)
             for prime, st in got:
                 assert st == splitting_type(ext, prime)
@@ -212,43 +212,98 @@ def test_table_types_match_splitting_type(p, m, bound):
             assert len(seen) > 1
 
 
-def test_table_ramified_without_override_raises_first_prime():
-    """The first ramified prime in enumeration order is named, as by
-    splitting_type.  Every case is a separated cover, whose unramified
-    types come from root counts."""
+def test_table_ramified_without_override_raises_first_prime(monkeypatch):
+    """A spec is refused when it is built, naming the first unoverridden
+    ramified prime in enumeration order, or an inseparable f, whether it
+    is built directly, from a config, or by a builtin recipe (here one
+    that returns f with no overrides): no table or splitting type is ever
+    asked of it."""
     K = gf_create(3)
     cases = (
-        ("bare", "X^2 - T^2 - 2", "T + 1"),
-        ("cubic", "X^2 - T^3 - T^2 - T - 2", "T^3 + T^2 + T + 2"),
-        ("insep", "X^3 - T", "T"),
+        ("X^2 - T^2 - 2", "prime T + 1 divides the discriminant of bare "
+                          "but has no override"),
+        ("X^2 - T^3 - T^2 - T - 2", "prime T^3 + T^2 + T + 2 divides the "
+                                    "discriminant of bare but has no override"),
+        ("X^3 - T", "defining polynomial is inseparable (zero X-derivative)"),
     )
-    for name, f, prime in cases:
-        ext = ExtensionSpec(name, K, parse_xt_poly(K, f))
-        message = f"prime {prime} ramifies in {name}; supply an override"
-        with pytest.raises(ExtensionError) as table_err:
-            dirichlet_table(ext, 4)
-        assert str(table_err.value) == message
-        with pytest.raises(ExtensionError) as single_err:
-            splitting_type(ext, parse_monic(K, prime))
-        assert str(single_err.value) == message
+    for f, message in cases:
+        cols = parse_xt_poly(K, f)
+        monkeypatch.setattr(extension, "_builtin_cover",
+                            lambda base, kind, params: ("bare", cols, {}))
+        routes = (lambda: ExtensionSpec("bare", K, cols),
+                  lambda: builtin_extension(K, "any"),
+                  lambda: extension.parse_extension(
+                      f"[field] p=3 [extension] name=bare poly={f}"),
+                  lambda: extension.parse_extension(
+                      "[field] p=3 [extension] name=bare builtin=any"))
+        for route in routes:
+            with pytest.raises(ExtensionError) as err:
+                route()
+            assert str(err.value) == message
 
 
 def test_splitting_type_routes_ramified_primes_to_overrides():
+    """X^2 - T^2 - T over F_5 ramifies at T and T + 1: refused without
+    overrides, and with them both paths return the override there and
+    the reduced type elsewhere."""
     K = gf_create(5)
-    ext = ExtensionSpec("K", K, parse_xt_poly(K, "X^2 - T^2 - T"))
-    with pytest.raises(ExtensionError, match="ramifies in K; supply an override"):
-        splitting_type(ext, parse_monic(K, "T + 1"))
+    cols = parse_xt_poly(K, "X^2 - T^2 - T")
+    ramified = SplittingType(((2, 1),))
+    with pytest.raises(ExtensionError, match="prime T divides the discriminant"):
+        ExtensionSpec("K", K, cols)
+    with pytest.raises(ExtensionError, match="prime T \\+ 1 divides the discriminant"):
+        ExtensionSpec("K", K, cols, overrides={parse_monic(K, "T"): ramified})
+    ext = ExtensionSpec("K", K, cols, overrides={parse_monic(K, "T"): ramified,
+                                                 parse_monic(K, "T + 1"): ramified})
+    assert splitting_type(ext, parse_monic(K, "T + 1")) == ramified
     assert splitting_type(ext, parse_monic(K, "T + 2")).degree == 2
+    types = dict(splitting_types(ext, 1))
+    assert types[(1, 1)] == ramified
+    assert types[(2, 1)] == splitting_type(ext, parse_monic(K, "T + 2"))
+
+
+def test_splitting_evaluates_no_discriminant(monkeypatch):
+    """Once a spec is built, neither path computes or evaluates its
+    discriminant: splitting_types takes one root_logs pass per degree, of
+    -c0 at the roots, for these separated covers, and splitting_type
+    projects only the coefficients of f into the residue field."""
+    K = gf_create(3)
+    covers = (builtin_extension(K, "artin_schreier", m=5),
+              builtin_extension(K, "kummer_sqrt", c="T^3 - T"))
+    calls = dict.fromkeys(("discriminant", "_resultant", "root_logs", "project"), 0)
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counting)
+    counted(extension, "discriminant")
+    counted(extension, "_resultant")
+    counted(field.ZechField, "root_logs")
+    counted(ResidueField, "project")
+    for ext in covers:
+        for d in range(1, 5):
+            calls["root_logs"] = 0
+            list(splitting_types(ext, d))
+            assert calls["root_logs"] == 1
+        for prime in enumerate_monic_irreducibles(K, 1) + enumerate_monic_irreducibles(K, 2):
+            calls["project"] = 0
+            splitting_type(ext, prime)
+            overridden = prime in ext.overrides
+            assert calls["project"] == (0 if overridden else len(ext.xt_coeffs))
+    assert calls["discriminant"] == calls["_resultant"] == 0
 
 
 def model_path_types(ext, d):
     """splitting_types with the distinct-degree last step at every prime,
     on values at the roots taken by Horner's rule."""
     F = ext.field.zech_field(d)
-    disc = extension._disc_coeffs(ext)
+    disc = extension.discriminant(ext).coeffs
     out = []
     for prime, alpha in zip(*F.irreducibles()):
-        st = ext.overrides.get(prime)
+        st = ext.overrides.get(MonicPoly(ext.field, prime))
         if st is None:
             assert poly.peval(F, disc, alpha)
             st = extension._reduced_type(
@@ -360,7 +415,8 @@ def test_root_counts_without_the_sweep(make, monkeypatch):
         got = list(splitting_types(ext, d))
         assert not calls
         assert got == model_path_types(ext, d)
-        seen |= {st.pairs for prime, st in got if prime not in ext.overrides}
+        seen |= {st.pairs for prime, st in got
+                 if MonicPoly(ext.field, prime) not in ext.overrides}
         calls.clear()
         d += 1
     n = ext.degree
@@ -400,7 +456,8 @@ def test_other_covers_fall_back_to_distinct_degree_types(monkeypatch):
     for ext, bound in covers:
         for d in range(1, bound + 1):
             got = list(splitting_types(ext, d))
-            factored = sum(prime not in ext.overrides for prime, _ in got)
+            factored = sum(MonicPoly(ext.field, prime) not in ext.overrides
+                           for prime, _ in got)
             assert len(calls) == factored > 0
             assert got == model_path_types(ext, d)
             calls.clear()
