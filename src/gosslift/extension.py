@@ -113,7 +113,6 @@ class ExtensionSpec:
             if st.degree != self.degree:
                 raise ExtensionError(
                     f"override at {p} has total degree {st.degree}, expected {self.degree}")
-        self._disc = None
         _validate_cover(self)
 
     def __repr__(self):
@@ -221,8 +220,6 @@ def discriminant(ext):
     factor is dropped: a nonzero constant resultant comes back as the
     constant polynomial 1.
     """
-    if ext._disc is not None:
-        return ext._disc
     K = ext.field
     f = ext.xt_coeffs
     fp = _xderiv(K, f)
@@ -231,8 +228,7 @@ def discriminant(ext):
     det = _resultant(K, f, fp)
     if not det:
         raise ExtensionError("defining polynomial is inseparable (zero discriminant)")
-    ext._disc = MonicPoly(K, poly.pmonic(K, det))
-    return ext._disc
+    return MonicPoly(K, poly.pmonic(K, det))
 
 
 def _xderiv(K, cols):
@@ -375,7 +371,7 @@ def _unramified_types(ext, F):
 # --- config parsing ---
 
 
-_TYPE_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
+_PAIR = r"\( *([0-9]{1,9}) *, *([0-9]{1,9}) *\)"
 
 
 def parse_extension(text):
@@ -435,10 +431,11 @@ def parse_extension_file(path):
 
 
 def _parse_type(text):
-    pairs = _TYPE_RE.findall(text.replace(" ", ""))
-    if not pairs:
+    # the whole text is (e,f) pairs, separated by optional commas and spaces;
+    # 9 digits an entry: no degree needs more, and int() refuses thousands
+    if not re.fullmatch(rf" *{_PAIR}(?:(?: *,)? *{_PAIR})* *", text):
         raise ExtensionError(f"cannot parse splitting type {text!r}")
-    return SplittingType(tuple((int(e), int(f)) for e, f in pairs))
+    return SplittingType(tuple((int(e), int(f)) for e, f in re.findall(_PAIR, text)))
 
 
 def _parse_builtin(text):

@@ -115,9 +115,6 @@ class FiniteField:
     def add(self, a, b):
         return self._add[a][b]
 
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
     def neg(self, a):
         return self._neg[a]
 

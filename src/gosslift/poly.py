@@ -149,23 +149,11 @@ def power(mul, one, x, e):
     return r
 
 
-def ppow_mod(K, base, e, mod):
-    return power(lambda f, g: pmod(K, pmul(K, f, g), mod), (K.one,),
-                 pmod(K, base, mod), e)
-
-
 def pderiv(K, f):
     out = []
     for i in range(1, len(f)):
         out.append(K.mul(K.from_int(i), f[i]))
     return ptrim(K, out)
-
-
-def peval(K, f, x):
-    acc = K.zero
-    for c in reversed(f):
-        acc = K.add(K.mul(acc, x), c)
-    return acc
 
 
 def ppow(K, f, e):
@@ -421,9 +409,6 @@ class MonicPoly:
 
     def __pow__(self, e):
         return MonicPoly(self.field, ppow(self.field, self.coeffs, e))
-
-    def divides(self, other):
-        return not pmod(self.field, other.coeffs, self.coeffs)
 
     def __str__(self):
         from .textforms import format_tpoly

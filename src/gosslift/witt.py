@@ -20,10 +20,11 @@ field modulus (Z/p^N itself when q = p).  The k-th ghost component of
 
     w_k = sum_n B(n) * n~^(-s p^k),
 
-with n~ the lift of n, and ghost_sum computes each one.  Any lift works,
-and w_k is needed only mod p^(k+1): a = b mod p^j implies
-a^(p^i) = b^(p^i) mod p^(j+i).  The same congruence gives the
-coordinates from one ghost inversion,
+with n~ the lift of n; ghost_sum computes each one, with one series for
+each class of n whose terms agree through u^M.  Any lift works, and w_k
+is needed only mod p^(k+1): a = b mod p^j implies a^(p^i) = b^(p^i)
+mod p^(j+i).  The same congruence gives the coordinates from one ghost
+inversion,
 
     S_k = (w_k - sum_{i<k} p^i * S~_i^(p^(k-i))) / p^k  mod p,
 
@@ -41,6 +42,7 @@ arithmetic.  That gives the value at s = 0, a Witt vector over F_q.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from functools import lru_cache
 
@@ -265,22 +267,28 @@ class GaloisRing:
 def ghost_sum(table, e, M, j):
     """sum B(n) * n~^-e over the table, coefficients in GR(p^j, m).
 
-    The result is a power series in u = 1/T of length M + 1.  For monic n
-    of degree d, n = T^d * g(u) with g(u) = sum c_(d-i) u^i, so
-    n~^-e = u^(de) * g~(u)^-e; terms with de > M or B(n) = 0 mod p^j are
-    zero and skipped.  The table bound must reach M // e.
+    The result is a power series in u = 1/T of length M + 1; the table
+    bound must reach M // e.  For monic n of degree d, n = T^d * g(u) with
+    g(u) = sum c_(d-i) u^i, so n~^-e = u^(de) * g~(u)^-e, needed only to
+    length L = M + 1 - de, where it depends on c_(d-1)..c_(d-k) alone,
+    k = min(d, L - 1): the low k base-q digits of n's rank in its block.
+    Each class of n that share them, a slice of the block at stride q^k,
+    makes one series, if its counts sum to nonzero mod p^j.
     """
     R = GaloisRing(table.field, j)
-    P, lifts = R.P, R.lifts
+    P, q, counts, starts = R.P, table.field.q, table.counts, table.starts
     acc = [[0] * R.m for _ in range(M + 1)]
-    for n, b in table.nonzero_upto(M // e, P):
-        v = n.degree * e
-        L = M + 1 - v
-        g = [lifts[c] for c in reversed(n.coeffs[-L:])]
-        for t, c in enumerate(R.series_inv(R.series_pow(g, e, L), L)):
-            row = acc[v + t]
-            for i, x in enumerate(c):
-                row[i] += b * x
+    for d in range(M // e + 1):
+        L = M + 1 - d * e
+        k = min(d, L - 1)
+        # top is c_(d-k)..c_(d-1) lifted, in the order of low
+        for low, top in enumerate(itertools.product(R.lifts, repeat=k)):
+            b = sum(counts[starts[d] + low:starts[d + 1]:q ** k]) % P
+            if b:
+                g = [R.one, *reversed(top)]
+                for row, c in zip(acc[d * e:], R.series_inv(R.series_pow(g, e, L), L)):
+                    for i, x in enumerate(c):
+                        row[i] += b * x
     return [tuple(x % P for x in row) for row in acc]
 
 

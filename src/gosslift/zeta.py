@@ -101,7 +101,8 @@ class DirichletTable:
     """Ideal counts B(n) for all monic n of degree <= bound, as exact ints.
 
     counts is a list with B(n) at rank(n), one entry for each of the
-    (q^(bound+1) - 1)/(q - 1) monic moduli of degree <= bound.
+    (q^(bound+1) - 1)/(q - 1) monic moduli of degree <= bound, degree d at
+    counts[starts[d]:starts[d + 1]]; the zeta values make no MonicPoly.
     """
 
     def __init__(self, ext_name, field, bound, counts):
@@ -129,17 +130,6 @@ class DirichletTable:
         """Sum of B(n) over each degree block, degrees 0..bound."""
         counts, s = self.counts, self.starts
         return [sum(counts[s[d]:s[d + 1]]) for d in range(self.bound + 1)]
-
-    def nonzero_upto(self, top, modulus):
-        """(n, B(n)) in enumeration order for deg n <= top, B(n) != 0 mod modulus.
-
-        Only these entries are made into MonicPolys.
-        """
-        counts = self.counts
-        for r in range(self.starts[min(top, self.bound) + 1]):
-            b = counts[r]
-            if b % modulus:
-                yield unrank(self.field, r), b
 
     def __eq__(self, other):
         return (isinstance(other, DirichletTable)
@@ -343,10 +333,14 @@ def _power_blocks(table, k, top):
     """Block sums of B(n) * n^k mod p for degrees 0..top (k >= 0)."""
     K = table.field
     blocks = [()] * (top + 1)
-    for n, b in table.nonzero_upto(top, K.p):
-        r = K.from_int(b)
-        term = poly.pscale(K, r, poly.ppow(K, n.coeffs, k)) if k else (r,)
-        blocks[n.degree] = poly.padd(K, blocks[n.degree], term)
+    # c_0..c_(d-1) of each n of degree <= top, in rank order (see rank)
+    lowers = itertools.chain.from_iterable(
+        itertools.product(K.elements(), repeat=d) for d in range(top + 1))
+    for lower, b in zip(lowers, table.counts):
+        if b % K.p:
+            r = K.from_int(b)
+            term = poly.pscale(K, r, poly.ppow(K, lower + (K.one,), k))
+            blocks[len(lower)] = poly.padd(K, blocks[len(lower)], term)
     return blocks
 
 

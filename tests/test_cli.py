@@ -396,6 +396,19 @@ def test_bad_config_keys_exit_3(tmp_path, field, ext, needle):
     assert res.stderr == f"error[extension]: {needle}\n"
 
 
+@pytest.mark.parametrize("text", ["x(2,1)(0", "(2,1)(1,1x)junk",
+                                  "(1" + "1" * 5000 + ",1)"],
+                         ids=["prefix", "suffix", "huge-entry"])
+def test_malformed_splitting_type_exits_3(tmp_path, text):
+    """A type with anything but (e,f) pairs in it exits 3 with one
+    error[extension] line naming the text, not a type read from part of it."""
+    cfg = write_cfg(tmp_path, "bad.cfg", CFG_K.replace("type=(2,1)", f"type={text}"))
+    res = run_child(["table", "--ext", cfg, "--max-degree", "1"], timeout=20)
+    assert res.returncode == 3
+    assert res.stdout.splitlines() == NOTHING_LOADED
+    assert res.stderr == f"error[extension]: cannot parse splitting type {text!r}\n"
+
+
 def test_huge_characteristic_fails_fast(tmp_path):
     # p is prime, so it is the size bound that must reject it, before
     # any primality test by trial division

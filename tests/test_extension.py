@@ -88,12 +88,6 @@ def test_discriminant_cubic():
     assert discriminant(ext) == parse_monic(K5, "T^2")
 
 
-def test_discriminant_cached():
-    K = gf_create(3)
-    ext = builtin_extension(K, "kummer_sqrt", c="T")
-    assert discriminant(ext) is discriminant(ext)
-
-
 def test_builtin_artin_schreier():
     K = gf_create(3)
     ext = builtin_extension(K, "artin_schreier", m=5)
@@ -331,6 +325,32 @@ def test_unknown_and_repeated_keys_refused(text, key):
     is dropped or overwritten without a word."""
     with pytest.raises(ExtensionError, match=re.escape(key)):
         parse_extension(text)
+
+
+@pytest.mark.parametrize("text, pairs", [
+    ("(2,1)", ((2, 1),)),
+    ("(2, 1)", ((2, 1),)),
+    ("( 2 , 1 )", ((2, 1),)),
+    ("(1,1),(1,1)", ((1, 1), (1, 1))),
+    ("(1,1) (1,1)", ((1, 1), (1, 1))),
+    ("(1,1) , (1,1)", ((1, 1), (1, 1))),
+])
+def test_splitting_type_text_accepted(text, pairs):
+    ext = parse_extension(_poly_cfg(3, "X^2 - T", f"[override]\nprime=T\ntype={text}\n"))
+    assert splitting_type(ext, MonicPoly(ext.field, (0, 1))).pairs == pairs
+
+
+@pytest.mark.parametrize("text", [
+    "x(2,1)(0", "(2,1)(1,1x)junk", "(2,1),", ",(2,1)", "(1,1),,(1,1)",
+    "(1 1,1)", "(2;1)", "(2,1", "2,1", "(1" + "1" * 5000 + ",1)",
+], ids=["prefix", "suffix", "trailing-comma", "leading-comma", "double-comma",
+        "split-digits", "semicolon", "unclosed", "no-parens", "huge-entry"])
+def test_splitting_type_text_refused(text):
+    """The whole value must be (e,f) pairs: a prefix, a suffix or a
+    stray character anywhere is refused, not read past."""
+    with pytest.raises(ExtensionError,
+                       match=re.escape(f"cannot parse splitting type {text!r}")):
+        parse_extension(_poly_cfg(3, "X^2 - T", f"[override]\nprime=T\ntype={text}\n"))
 
 
 def test_duplicate_override_rejected():

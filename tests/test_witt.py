@@ -1,26 +1,30 @@
 """Witt vector arithmetic, the oracles it runs on, and the lifted zeta."""
 
+import os
 import random
 
 import pytest
 
 import witt_oracle
-from gosslift import poly, witt
+from gosslift import poly, witt, zeta
 from gosslift.errors import WittError
-from gosslift.extension import builtin_extension, trivial_extension
+from gosslift.extension import (builtin_extension, parse_extension_file,
+                                trivial_extension)
 from gosslift.field import gf_create
 from gosslift.laurent import LaurentSeries
 from gosslift.witt import (WITT_LEN_BOUND, FieldOps, LaurentOps, WittPolys,
                            WittVector, check_lifted_args, int_to_witt,
                            lifted_goss_eval, witt_structure_polys, witt_text)
 from gosslift.zeta import DirichletTable, dirichlet_table, goss_eval, rank
-from witt_oracle import (FieldRing, LaurentRing, oracle_add,
+from witt_oracle import (FieldRing, LaurentRing, oracle_add, oracle_ghost_sum,
                          oracle_lifted_goss_eval, oracle_mul, oracle_neg,
                          series_mul, sympy_structure_polys, teichmuller,
                          witt_add, witt_mul, witt_neg, witt_structure_exprs,
                          witt_sub, witt_zero)
 
 K3 = gf_create(3)
+K_SQRT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "configs", "K_sqrt.cfg")
 
 
 def test_structure_polys_frozen_formulas():
@@ -514,6 +518,40 @@ def test_corrupted_ghost_digit_fails_the_exact_division(monkeypatch):
     monkeypatch.setattr(witt, "ghost_sum", corrupted)
     with pytest.raises(WittError, match="not divisible by p"):
         lifted_goss_eval(table, 1, 6, 3)
+
+
+@pytest.mark.parametrize("p,m,D", [(2, 1, 8), (3, 1, 6), (2, 2, 4), (5, 1, 4),
+                                   (3, 2, 3)], ids=["F2", "F3", "F4", "F5", "F9"])
+def test_class_ghost_sum_matches_the_per_entry_oracle(p, m, D):
+    """The class sums equal one series per entry, over random count lists:
+    no extension is needed, and many counts vanish mod p or p^2 alone."""
+    K = gf_create(p, m)
+    rng = random.Random(p * 100 + m)
+    size = (K.q ** (D + 1) - 1) // (K.q - 1)
+    counts = [rng.choice((0, 0, 1, p, p * p, rng.randrange(p ** 4)))
+              for _ in range(size)]
+    table = DirichletTable("random", K, D, counts)
+    for s in (1, 2, 3):
+        for M in range(s * D + 1):
+            for j in (1, 2, 3):
+                assert witt.ghost_sum(table, s, M, j) == oracle_ghost_sum(table, s, M, j)
+
+
+def test_zeta_values_make_no_monic_poly(monkeypatch):
+    """goss_eval at s >= 1 and s <= 0 and lifted_goss_eval read the count
+    list by rank: with unrank and MonicPoly refused they give the same
+    values."""
+    table = dirichlet_table(parse_extension_file(K_SQRT), 6)
+    want = (goss_eval(table, 2, 12), goss_eval(table, -1, 6),
+            lifted_goss_eval(table, 1, 6, 3))
+
+    def refuse(*args):
+        raise AssertionError("an evaluation made a MonicPoly")
+
+    monkeypatch.setattr(zeta, "unrank", refuse)
+    monkeypatch.setattr(poly.MonicPoly, "__init__", refuse)
+    assert (goss_eval(table, 2, 12), goss_eval(table, -1, 6),
+            lifted_goss_eval(table, 1, 6, 3)) == want
 
 
 def test_lifted_zeta_uses_no_structure_polynomials(monkeypatch):

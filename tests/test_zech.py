@@ -17,6 +17,7 @@ from gosslift.field import ResidueField, gf_create
 from gosslift.poly import MonicPoly, enumerate_monic, enumerate_monic_irreducibles
 from gosslift.textforms import parse_monic, parse_xt_poly
 from gosslift.zeta import dirichlet_table, local_counts
+from poly_helpers import peval
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "configs")
@@ -170,12 +171,12 @@ def test_roots_are_roots(p, m, bound):
         primes, roots = F.irreducibles()
         assert len(primes) == len(roots)
         for prime, alpha in zip(primes, roots):
-            assert poly.peval(F, prime, alpha) == 0
+            assert peval(F, prime, alpha) == 0
         # root_values evaluates on logs what peval evaluates by Horner
         rng = random.Random(d)
         for c in ((), (1,), (0, 1), (1, 0, 1), primes[0],
                   tuple(rng.randrange(K.q) for _ in range(6))):
-            assert F.root_values(c) == [poly.peval(F, c, alpha) for alpha in roots]
+            assert F.root_values(c) == [peval(F, c, alpha) for alpha in roots]
 
 
 def covers(K):
@@ -305,9 +306,9 @@ def model_path_types(ext, d):
     for prime, alpha in zip(*F.irreducibles()):
         st = ext.overrides.get(MonicPoly(ext.field, prime))
         if st is None:
-            assert poly.peval(F, disc, alpha)
+            assert peval(F, disc, alpha)
             st = extension._reduced_type(
-                F, tuple(poly.peval(F, c, alpha) for c in ext.xt_coeffs))
+                F, tuple(peval(F, c, alpha) for c in ext.xt_coeffs))
         out.append((prime, st))
     return out
 

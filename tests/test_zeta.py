@@ -26,6 +26,7 @@ from gosslift.zeta import (DirichletTable, compare_zeta, dirichlet_table,
                            pgalois_check,
                            power_marks, prime_power_residues, rank,
                            reconstruct_splitting, unrank, weil_series)
+from poly_helpers import sub
 
 K3 = gf_create(3)
 
@@ -202,6 +203,23 @@ def test_goss_eval_nonpositive_s():
         goss_eval(dirichlet_table(trivial_extension(K3), 4), -2, 6)
 
 
+@pytest.mark.parametrize("p,m,D", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3)],
+                         ids=["F2", "F3", "F4", "F5"])
+def test_power_blocks_match_the_entries(p, m, D):
+    """The s <= 0 block sums, read off ranks, equal those over the table's
+    MonicPoly entries, for random counts."""
+    K = gf_create(p, m)
+    rng = random.Random(p * 10 + m)
+    counts = [rng.randrange(3 * p) for _ in range((K.q ** (D + 1) - 1) // (K.q - 1))]
+    table = DirichletTable("random", K, D, counts)
+    for k in range(4):
+        want = [()] * (D + 1)
+        for n, b in table.entries.items():
+            term = poly.pscale(K, K.from_int(b), poly.ppow(K, n.coeffs, k))
+            want[n.degree] = poly.padd(K, want[n.degree], term)
+        assert zeta._power_blocks(table, k, D) == want
+
+
 def test_goss_eval_nonterminating_sum_fails():
     table = dirichlet_table(builtin_extension(K3, "artin_schreier", m=1), 6)
     with pytest.raises(ZetaError):
@@ -219,7 +237,7 @@ def expand_inverse_power(K, n_coeffs, s, M):
         for i in range(1, t + 1):
             if D - i >= 0:
                 acc = K.add(acc, K.mul(g[D - i], x.get(D + t - i, K.zero)))
-        x[D + t] = K.sub(want, acc)
+        x[D + t] = sub(K, want, acc)
     return x
 
 

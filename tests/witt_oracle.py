@@ -29,6 +29,10 @@ coefficient as a ring constant and pays one product per variable power.
 run on top of it, with integers lifted by double-and-add, so the
 skipping arithmetic and the package's ghost route must both equal their
 results, precision included.
+
+`oracle_ghost_sum` is the per-entry ghost sum gosslift.witt ran before it
+summed the counts of each coefficient-prefix class: one MonicPoly and
+one series for every entry that is nonzero mod p^j.
 """
 
 import sympy
@@ -36,8 +40,9 @@ import sympy
 from gosslift import poly
 from gosslift.errors import LaurentError, WittError
 from gosslift.laurent import LaurentSeries
-from gosslift.witt import (FieldOps, LaurentOps, WittPolys, WittVector,
-                           witt_structure_polys)
+from gosslift.witt import (FieldOps, GaloisRing, LaurentOps, WittPolys,
+                           WittVector, witt_structure_polys)
+from gosslift.zeta import unrank
 
 
 def _freeze(expr, gens):
@@ -462,3 +467,31 @@ def oracle_lifted_goss_eval(table, s, M, N, add=oracle_add):
                 x = series_pow(x, K.p)
         acc = add(lops, acc, WittVector(K.p, N, tuple(coords)))
     return acc
+
+
+# --- the ghost sum, one series per entry ---
+
+
+def oracle_ghost_sum(table, e, M, j):
+    """witt.ghost_sum with one series for each entry of the table.
+
+    Each rank of degree at most M // e whose count is nonzero mod p^j is
+    made into its MonicPoly n, and n~^-e = u^(de) * g~(u)^-e is expanded
+    from n's own top coefficients, to length L = M + 1 - de.
+    """
+    R = GaloisRing(table.field, j)
+    P, lifts = R.P, R.lifts
+    acc = [[0] * R.m for _ in range(M + 1)]
+    for r in range(table.starts[M // e + 1]):
+        b = table.counts[r]
+        if b % P == 0:
+            continue
+        n = unrank(table.field, r)
+        v = n.degree * e
+        L = M + 1 - v
+        g = [lifts[c] for c in reversed(n.coeffs[-L:])]
+        for t, c in enumerate(R.series_inv(R.series_pow(g, e, L), L)):
+            row = acc[v + t]
+            for i, x in enumerate(c):
+                row[i] += b * x
+    return [tuple(x % P for x in row) for row in acc]
