@@ -25,8 +25,8 @@ from .gassmann import (cayley_komatsu, gassmann_by_cycle_type,
 from .textforms import parse_monic
 from .witt import (FieldOps, LaurentOps, check_args, check_lifted_args,
                    lifted_goss_eval, witt_text)
-from .zeta import (compare_zeta, dirichlet_table, dump_blocks, goss_eval,
-                   weil_series)
+from .zeta import (check_same_field, compare_zeta, dirichlet_table,
+                   dump_blocks, goss_eval, weil_series)
 
 
 def _cmd_splitting(args):
@@ -78,6 +78,7 @@ def _cmd_zeta(args):
 def _cmd_compare(args):
     ext_a = parse_extension_file(args.cfg_a)
     ext_b = parse_extension_file(args.cfg_b)
+    check_same_field(ext_a.field, ext_b.field)
     table_a = dirichlet_table(ext_a, args.max_degree)
     table_b = dirichlet_table(ext_b, args.max_degree)
     verdict = compare_zeta(table_a, table_b, args.kind)

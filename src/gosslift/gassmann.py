@@ -120,21 +120,25 @@ def _orbit_label(G, s, orbit=None):
     return label
 
 
+def cycles(a):
+    """The cycles of a as point lists, fixed points too, by least point."""
+    seen = [False] * len(a)
+    out = []
+    for i in range(len(a)):
+        if not seen[i]:
+            cyc = [i]
+            j = a[i]
+            while j != i:
+                seen[j] = True
+                cyc.append(j)
+                j = a[j]
+            out.append(cyc)
+    return out
+
+
 def cycle_type(a):
     """Sorted cycle lengths, fixed points included."""
-    seen = [False] * len(a)
-    lens = []
-    for i in range(len(a)):
-        if seen[i]:
-            continue
-        k = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            k += 1
-        lens.append(k)
-    return tuple(sorted(lens))
+    return tuple(sorted(map(len, cycles(a))))
 
 
 def perm_order(a):
@@ -167,20 +171,8 @@ def parse_perm(text, n):
 
 
 def format_perm(a):
-    seen = [False] * len(a)
-    parts = []
-    for i in range(len(a)):
-        if seen[i] or a[i] == i:
-            seen[i] = True
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1)
-            j = a[j]
-        parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    return "".join("(" + " ".join(str(j + 1) for j in cyc) + ")"
+                   for cyc in cycles(a) if len(cyc) > 1) or "()"
 
 
 class PermGroup:

@@ -319,6 +319,15 @@ def check_args(bound, s, M, error):
                     f"(need {3 - s})")
 
 
+def check_stopped(blocks, s, error):
+    """Raise error unless an s <= 0 zeta sum, given reduced by degree
+    block (mod p or p^N), has stopped: its top three blocks vanish."""
+    for d in range(len(blocks) - 3, len(blocks)):
+        if blocks[d]:
+            raise error(f"degree block {d} of the s={s} sum does not vanish; "
+                        f"the sum has not stopped at this bound")
+
+
 def check_lifted_args(bound, s, M, N):
     """Reject a lifted zeta request that no table of this bound can serve,
     before the table is built: check_args, for a length N in range and
@@ -338,21 +347,16 @@ def lifted_goss_eval(table, s, M, N):
     multiplies the Teichmuller lift of n^-s; the result has Laurent
     series coordinates at precision M, found from its ghost components
     as the module docstring describes.  At s = 0 the series collapses to
-    the integer sum of all counts: the top three degree blocks must
-    vanish mod p^N (so the sum has stabilized), and the value is a Witt
-    vector with field coordinates.  Negative s is not defined here.
+    the sum of all counts, whose top three degree blocks must vanish mod
+    p^N (check_stopped, goss_eval's rule), and the value is a Witt vector
+    with field coordinates.  Negative s is not defined here.
     """
     K = table.field
     p = K.p
     check_lifted_args(table.bound, s, M, N)
     if s == 0:
-        pN = p ** N
-        blocks = table.block_sums()
-        for d in range(table.bound - 2, table.bound + 1):
-            if blocks[d] % pN:
-                raise WittError(
-                    f"degree block {d} is {blocks[d] % pN} mod p^{N}; "
-                    f"the s=0 sum has not stabilized at this bound")
+        blocks = [b % p ** N for b in table.block_sums()]
+        check_stopped(blocks, s, WittError)
         return int_to_witt(FieldOps(K), sum(blocks), N)
     R = GaloisRing(K, N)
     coords = []

@@ -11,7 +11,9 @@ of the same table of nonnegative integers:
   * the counting (Weil) series sums B over each degree block,
   * the positive-characteristic zeta reduces B mod p and pairs it with
     Laurent expansions of n^-s at the infinite place,
-  * the lifted zeta (see witt.py) keeps B as an integer mod p^N.
+  * the lifted zeta (see witt.py) keeps B as an integer mod p^N; at s <= 0
+    it and the mod-p zeta sum the whole table and stop by one rule
+    (check_stopped), so the Goss value at s = 0 is its lift's first digit.
 
 Tables carry the bound D up to which they were built; every verdict they
 support is a verdict "for all n of degree <= D" and nothing more.  A
@@ -25,6 +27,7 @@ never held at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from types import MappingProxyType
 
@@ -33,7 +36,7 @@ from .errors import GossliftError, ZetaError
 from .extension import splitting_types
 from .laurent import LaurentSeries
 from .poly import MonicPoly
-from .witt import check_args, ghost_sum, mod_p_series
+from .witt import check_args, check_stopped, ghost_sum, mod_p_series
 
 
 def local_counts(st, kmax):
@@ -307,35 +310,30 @@ def goss_eval(table, s, M):
 
     For s >= 1 this is sum B(n) * n^-s over the table, reduced mod p,
     correct through T^-M; the table bound must reach ceil(M / s).  For
-    s <= 0 the sum is over polynomial powers n^|s| and must terminate:
-    degree blocks are accumulated through |s| + 3 and the last three must
-    vanish identically, otherwise the evaluation fails.
+    s <= 0 the sum is over polynomial powers n^|s| and must terminate: it
+    adds the degree blocks of the whole table, and the top three must
+    vanish identically (check_stopped), otherwise the evaluation fails.
     """
     K = table.field
     check_args(table.bound, s, M, ZetaError)
     if s >= 1:
         return mod_p_series(K, ghost_sum(table, s, M, 1), M)
-    k = -s
-    top = k + 3
-    blocks = _power_blocks(table, k, top)
-    for d in range(k + 1, top + 1):
-        if blocks[d]:
-            raise ZetaError(
-                f"degree block {d} of the s={s} evaluation does not vanish; "
-                f"the sum does not terminate here")
-    total = ()
-    for d in range(0, top + 1):
-        total = poly.padd(K, total, blocks[d])
+    blocks = _power_blocks(table, -s)
+    check_stopped(blocks, s, ZetaError)
+    total = functools.reduce(functools.partial(poly.padd, K), blocks, ())
     return LaurentSeries.from_tpoly(K, total, M)
 
 
-def _power_blocks(table, k, top):
-    """Block sums of B(n) * n^k mod p for degrees 0..top (k >= 0)."""
+def _power_blocks(table, k):
+    """Block sums of B(n) * n^k mod p for degrees 0..bound (k >= 0); at
+    k = 0 they are the table's block sums mod p."""
     K = table.field
-    blocks = [()] * (top + 1)
-    # c_0..c_(d-1) of each n of degree <= top, in rank order (see rank)
+    if k == 0:
+        return [poly.ptrim(K, [K.from_int(b)]) for b in table.block_sums()]
+    blocks = [()] * (table.bound + 1)
+    # c_0..c_(d-1) of each n, in rank order (see rank)
     lowers = itertools.chain.from_iterable(
-        itertools.product(K.elements(), repeat=d) for d in range(top + 1))
+        itertools.product(K.elements(), repeat=d) for d in range(table.bound + 1))
     for lower, b in zip(lowers, table.counts):
         if b % K.p:
             r = K.from_int(b)
@@ -364,6 +362,12 @@ class ZetaVerdict:
         return f"DIFFER d={self.witness} left={self.left} right={self.right}"
 
 
+def check_same_field(field_a, field_b):
+    """Raise ZetaError unless two tables' base fields agree."""
+    if field_a != field_b:
+        raise ZetaError("cannot compare tables over different base fields")
+
+
 def compare_zeta(table_a, table_b, kind):
     """Compare two tables as Weil, mod-p, or integer (lifted) zeta data.
 
@@ -372,8 +376,7 @@ def compare_zeta(table_a, table_b, kind):
     zeta values to the bound is equality of the integer counts).  The
     witness is the first difference in enumeration order.
     """
-    if table_a.field != table_b.field:
-        raise ZetaError("cannot compare tables over different base fields")
+    check_same_field(table_a.field, table_b.field)
     if table_a.bound != table_b.bound:
         raise ZetaError("cannot compare tables with different bounds")
     counts_a, counts_b = table_a.counts, table_b.counts

@@ -194,6 +194,20 @@ def test_compare_lifted_differs(tmp_path, capsys):
     assert capsys.readouterr().out == "DIFFER n=T left=1 right=2\n"
 
 
+def test_compare_refuses_different_fields_before_any_table(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("compare built a table")
+
+    # the CLI calls the name it imported, so both are patched
+    monkeypatch.setattr("gosslift.zeta.dirichlet_table", refuse)
+    monkeypatch.setattr(cli, "dirichlet_table", refuse)
+    assert main(["compare", "--kind", "goss", os.path.join(CONFIGS, "K_sqrt.cfg"),
+                 os.path.join(CONFIGS, "as_f4.cfg"), "--max-degree", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[zeta]: cannot compare tables over different base fields\n"
+
+
 def test_gassmann_klein4(capsys):
     assert main(["gassmann", "--builtin", "klein4"]) == 0
     out = capsys.readouterr().out

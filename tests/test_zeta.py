@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from gosslift.errors import ZetaError
+from gosslift.errors import ExtensionError, WittError, ZetaError
 from gosslift.demos import standard_extensions
 from gosslift.extension import (ExtensionSpec, SplittingType,
                                 builtin_extension, splitting_type,
@@ -20,7 +20,7 @@ from gosslift.laurent import LaurentSeries
 from gosslift import poly, textforms, zeta
 from gosslift.poly import MonicPoly, enumerate_monic_irreducibles
 from gosslift.textforms import parse_monic
-from gosslift.witt import lifted_goss_eval
+from gosslift.witt import FieldOps, lifted_goss_eval, witt_text
 from gosslift.zeta import (DirichletTable, compare_zeta, dirichlet_table,
                            dump_table, goss_eval, load_table, local_counts,
                            pgalois_check,
@@ -217,13 +217,76 @@ def test_power_blocks_match_the_entries(p, m, D):
         for n, b in table.entries.items():
             term = poly.pscale(K, K.from_int(b), poly.ppow(K, n.coeffs, k))
             want[n.degree] = poly.padd(K, want[n.degree], term)
-        assert zeta._power_blocks(table, k, D) == want
+        assert zeta._power_blocks(table, k) == want
 
 
-def test_goss_eval_nonterminating_sum_fails():
-    table = dirichlet_table(builtin_extension(K3, "artin_schreier", m=1), 6)
-    with pytest.raises(ZetaError):
-        goss_eval(table, -2, 6)
+def test_goss_eval_stops_only_when_the_top_blocks_vanish():
+    """The s = -2 sum of AS m=1 stops at degree 3: at D=5 block 3 is among
+    the top three and the value is refused, at D=6 blocks 4..6 vanish and
+    it is 0."""
+    ext = builtin_extension(K3, "artin_schreier", m=1)
+    with pytest.raises(ZetaError, match="degree block 3 "):
+        goss_eval(dirichlet_table(ext, 5), -2, 6)
+    assert goss_eval(dirichlet_table(ext, 6), -2, 6) == LaurentSeries.zero(K3, 6)
+
+
+KS8 = "T^8 + 2*T^7 + T^6 + T^3 + T^2 + T + 1"
+
+
+def test_goss_eval_at_zero_reads_every_block():
+    """The KS8 block sums are 1, 3, 9, 33, 95, ...: block 4 is 2 mod 3, so
+    the s = 0 sum is 0, not the 1 of blocks 0..3, and a D=6 table, whose
+    top blocks include block 4, is refused by both evaluators."""
+    ext = builtin_extension(K3, "kummer_sqrt", c=KS8)
+    assert goss_eval(dirichlet_table(ext, 8), 0, 12).is_zero
+    small = dirichlet_table(ext, 6)
+    with pytest.raises(ZetaError, match="degree block 4 "):
+        goss_eval(small, 0, 12)
+    with pytest.raises(WittError, match="degree block 4 "):
+        lifted_goss_eval(small, 0, 12, 1)
+
+
+def _random_kummer_covers(K, rng, count):
+    """count kummer_sqrt covers over K with random squarefree radicands of
+    degree 1..8, drawn from rng."""
+    covers = []
+    while len(covers) < count:
+        c = [rng.randrange(K.q) for _ in range(rng.randint(1, 8))] + [rng.randrange(1, K.q)]
+        try:
+            covers.append(builtin_extension(K, "kummer_sqrt", c=tuple(c)))
+        except ExtensionError:
+            pass  # c is not squarefree
+    return covers
+
+
+@pytest.mark.parametrize("p,D", [(3, 7), (5, 5)], ids=["F3", "F5"])
+def test_goss_at_s_le_0_agrees_with_lift_and_brute_force(p, D):
+    """On random covers goss at s = 0 and the length-1 lift refuse together
+    or print the same digit, and an accepted goss value at s = -1 or -2 is
+    the sum of B(n) * n^k mod p over the table's entries."""
+    K = gf_create(p)
+    ops = FieldOps(K)
+    for ext in _random_kummer_covers(K, random.Random(22 * p + D), 30):
+        table = dirichlet_table(ext, D)
+        try:
+            goss = str(goss_eval(table, 0, 4)).removesuffix(" [prec 4]")
+        except ZetaError:
+            goss = None
+        try:
+            lift = witt_text(ops, lifted_goss_eval(table, 0, 4, 1))[1:-1]
+        except WittError:
+            lift = None
+        assert goss == lift, ext.xt_coeffs
+        for k in (1, 2):
+            try:
+                got = goss_eval(table, -k, 4)
+            except ZetaError:
+                continue
+            total = ()
+            for n, b in table.entries.items():
+                term = poly.pscale(K, K.from_int(b), poly.ppow(K, n.coeffs, k))
+                total = poly.padd(K, total, term)
+            assert got == LaurentSeries.from_tpoly(K, total, 4), ext.xt_coeffs
 
 
 def expand_inverse_power(K, n_coeffs, s, M):
