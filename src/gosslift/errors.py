@@ -23,12 +23,6 @@ class PolyError(GossliftError):
     tag = "poly"
 
 
-class LaurentError(GossliftError):
-    """Truncated Laurent series precision or domain failures."""
-
-    tag = "laurent"
-
-
 class ExtensionError(GossliftError):
     """Extension configuration, discriminant, or splitting failures."""
 

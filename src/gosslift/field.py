@@ -153,9 +153,6 @@ class FiniteField:
                 and self.p == other.p and self.m == other.m
                 and self.modulus == other.modulus)
 
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
     def __repr__(self):
         return f"GF({self.q})"
 
@@ -545,24 +542,33 @@ def _digit_table(q, digits, term):
     return t
 
 
+def byte_residues(K, d):
+    """b % p for each byte b if polynomials of degree d over K multiply
+    one coefficient per byte of an int, else None: over F_p with
+    (d + 1)(p - 1)^2 < 256 no coefficient of a product leaves its byte."""
+    if K.q == K.p and (d + 1) * (K.p - 1) ** 2 < 256:
+        return bytes(b % K.p for b in range(256))
+    return None
+
+
 def _taylor_shift(K, d):
     """The map f -> f(X - 1) on polynomials of degree d over the table
     field K.
 
-    Over F_p with (d + 1)(p - 1)^2 < 256, f(X - 1) = sum f_i (X - 1)^i is
-    one sum of products of small ints with ints whose bytes are the
+    Where byte_residues allows it, f(X - 1) = sum f_i (X - 1)^i is one
+    sum of products of small ints with ints whose bytes are the
     coefficients of (X - 1)^i reduced mod p: no coefficient of the sum
     carries out of its byte, and bytes.translate reduces it mod p.  Other
     fields shift by Horner's rule on the base field's tables.
     """
     p = K.p
-    if K.q == p and (d + 1) * (p - 1) ** 2 < 256:
+    residues = byte_residues(K, d)
+    if residues:
         rows = []
         binomial = [1]  # (X - 1)^i, constant first
         for _ in range(d + 1):
             rows.append(int.from_bytes(bytes(binomial), "little"))
             binomial = [(a - b) % p for a, b in zip([0] + binomial, binomial + [0])]
-        residues = bytes(b % p for b in range(256))
         return lambda f: tuple(sum(map(operator.mul, f, rows))
                                .to_bytes(d + 1, "little").translate(residues))
     add, neg = K._add, K._neg

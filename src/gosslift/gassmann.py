@@ -60,11 +60,6 @@ def inverse(a):
     return tuple(out)
 
 
-def conjugate(g, x):
-    """g x g^-1."""
-    return _conjugator(g)(x)
-
-
 def _conjugator(g):
     """The map x -> g x g^-1: g*x is one itemgetter call on g, and the
     getter of g^-1 is made once."""
@@ -580,16 +575,6 @@ def psl211_pair():
     return _two_class_pair(psl211(), 60)
 
 
-def symmetric_group(n):
-    if n < 1:
-        raise GroupError("need at least one point")
-    if n == 1:
-        return PermGroup(1, [], name="S1")
-    cyc = tuple(range(1, n)) + (0,)
-    swap = (1, 0) + tuple(range(2, n))
-    return PermGroup(n, [cyc, swap], name=f"S{n}")
-
-
 def _regular_group(size, mult, gen_idx, name):
     """Left regular representation from a multiplication table function."""
     gens = []
@@ -706,8 +691,6 @@ def parse_group_file(path, n=None):
 BUILTIN_GROUPS = {
     "psl27": psl27,
     "klein4": klein4,
-    "s4": lambda: symmetric_group(4),
-    "s5": lambda: symmetric_group(5),
 }
 
 

@@ -16,7 +16,6 @@ witt.py), and series arithmetic lives with the test oracles.
 from __future__ import annotations
 
 from . import poly
-from .errors import LaurentError
 
 
 class LaurentSeries:
@@ -51,14 +50,6 @@ class LaurentSeries:
     # --- constructors ---
 
     @classmethod
-    def zero(cls, field, precision):
-        return cls(field, precision + 1, (), precision)
-
-    @classmethod
-    def one(cls, field, precision):
-        return cls(field, 0, (field.one,), precision)
-
-    @classmethod
     def from_tpoly(cls, field, coeffs, precision):
         """Embed a polynomial in T (tuple, constant term first)."""
         coeffs = poly.ptrim(field, coeffs)
@@ -71,15 +62,6 @@ class LaurentSeries:
     def is_zero(self):
         return not self.coeffs
 
-    def coefficient(self, j):
-        """Coefficient of T^-j, for j up to the precision."""
-        if j > self.precision:
-            raise LaurentError(f"coefficient T^-{j} is beyond precision {self.precision}")
-        i = j - self.valuation
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
-
     # --- comparison and text ---
 
     def __eq__(self, other):
@@ -88,9 +70,6 @@ class LaurentSeries:
                 and self.precision == other.precision
                 and self.valuation == other.valuation
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.valuation, self.coeffs, self.precision))
 
     def __str__(self):
         from .textforms import format_terms

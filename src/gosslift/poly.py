@@ -402,14 +402,6 @@ class MonicPoly:
     def __lt__(self, other):
         return (self.degree, self.coeffs) < (other.degree, other.coeffs)
 
-    def __mul__(self, other):
-        if self.field != other.field:
-            raise PolyError("mixed fields in polynomial product")
-        return MonicPoly(self.field, pmul(self.field, self.coeffs, other.coeffs))
-
-    def __pow__(self, e):
-        return MonicPoly(self.field, ppow(self.field, self.coeffs, e))
-
     def __str__(self):
         from .textforms import format_tpoly
         return format_tpoly(self.field, self.coeffs)

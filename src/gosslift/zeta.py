@@ -18,11 +18,11 @@ of the same table of nonnegative integers:
 Tables carry the bound D up to which they were built; every verdict they
 support is a verdict "for all n of degree <= D" and nothing more.  A
 table is built by expanding the Euler product over the primes of degree
-<= D (dirichlet_table): over F_p with (D + 1)(p - 1)^2 < 256 each product
-is one product of ints whose bytes are the coefficients, elsewhere it
-runs on the base field's tables.  Its text form (dump_table, load_table)
-is written in pieces (dump_blocks), so the whole text of a large table is
-never held at once.
+<= D (dirichlet_table): over F_p with (D + 1)(p - 1)^2 < 256 (the rule
+of field.byte_residues) each product is one product of ints whose bytes
+are the coefficients, elsewhere it runs on the base field's tables.  Its
+text form (dump_table) is output only, written in pieces (dump_blocks),
+so the whole text of a large table is never held at once.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ import itertools
 from types import MappingProxyType
 
 from . import poly, textforms
-from .errors import GossliftError, ZetaError
+from .errors import ZetaError
 from .extension import splitting_types
+from .field import byte_residues
 from .laurent import LaurentSeries
 from .poly import MonicPoly
 from .witt import check_args, check_stopped, ghost_sum, mod_p_series
@@ -61,15 +62,6 @@ def block_start(q, d):
 
 
 TABLE_SIZE_BOUND = 2 ** 24  # the most entries a table may hold
-
-
-def whole_blocks(q, size):
-    """The largest D with block_start(q, D + 1) <= size, or -1, counted up
-    from degree 0 so that a huge D never makes q^D."""
-    top = -1
-    while block_start(q, top + 2) <= size:
-        top += 1
-    return top
 
 
 def rank(K, coeffs):
@@ -146,8 +138,8 @@ def dirichlet_table(ext, bound):
     Each prime P of degree d multiplies in its powers P^k, k <= bound/d:
     P^k's own entry is B(P^k), read from the local counts of its type,
     and every nonzero entry of degree e >= 1 present before P was reached
-    gives one product.  Over F_p with (bound + 1)(p - 1)^2 < 256 a
-    product is one product of ints whose bytes are the coefficients
+    gives one product.  Where field.byte_residues allows it, a product
+    is one product of ints whose bytes are the coefficients
     (_byte_products); other fields multiply on the base field's tables
     (_row_products).  A product of degree above bound - d is never a
     cofactor again, since later primes have degree d or more, so only
@@ -157,7 +149,9 @@ def dirichlet_table(ext, bound):
         raise ZetaError("table bound must be nonnegative")
     K = ext.field
     q = K.q
-    top = whole_blocks(q, TABLE_SIZE_BOUND)
+    top = 0  # counted up from degree 0, so a huge bound never makes q^bound
+    while block_start(q, top + 2) <= TABLE_SIZE_BOUND:
+        top += 1
     if bound > top:
         raise ZetaError(
             f"table bound {bound} over GF({q}) is above {top}, the largest "
@@ -169,8 +163,9 @@ def dirichlet_table(ext, bound):
     # (polynomial, count): a zero cofactor only has zero products, and
     # those the list holds already
     nonzero = [[] for _ in range(bound + 1)]
-    if K.m == 1 and (bound + 1) * (K.p - 1) ** 2 < 256:
-        first, times, rows, expand = _byte_products(K)
+    residues = byte_residues(K, bound)
+    if residues:
+        first, times, rows, expand = _byte_products(K, residues)
     else:
         first, times, rows, expand = _row_products(K)
     for d in range(1, bound + 1):
@@ -208,18 +203,17 @@ def dirichlet_table(ext, bound):
     return DirichletTable(ext.name, K, bound, counts)
 
 
-def _byte_products(K):
+def _byte_products(K, residues):
     """Polynomial products over F_p on ints whose byte i is coefficient i.
 
-    The caller keeps (deg + 1)(p - 1)^2 < 256, so each coefficient of an
-    int product, a sum of at most deg + 1 products of residues, stays in
-    its own byte; bytes.translate reduces the bytes mod p or spells them
-    as base-p digits, low coefficient first, which int() reads as the
-    rank times p plus the leading 1 (p < 16 here, so int() takes base p).
-    Returns (first, times, rows, expand) as dirichlet_table uses them.
+    residues is the table of field.byte_residues, which keeps each
+    coefficient of an int product in its own byte; bytes.translate
+    reduces the bytes mod p (residues) or spells them as base-p digits,
+    low coefficient first, which int() reads as the rank times p plus the
+    leading 1 (p < 16 here, so int() takes base p).  Returns (first,
+    times, rows, expand) as dirichlet_table uses them.
     """
     p = K.p
-    residues = bytes(b % p for b in range(256))
     digits = bytes(ord("0123456789abcdef"[b % p]) for b in range(256))
 
     def first(coeffs):
@@ -472,26 +466,15 @@ def power_marks(K, bound, k):
     return marks
 
 
-# --- table text round trip ---
-
-
-def monic_texts(K, d):
-    """The text of every monic of degree d over K, in rank order.
-
-    The text of n = T^d + c_{d-1} T^{d-1} + ... + c_0 joins the texts of
-    its nonzero terms with " + ", highest degree first.  Split at h = d // 2
-    it is the text of the high terms (T^d down to c_h T^h), then that of
-    the low terms; the low digits are the more significant part of the
-    rank, so the block is a product of two string tables.
-    """
-    highs, lows = _text_halves(K, d)
-    return itertools.chain.from_iterable(
-        [hi + low for hi in highs] if low else highs for low in lows)
+# --- table text ---
 
 
 def _text_halves(K, d):
-    """(highs, lows): the texts of degree d are hi + low for each low in
-    lows, then for each hi in highs; each low text carries its " + "."""
+    """(highs, lows): the texts of the monics of degree d, in rank order,
+    are hi + low for each low in lows, then for each hi in highs.  A high
+    text runs from T^d down to c_h T^h, h = d // 2; each low text carries
+    its " + ".  The low digits are the more significant part of the rank.
+    """
     h = d // 2
     highs = _term_texts(K, h, d, textforms.format_terms(K, [(K.one, d)]))
     return highs, [" + " + low if low else "" for low in _term_texts(K, 0, h)]
@@ -512,7 +495,7 @@ def _term_texts(K, lo, hi, *lead):
 def dump_blocks(table):
     """The text of dump_table in pieces, in order: the header line, then
     one piece for each run of q^(d - d//2) lines of degree d that share
-    their low terms (see monic_texts).  Writing the pieces as they come
+    their low terms (see _text_halves).  Writing the pieces as they come
     keeps one run of text in memory at a time."""
     K, counts = table.field, table.counts
     name = str(table.ext_name).replace(" ", "_")
@@ -533,66 +516,3 @@ def dump_table(table):
     pieces of dump_blocks joined."""
     return "".join(dump_blocks(table))
 
-
-def load_table(text):
-    """Parse dump_table text back into a table.
-
-    Lines may come in any order, but each modulus must be spelled as
-    dump_table spells it.  A malformed header or line, a modulus of degree
-    above the bound or listed twice, or a table that does not hold all
-    (q^(D+1) - 1)/(q - 1) monic moduli of degree <= D raises ZetaError.
-    """
-    header = None
-    lines = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if line.startswith("#"):
-            if header is None:
-                header = _parse_header(line)
-        elif line:
-            lines.append((lineno, line))
-    if header is None:
-        raise ZetaError("table text is missing its header line")
-    name, K, bound = header
-    # a huge header bound fails before q^(D+1) is ever computed
-    top = whole_blocks(K.q, len(lines))
-    if bound > top:
-        raise ZetaError(
-            f"table header has D={bound}, but for a complete table of "
-            f"{len(lines)} moduli the largest degree is {top}")
-    texts = itertools.chain.from_iterable(
-        monic_texts(K, d) for d in range(bound + 1))
-    ranks = dict(zip(texts, itertools.count()))
-    counts = [None] * len(ranks)
-    for lineno, line in lines:
-        try:
-            body, count = line.rsplit(None, 1)
-            b = int(count)
-        except ValueError:
-            raise ZetaError(f"malformed table line {lineno}: {line!r}") from None
-        r = ranks.get(body)
-        if r is None:
-            raise ZetaError(
-                f"table line {lineno}: {body!r} is not a monic polynomial of "
-                f"degree <= {bound} as dump_table spells it")
-        if b < 0:
-            raise ZetaError(f"table line {lineno}: count {b} is negative")
-        if counts[r] is not None:
-            raise ZetaError(f"table line {lineno}: {body} is listed twice")
-        counts[r] = b
-    # at least len(counts) lines, each at its own rank: every rank is filled
-    return DirichletTable(name, K, bound, counts)
-
-
-def _parse_header(line):
-    """(ext name, field, bound) from a '# ext=NAME p=P m=M D=D' line."""
-    from .field import gf_create
-    try:
-        fields = dict(tok.split("=", 1) for tok in line[1:].split())
-        K = gf_create(int(fields["p"]), int(fields.get("m", "1")))
-        bound = int(fields["D"])
-    except (ValueError, KeyError, GossliftError):
-        raise ZetaError(f"malformed table header {line!r}") from None
-    if bound < 0:
-        raise ZetaError(f"table header {line!r} has a negative bound")
-    return fields.get("ext", "?"), K, bound

@@ -5,12 +5,31 @@ fixed the first generator to one representative per conjugacy class: it
 closes every unordered pair of elements whose orders divide k.  The tests
 check that the fast search returns the same subgroups in the same order.
 
-The closure and the element order are computed here with plain list
-products, not with the package's permutation kernel, so the oracle does
-not share the code it checks.
+The closure, the element order and conjugation are computed here with
+plain list products, not with the package's permutation kernel, so the
+oracle does not share the code it checks.  The symmetric groups that the
+tests search are built here too: the program itself never needs one.
 """
 
 from gosslift.errors import GroupError
+from gosslift.gassmann import PermGroup
+
+
+def symmetric_group(n):
+    """Sym(n) on 0..n-1, generated by an n-cycle and a transposition."""
+    if n == 1:
+        return PermGroup(1, [], name="S1")
+    cyc = tuple(range(1, n)) + (0,)
+    swap = (1, 0) + tuple(range(2, n))
+    return PermGroup(n, [cyc, swap], name=f"S{n}")
+
+
+def conjugate(g, x):
+    """g x g^-1, by list products."""
+    inv = [0] * len(g)
+    for i, j in enumerate(g):
+        inv[j] = i
+    return tuple([g[x[i]] for i in inv])
 
 
 def close_generators(gens, n, limit):

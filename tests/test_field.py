@@ -6,9 +6,10 @@ import random
 import pytest
 
 from gosslift.errors import FieldError
-from gosslift.field import FIELD_SIZE_BOUND, FiniteField, ResidueField, gf_create
-from gosslift import poly
-from poly_helpers import sub
+from gosslift.field import (FIELD_SIZE_BOUND, FiniteField, ResidueField,
+                            byte_residues, gf_create)
+from gosslift import field, poly
+from poly_helpers import peval, sub
 
 SMALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
            (2, 4), (5, 2), (3, 3)]
@@ -217,3 +218,33 @@ def test_residue_field_bad_modulus():
         ResidueField(K, (1,))
     with pytest.raises(FieldError):
         ResidueField(K, (0, 2))
+
+
+def test_byte_residues_is_the_one_packing_rule():
+    """Polynomials of degree d pack into bytes over F_p exactly when
+    (d + 1)(p - 1)^2 < 256; never over F_4 or F_16."""
+    assert byte_residues(gf_create(3), 62) == bytes(b % 3 for b in range(256))
+    assert byte_residues(gf_create(3), 63) is None
+    assert byte_residues(gf_create(7), 6) == bytes(b % 7 for b in range(256))
+    assert byte_residues(gf_create(7), 7) is None
+    assert byte_residues(gf_create(2), 254) is not None
+    for p, m in ((2, 2), (2, 4)):
+        assert byte_residues(gf_create(p, m), 1) is None
+
+
+@pytest.mark.parametrize("p, m, d", [(2, 1, 9), (3, 1, 6), (7, 1, 6),
+                                     (7, 1, 7), (2, 2, 4)])
+def test_taylor_shift_on_both_paths(p, m, d, monkeypatch):
+    """f -> f(X - 1), byte-packed where byte_residues allows it and by
+    Horner's rule always, checked at every point of the field."""
+    K = gf_create(p, m)
+    shifts = [field._taylor_shift(K, d)]
+    monkeypatch.setattr(field, "byte_residues", lambda K, d: None)
+    shifts.append(field._taylor_shift(K, d))
+    rng = random.Random(d)
+    for _ in range(20):
+        f = tuple(rng.randrange(K.q) for _ in range(d)) + (1,)
+        for shift in shifts:
+            g = shift(f)
+            for x in K.elements():
+                assert peval(K, g, x) == peval(K, f, sub(K, x, K.one))

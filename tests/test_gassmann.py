@@ -9,16 +9,16 @@ from gosslift import gassmann
 from gosslift.errors import GroupError
 from gosslift.gassmann import (PermGroup, all_subgroups_of_order, are_conjugate,
                                builtin_group, cayley_komatsu, close_generators,
-                               compose, conjugacy_classes_of, conjugate,
+                               compose, conjugacy_classes_of,
                                coset_cycle_type, coset_types, cycle_type,
                                cyclic_subgroup_classes, format_perm,
                                gassmann_by_cycle_type, gassmann_check,
                                identity_perm, inverse, parse_perm,
                                parse_group_file, parse_group_text, perm_order,
                                psl27, psl27_pair, psl211, psl211_pair, klein4,
-                               subgroups_of_order, symmetric_group)
+                               subgroups_of_order)
 import subgroup_oracle
-from subgroup_oracle import oracle_subgroups_of_order
+from subgroup_oracle import conjugate, oracle_subgroups_of_order, symmetric_group
 
 
 def test_compose_applies_right_factor_first():
@@ -37,6 +37,7 @@ def test_perm_primitives():
     assert cycle_type(parse_perm("(1 2)", 4)) == (1, 1, 2)
     h = parse_perm("(1 2)", 3)
     x = parse_perm("(1 3)", 3)
+    assert gassmann._conjugator(h)(x) == parse_perm("(2 3)", 3)
     assert conjugate(h, x) == parse_perm("(2 3)", 3)
 
 
@@ -81,9 +82,6 @@ def test_perm_group_validation(monkeypatch):
     monkeypatch.setattr(gassmann, "CLOSURE_BOUND", 3)
     with pytest.raises(GroupError):
         PermGroup(6, [parse_perm("(1 2 3 4 5 6)", 6)])
-    with pytest.raises(GroupError):
-        symmetric_group(0)
-    assert symmetric_group(1).order == 1
 
 
 def test_close_generators_limit(monkeypatch):
@@ -343,8 +341,6 @@ def test_parse_group_file(tmp_path):
 def test_builtin_group():
     assert builtin_group("psl27").order == 168
     assert builtin_group("klein4").order == 4
-    assert builtin_group("s4").order == 24
-    assert builtin_group("s5").order == 120
     with pytest.raises(GroupError):
         builtin_group("monster")
 
@@ -465,8 +461,8 @@ def test_found_subgroups_are_generated_by_their_generators(make, orders):
 
 def test_groups_on_one_and_two_points():
     e1, e2, t = (0,), (0, 1), (1, 0)
-    assert compose(e1, e1) == e1 and conjugate(e1, e1) == e1
-    assert compose(t, t) == e2 and conjugate(t, t) == t
+    assert compose(e1, e1) == e1 and gassmann._conjugator(e1)(e1) == e1
+    assert compose(t, t) == e2 and gassmann._conjugator(t)(t) == t
     assert close_generators([e1], 1, 1) == {e1}
     assert close_generators([t], 2, 2) == {e2, t}
     assert close_generators([t], 2, 1) is None

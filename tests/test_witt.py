@@ -357,7 +357,7 @@ def random_series(rng, K, precision):
     one; about one in five is zero."""
     prec = precision + rng.randrange(-3, 3)
     if rng.randrange(5) == 0:
-        return LaurentSeries.zero(K, prec)
+        return LaurentSeries(K, 0, (), prec)
     v = rng.randrange(-3, 4)
     coeffs = [rng.randrange(K.q) for _ in range(rng.randrange(1, 5))]
     return LaurentSeries(K, v, coeffs, prec)

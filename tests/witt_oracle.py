@@ -14,9 +14,10 @@ polynomials back into sympy expressions for the ghost-identity checks.
 
 `series_add`, `series_mul`, `series_pow`, `laurent_inv_pow` and their
 neighbours are the Laurent series arithmetic gosslift.laurent used to
-carry.  Arithmetic tracks precision conservatively: a sum is known to
-the smaller of the two precisions, a product additionally loses whatever
-a negative valuation amplifies.
+carry, with `coefficient` to read a series and `LaurentError` for what
+the arithmetic refuses.  Arithmetic tracks precision conservatively: a
+sum is known to the smaller of the two precisions, a product
+additionally loses whatever a negative valuation amplifies.
 
 `FieldRing` and `LaurentRing` add ring arithmetic to the package's
 coordinate rings.  `witt_add`, `witt_mul`, `witt_neg` and `witt_sub`
@@ -38,7 +39,7 @@ one series for every entry that is nonzero mod p^j.
 import sympy
 
 from gosslift import poly
-from gosslift.errors import LaurentError, WittError
+from gosslift.errors import GossliftError, WittError
 from gosslift.laurent import LaurentSeries
 from gosslift.witt import (FieldOps, GaloisRing, LaurentOps, WittPolys,
                            WittVector, witt_structure_polys)
@@ -105,6 +106,20 @@ def witt_structure_exprs(p, N):
 # --- Laurent series arithmetic ---
 
 
+class LaurentError(GossliftError):
+    """Truncated Laurent series precision or domain failures."""
+
+    tag = "laurent"
+
+
+def coefficient(x, j):
+    """Coefficient of T^-j in the series x, for j up to its precision."""
+    if j > x.precision:
+        raise LaurentError(f"coefficient T^-{j} is beyond precision {x.precision}")
+    i = j - x.valuation
+    return x.coeffs[i] if 0 <= i < len(x.coeffs) else x.field.zero
+
+
 def _check(a, b):
     if not isinstance(b, LaurentSeries) or b.field != a.field:
         raise LaurentError("mixed coefficient fields in Laurent arithmetic")
@@ -147,10 +162,10 @@ def series_mul(a, b):
     va, vb = a.valuation, b.valuation
     prec = min(a.precision, b.precision, va + b.precision, vb + a.precision)
     if a.is_zero or b.is_zero:
-        return LaurentSeries.zero(K, prec)
+        return LaurentSeries(K, 0, (), prec)
     width = prec - (va + vb) + 1
     if width <= 0:
-        return LaurentSeries.zero(K, prec)
+        return LaurentSeries(K, 0, (), prec)
     out = [K.zero] * width
     add, mul, z = K.add, K.mul, K.zero
     for i, x in enumerate(a.coeffs):
@@ -167,7 +182,7 @@ def series_mul(a, b):
 def series_scale(a, element):
     K = a.field
     if element == K.zero:
-        return LaurentSeries.zero(K, a.precision)
+        return LaurentSeries(K, 0, (), a.precision)
     return LaurentSeries(K, a.valuation, [K.mul(element, c) for c in a.coeffs],
                          a.precision)
 
@@ -176,7 +191,7 @@ def series_pow(a, e):
     if e < 0:
         raise LaurentError("negative powers need an explicit expansion")
     if e == 0:
-        return LaurentSeries.one(a.field, a.precision)
+        return LaurentSeries(a.field, 0, (a.field.one,), a.precision)
     # from the base, not from a 1 that costs a product and precision
     return poly.power(series_mul, a, a, e - 1)
 
@@ -249,8 +264,8 @@ class LaurentRing(LaurentOps):
 
     def __init__(self, field, precision):
         super().__init__(field, precision)
-        self.zero = LaurentSeries.zero(field, precision)
-        self.one = LaurentSeries.one(field, precision)
+        self.zero = LaurentSeries(field, 0, (), precision)
+        self.one = LaurentSeries(field, 0, (field.one,), precision)
 
     def from_int(self, k):
         return LaurentSeries(self.field, 0, (self.field.from_int(k),),
