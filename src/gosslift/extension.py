@@ -59,7 +59,7 @@ class SplittingType:
     """Multiset of (ramification index, inertia degree) pairs above a prime.
 
     Stored sorted ascending by (inertia degree, ramification index), so
-    equal multisets compare equal.
+    equal multisets have equal pairs.
     """
 
     __slots__ = ("pairs",)
@@ -70,12 +70,6 @@ class SplittingType:
         for e, f in self.pairs:
             if e < 1 or f < 1:
                 raise ExtensionError("splitting type entries must be positive")
-
-    def __eq__(self, other):
-        return isinstance(other, SplittingType) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
 
     @property
     def degree(self):
@@ -174,11 +168,7 @@ def _builtin_cover(base, kind, params):
         if not 1 <= m <= textforms.MAX_TEXT_DEGREE:
             raise ExtensionError(
                 f"artin_schreier needs 1 <= m <= {textforms.MAX_TEXT_DEGREE}")
-        p = base.p
-        tm = (base.zero,) * m + (base.one,)
-        # X^p - X - T^m
-        cols = [poly.pneg(base, tm), (base.neg(base.one),)] + [()] * (p - 2) + [(base.one,)]
-        return f"AS_m{m}", cols, {}
+        return f"AS_m{m}", textforms.parse_xt_poly(base, f"X^{base.p} - X - T^{m}"), {}
     if kind == "kummer_sqrt":
         if base.p == 2:
             raise ExtensionError("kummer_sqrt needs odd characteristic")
@@ -193,15 +183,11 @@ def _builtin_cover(base, kind, params):
         c = poly.ptrim(base, c)
         if not c:
             raise ExtensionError("kummer_sqrt needs nonzero c")
-        cp = poly.pderiv(base, c)
-        if poly.pdeg(c) > 0 and (not cp or poly.pdeg(poly.pgcd(base, c, cp)) > 0):
+        factors = poly.factor_monic(base, c)
+        if any(mult > 1 for _, mult in factors):
             raise ExtensionError("kummer_sqrt needs squarefree c")
-        overrides = {}
-        if poly.pdeg(c) > 0:
-            for prime, mult in poly.factor_monic(base, c):
-                overrides[prime] = SplittingType(((2, 1),))
-        cols = (poly.pneg(base, c), (), (base.one,))
-        return "K_sqrt", cols, overrides
+        overrides = {prime: SplittingType(((2, 1),)) for prime, _ in factors}
+        return "K_sqrt", (poly.pneg(base, c), (), (base.one,)), overrides
     raise ExtensionError(f"unknown builtin extension kind {kind!r}")
 
 
@@ -244,8 +230,6 @@ def _resultant(K, f, g):
     """Res_X of two polynomials in X over A = K[T], via fraction-free elimination."""
     m, n = len(f) - 1, len(g) - 1
     size = m + n
-    if size == 0:
-        return (K.one,)
     rows = []
     for i in range(n):
         row = [()] * size

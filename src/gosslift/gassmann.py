@@ -23,6 +23,7 @@ table is built once per subgroup.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -575,29 +576,6 @@ def psl211_pair():
     return _two_class_pair(psl211(), 60)
 
 
-def _regular_group(size, mult, gen_idx, name):
-    """Left regular representation from a multiplication table function."""
-    gens = []
-    for g in gen_idx:
-        row = tuple(mult(g, x) for x in range(size))
-        if sorted(row) != list(range(size)):
-            raise GroupError("multiplication table row is not a permutation")
-        gens.append(row)
-    G = PermGroup(size, gens, name=name)
-    if G.order != size:
-        raise GroupError(
-            f"regular representation closed to {G.order}, expected {size}")
-    return G
-
-
-def _triple(i):
-    return (i // 9, (i // 3) % 3, i % 3)
-
-
-def _index(a, b, c):
-    return (a % 3) * 9 + (b % 3) * 3 + (c % 3)
-
-
 def cayley_komatsu(ell=3):
     """Two order-27 exponent-3 groups as regular subgroups of Sym(27).
 
@@ -612,21 +590,18 @@ def cayley_komatsu(ell=3):
     """
     if ell != 3:
         raise GroupError("only ell = 3 is supported")
+    # point 9a + 3b + c is the triple (a, b, c), in product order
+    points = list(itertools.product(range(3), repeat=3))
 
-    def mult_ab(i, j):
-        a, b, c = _triple(i)
-        d, e, f = _triple(j)
-        return _index(a + d, b + e, c + f)
+    def left(twist, a, b, c):
+        """Left translation by (a, b, c): (a, b, c)(d, e, f) is
+        (a + d, b + e, c + f + twist * a * e), entries mod 3."""
+        return [9 * ((a + d) % 3) + 3 * ((b + e) % 3) + (c + f + twist * a * e) % 3
+                for d, e, f in points]
 
-    def mult_heis(i, j):
-        a, b, c = _triple(i)
-        d, e, f = _triple(j)
-        return _index(a + d, b + e, c + f + a * e)
-
-    ab = _regular_group(27, mult_ab, [_index(1, 0, 0), _index(0, 1, 0),
-                                      _index(0, 0, 1)], "elem-abelian-27")
-    heis = _regular_group(27, mult_heis, [_index(1, 0, 0), _index(0, 1, 0)],
-                          "heisenberg-27")
+    ab = PermGroup(27, [left(0, 1, 0, 0), left(0, 0, 1, 0), left(0, 0, 0, 1)],
+                   name="elem-abelian-27")
+    heis = PermGroup(27, [left(1, 1, 0, 0), left(1, 0, 1, 0)], name="heisenberg-27")
     return ab, heis
 
 

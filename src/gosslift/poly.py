@@ -207,11 +207,9 @@ def _frobenius_mod(K, h, f, rows):
     return ptrim(K, acc)
 
 
-def field_power_mod(K, h, f, rows=None):
-    """h^order(K) mod f, for monic f of degree >= 1."""
-    d = pdeg(f)
-    if rows is None:
-        rows = _reduction_rows(K, f, max(d - 1, (d - 1) * K.p))
+def field_power_mod(K, h, f, rows):
+    """h^order(K) mod f, for monic f of degree d >= 1, given the reduction
+    rows of f through degree (d - 1) * p (_reduction_rows)."""
     steps = 1
     q = K.order
     p = K.p

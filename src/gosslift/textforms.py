@@ -1,4 +1,4 @@
-"""Text form for polynomials over F_q.
+r"""Text form for polynomials over F_q.
 
 Grammar (whitespace ignored):
 
@@ -6,6 +6,10 @@ Grammar (whitespace ignored):
     term   := factor ( '*' factor )*
     factor := INT | 'g' ['^' INT] | 'T' ['^' INT] | 'X' ['^' INT]
 
+Text is split into tokens by one pattern, (\d+)|([-+*^])|([gTX])|(\S).
+INT is a run of the decimal digits int() reads, other scripts' digits
+among them; every other non-space character, a superscript digit too,
+is refused as unexpected.
 Integer coefficients are reduced mod p; 'g' is the residue class of the
 modulus variable and is only meaningful over F_{p^m} with m > 1.  The X
 variable is accepted only where a defining polynomial is expected.
@@ -14,6 +18,8 @@ coefficients as residues 0..p-1, joined with ' + '.
 """
 
 from __future__ import annotations
+
+import re
 
 from . import poly
 from .errors import PolyError
@@ -25,32 +31,19 @@ MAX_TEXT_DEGREE = 1000
 
 def _tokens(text):
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+    for match in re.finditer(r"(\d+)|([-+*^])|([gTX])|(\S)", text):
+        digits, op, var, bad = match.groups()
+        if digits:
             try:
-                toks.append(("int", int(text[i:j])))
+                toks.append(("int", int(digits)))
             except ValueError:  # past the interpreter's digit limit
-                raise PolyError(f"integer of {j - i} digits is too long") from None
-            i = j
-            continue
-        if ch in "+-*^":
-            toks.append((ch, ch))
-            i += 1
-            continue
-        if ch in "gTX":
-            toks.append(("var", ch))
-            i += 1
-            continue
-        raise PolyError(f"unexpected character {ch!r} in polynomial text")
+                raise PolyError(f"integer of {len(digits)} digits is too long") from None
+        elif op:
+            toks.append((op, op))
+        elif var:
+            toks.append(("var", var))
+        else:
+            raise PolyError(f"unexpected character {bad!r} in polynomial text")
     return toks
 
 
@@ -124,16 +117,23 @@ def _parse_sum(field, text, allow_x):
     return acc
 
 
+def _columns(field, acc):
+    """{(X-degree, T-degree): c} as a tuple of trimmed T-coefficient
+    tuples indexed by X-degree, with no zero column at the top."""
+    cols = [[] for _ in range(1 + max(xd for xd, _ in acc))]
+    for (xd, td), c in acc.items():
+        cols[xd].extend([field.zero] * (td + 1 - len(cols[xd])))
+        cols[xd][td] = c
+    cols = [poly.ptrim(field, col) for col in cols]
+    while cols and not cols[-1]:
+        cols.pop()
+    return tuple(cols)
+
+
 def parse_tpoly(field, text):
     """Polynomial in T as a coefficient tuple, constant term first."""
-    acc = _parse_sum(field, text, allow_x=False)
-    if not acc:
-        return ()
-    maxd = max(td for (_, td) in acc)
-    out = [field.zero] * (maxd + 1)
-    for (_, td), c in acc.items():
-        out[td] = c
-    return poly.ptrim(field, out)
+    cols = _columns(field, _parse_sum(field, text, allow_x=False))
+    return cols[0] if cols else ()
 
 
 def parse_monic(field, text):
@@ -146,23 +146,7 @@ def parse_xt_poly(field, text):
 
     Returns a tuple of T-coefficient tuples, indexed by the X degree.
     """
-    acc = _parse_sum(field, text, allow_x=True)
-    if not acc:
-        return ()
-    maxx = max(xd for (xd, _) in acc)
-    cols = []
-    for xd in range(maxx + 1):
-        tds = {td: c for (x, td), c in acc.items() if x == xd}
-        if tds:
-            out = [field.zero] * (max(tds) + 1)
-            for td, c in tds.items():
-                out[td] = c
-            cols.append(poly.ptrim(field, out))
-        else:
-            cols.append(())
-    while cols and not cols[-1]:
-        cols.pop()
-    return tuple(cols)
+    return _columns(field, _parse_sum(field, text, allow_x=True))
 
 
 # --- printing ---
@@ -191,21 +175,14 @@ def _piece(digit, gexp, var_parts):
     return "*".join(factors) if factors else "1"
 
 
-def _var_part(var, exp):
-    if exp == 0:
-        return None
-    if exp == 1:
-        return var
-    return f"{var}^{exp}"
-
-
 def format_terms(field, pairs):
-    """Render [(element, exponent)] as grammar text; exponents may be negative."""
+    """Render [(element, T-exponent[, X-exponent])] as grammar text, each
+    term as its T power then its X power; exponents may be negative."""
     parts = []
-    for elem, exp in pairs:
+    for elem, *exps in pairs:
         if elem == field.zero:
             continue
-        vp = [p for p in [_var_part("T", exp)] if p]
+        vp = [var if e == 1 else f"{var}^{e}" for var, e in zip("TX", exps) if e]
         for digit, gexp in _element_monomials(field, elem):
             parts.append(_piece(digit, gexp, vp))
     return " + ".join(parts) if parts else "0"
@@ -217,14 +194,6 @@ def format_tpoly(field, coeffs):
 
 
 def format_xt_poly(field, xcoeffs):
-    parts = []
-    for xd in range(len(xcoeffs) - 1, -1, -1):
-        tc = xcoeffs[xd]
-        for td in range(len(tc) - 1, -1, -1):
-            elem = tc[td]
-            if elem == field.zero:
-                continue
-            vp = [p for p in [_var_part("T", td), _var_part("X", xd)] if p]
-            for digit, gexp in _element_monomials(field, elem):
-                parts.append(_piece(digit, gexp, vp))
-    return " + ".join(parts) if parts else "0"
+    return format_terms(field, [(tc[td], td, xd)
+                                for xd, tc in reversed(list(enumerate(xcoeffs)))
+                                for td in range(len(tc) - 1, -1, -1)])

@@ -126,11 +126,6 @@ class DirichletTable:
         counts, s = self.counts, self.starts
         return [sum(counts[s[d]:s[d + 1]]) for d in range(self.bound + 1)]
 
-    def __eq__(self, other):
-        return (isinstance(other, DirichletTable)
-                and self.field == other.field and self.bound == other.bound
-                and self.counts == other.counts)
-
 
 def dirichlet_table(ext, bound):
     """Build the table of B(n) for deg n <= bound by expanding the Euler product.
@@ -281,8 +276,7 @@ def _row_products(K):
 class WeilSeries:
     """Degree-block ideal counts a_d = sum of B(n) over deg n = d."""
 
-    def __init__(self, ext_name, bound, coeffs):
-        self.ext_name = ext_name
+    def __init__(self, bound, coeffs):
         self.bound = bound
         self.coeffs = coeffs
 
@@ -293,7 +287,7 @@ class WeilSeries:
 
 
 def weil_series(table):
-    return WeilSeries(table.ext_name, table.bound, tuple(table.block_sums()))
+    return WeilSeries(table.bound, tuple(table.block_sums()))
 
 
 # --- zeta evaluation mod p ---
@@ -340,8 +334,7 @@ def _power_blocks(table, k):
 
 
 class ZetaVerdict:
-    def __init__(self, kind, equal, bound, witness=None, left=None, right=None):
-        self.kind = kind
+    def __init__(self, equal, bound, witness=None, left=None, right=None):
         self.equal = equal
         self.bound = bound
         self.witness = witness  # MonicPoly or degree int
@@ -378,8 +371,8 @@ def compare_zeta(table_a, table_b, kind):
     if kind == "weil":
         for d, (x, y) in enumerate(zip(table_a.block_sums(), table_b.block_sums())):
             if x != y:
-                return ZetaVerdict("weil", False, bound, d, x, y)
-        return ZetaVerdict("weil", True, bound)
+                return ZetaVerdict(False, bound, d, x, y)
+        return ZetaVerdict(True, bound)
     if kind not in ("goss", "lifted"):
         raise ZetaError(f"unknown comparison kind {kind!r}")
     if kind == "goss":
@@ -388,8 +381,8 @@ def compare_zeta(table_a, table_b, kind):
         counts_b = [b % p for b in counts_b]
     for r, (b, c) in enumerate(zip(counts_a, counts_b)):
         if b != c:
-            return ZetaVerdict(kind, False, bound, unrank(table_a.field, r), b, c)
-    return ZetaVerdict(kind, True, bound)
+            return ZetaVerdict(False, bound, unrank(table_a.field, r), b, c)
+    return ZetaVerdict(True, bound)
 
 
 # --- splitting reconstruction from residues ---

@@ -31,7 +31,7 @@ def test_splitting_type_basics():
     assert st.degree == 3
     assert st.inertia_degrees() == (1, 1)
     assert str(st) == "(1,1),(2,1)"
-    assert SplittingType(((1, 1), (1, 2))) == SplittingType(((1, 2), (1, 1)))
+    assert SplittingType(((1, 1), (1, 2))).pairs == SplittingType(((1, 2), (1, 1))).pairs
     with pytest.raises(ExtensionError):
         SplittingType(((0, 1),))
     with pytest.raises(ExtensionError):
@@ -127,8 +127,11 @@ def test_builtin_kummer():
         builtin_extension(gf_create(2), "kummer_sqrt", c="T")
     with pytest.raises(ExtensionError):
         builtin_extension(K, "kummer_sqrt", c="0")
-    with pytest.raises(ExtensionError):
-        builtin_extension(K, "kummer_sqrt", c="T^2")  # not squarefree
+    # T^3 has zero derivative over F_3
+    for c in ("T^2", "T^3", "T^3 + 2*T^2 + T"):
+        with pytest.raises(ExtensionError, match="kummer_sqrt needs squarefree c"):
+            builtin_extension(K, "kummer_sqrt", c=c)
+    assert builtin_extension(gf_create(5), "kummer_sqrt", c="2").overrides == {}
     with pytest.raises(ExtensionError):
         builtin_extension(K, "kummer_sqrt")
     with pytest.raises(ExtensionError):

@@ -6,6 +6,7 @@ import pytest
 
 from gosslift.errors import PolyError
 from gosslift.field import gf_create
+from gosslift.poly import ptrim
 from gosslift.textforms import (MAX_TEXT_DEGREE, format_terms, format_tpoly,
                                 format_xt_poly, parse_monic, parse_tpoly,
                                 parse_xt_poly)
@@ -124,14 +125,23 @@ def test_format_xt_poly():
 
 
 def test_round_trips():
+    """Seeded random polynomials in T, and in X over F_q[T], print and parse
+    back to themselves, g coefficients included over F_4 and F_9."""
     rng = random.Random(0)
-    for p, m in ((3, 1), (5, 1), (3, 2)):
+    for p, m in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2)):
         K = gf_create(p, m)
+
+        def tpoly():
+            return ptrim(K, [rng.randrange(K.q) for _ in range(rng.randrange(1, 6))])
+
         for _ in range(50):
-            coeffs = tuple(rng.randrange(K.q) for _ in range(rng.randrange(1, 6)))
-            import gosslift.poly as poly
-            trimmed = poly.ptrim(K, coeffs)
-            assert parse_tpoly(K, format_tpoly(K, trimmed)) == trimmed
+            coeffs = tpoly()
+            assert parse_tpoly(K, format_tpoly(K, coeffs)) == coeffs
+            cols = [tpoly() for _ in range(rng.randrange(1, 5))]
+            while cols and not cols[-1]:
+                cols.pop()
+            xt = tuple(cols)
+            assert parse_xt_poly(K, format_xt_poly(K, xt)) == xt
 
 
 def test_xt_round_trips_builtins():
@@ -141,3 +151,52 @@ def test_xt_round_trips_builtins():
         xt = parse_xt_poly(K, text)
         assert format_xt_poly(K, xt) == text
         assert parse_xt_poly(K, format_xt_poly(K, xt)) == xt
+
+
+# (text, error) pairs that both parsers give over every field
+BAD_TEXTS = [
+    ("", "empty polynomial text"),
+    ("T T", "terms must be joined by '+' or '-'"),
+    ("2 3", "terms must be joined by '+' or '-'"),
+    ("T^", "expected an integer exponent after '^'"),
+    ("T^-1", "expected an integer exponent after '^'"),
+    ("T*", "expected a factor"),
+    ("*T", "unexpected '*' in polynomial term"),
+    ("+", "dangling sign in polynomial text"),
+    ("T -", "dangling sign in polynomial text"),
+    ("T^1001", "term degree 1001 exceeds the bound 1000"),
+    ("9" * 5000, "integer of 5000 digits is too long"),
+    ("T + @", "unexpected character '@' in polynomial text"),
+    ("3^2", "terms must be joined by '+' or '-'"),
+    ("T^2^3", "terms must be joined by '+' or '-'"),
+    ("(T)", "unexpected character '(' in polynomial text"),
+]
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (2, 2)])
+def test_parse_error_texts(p, m):
+    K = gf_create(p, m)
+    cases = [(parse, text, error) for text, error in BAD_TEXTS
+             for parse in (parse_tpoly, parse_xt_poly)]
+    cases.append((parse_tpoly, "X", "unexpected X in a polynomial in T"))
+    if m == 1:
+        cases += [(parse, "g", "generator g needs an extension coefficient field")
+                  for parse in (parse_tpoly, parse_xt_poly)]
+    for parse, text, error in cases:
+        with pytest.raises(PolyError) as info:
+            parse(K, text)
+        assert str(info.value) == error, (parse.__name__, text)
+
+
+def test_superscript_digits_are_refused_and_decimal_digits_read():
+    """A superscript two is a digit to str.isdigit but not to int(): it is
+    an unexpected character.  A decimal digit of another script is one
+    that int() reads (Arabic-Indic two is 2)."""
+    K = gf_create(3)
+    for parse in (parse_tpoly, parse_xt_poly):
+        for text in ("T\u00b2 + 1", "T^\u00b2"):
+            with pytest.raises(PolyError) as info:
+                parse(K, text)
+            assert str(info.value) == "unexpected character '\u00b2' in polynomial text"
+    assert parse_tpoly(K, "\u0662*T + T^\u0662") == (0, 2, 1)
+    assert parse_xt_poly(K, "X^\u0662 - \u0662") == ((1,), (), (1,))

@@ -204,7 +204,7 @@ def test_table_types_match_splitting_type(p, m, bound):
             got = [(MonicPoly(K, prime), st) for prime, st in splitting_types(ext, d)]
             assert [prime for prime, _ in got] == enumerate_monic_irreducibles(K, d)
             for prime, st in got:
-                assert st == splitting_type(ext, prime)
+                assert st.pairs == splitting_type(ext, prime).pairs
                 seen.add(st.pairs)
                 counts = local_counts(st, bound // d)
                 for k in range(1, bound // d + 1):
@@ -257,11 +257,11 @@ def test_splitting_type_routes_ramified_primes_to_overrides():
         ExtensionSpec("K", K, cols, overrides={parse_monic(K, "T"): ramified})
     ext = ExtensionSpec("K", K, cols, overrides={parse_monic(K, "T"): ramified,
                                                  parse_monic(K, "T + 1"): ramified})
-    assert splitting_type(ext, parse_monic(K, "T + 1")) == ramified
+    assert splitting_type(ext, parse_monic(K, "T + 1")).pairs == ramified.pairs
     assert splitting_type(ext, parse_monic(K, "T + 2")).degree == 2
     types = dict(splitting_types(ext, 1))
-    assert types[(1, 1)] == ramified
-    assert types[(2, 1)] == splitting_type(ext, parse_monic(K, "T + 2"))
+    assert types[(1, 1)].pairs == ramified.pairs
+    assert types[(2, 1)].pairs == splitting_type(ext, parse_monic(K, "T + 2")).pairs
 
 
 def test_splitting_evaluates_no_discriminant(monkeypatch):
@@ -298,9 +298,14 @@ def test_splitting_evaluates_no_discriminant(monkeypatch):
     assert calls["discriminant"] == calls["_resultant"] == 0
 
 
+def type_pairs(got):
+    """(prime, splitting type pairs) for each (prime, type) of got."""
+    return [(prime, st.pairs) for prime, st in got]
+
+
 def model_path_types(ext, d):
-    """splitting_types with the distinct-degree last step at every prime,
-    on values at the roots taken by Horner's rule."""
+    """type_pairs of splitting_types with the distinct-degree last step at
+    every prime, on values at the roots taken by Horner's rule."""
     F = ext.field.zech_field(d)
     disc = extension.discriminant(ext).coeffs
     out = []
@@ -310,7 +315,7 @@ def model_path_types(ext, d):
             assert peval(F, disc, alpha)
             st = extension._reduced_type(
                 F, tuple(peval(F, c, alpha) for c in ext.xt_coeffs))
-        out.append((prime, st))
+        out.append((prime, st.pairs))
     return out
 
 
@@ -365,7 +370,7 @@ def test_root_counts_match_distinct_degree_types(make, bound, monkeypatch):
     for d in range(1, bound + 1):
         got = list(splitting_types(ext, d))
         assert not calls
-        assert got == model_path_types(ext, d)
+        assert type_pairs(got) == model_path_types(ext, d)
         seen |= {st.pairs for _, st in got}
         calls.clear()
     if ext.degree > 1:
@@ -416,7 +421,7 @@ def test_root_counts_without_the_sweep(make, monkeypatch):
     while q ** d <= 4096:
         got = list(splitting_types(ext, d))
         assert not calls
-        assert got == model_path_types(ext, d)
+        assert type_pairs(got) == model_path_types(ext, d)
         seen |= {st.pairs for prime, st in got
                  if MonicPoly(ext.field, prime) not in ext.overrides}
         calls.clear()
@@ -461,6 +466,6 @@ def test_other_covers_fall_back_to_distinct_degree_types(monkeypatch):
             factored = sum(MonicPoly(ext.field, prime) not in ext.overrides
                            for prime, _ in got)
             assert len(calls) == factored > 0
-            assert got == model_path_types(ext, d)
+            assert type_pairs(got) == model_path_types(ext, d)
             calls.clear()
 
