@@ -146,8 +146,8 @@ def builtin_extension(base, kind, name=None, **params):
 
     artin_schreier(m): X^p - X - T^m, unramified at every finite prime,
                        for 1 <= m <= textforms.MAX_TEXT_DEGREE.
-    kummer_sqrt(c):    X^2 - c for squarefree c, p odd; every prime factor
-                       of c is overridden as ramified (2,1).
+    kummer_sqrt(c):    X^2 - c, p odd, c squarefree and not a constant
+                       square; c's prime factors are overridden as (2,1).
     """
     default, cols, overrides = _builtin_cover(base, kind, params)
     return ExtensionSpec(name or default, base, cols, overrides)
@@ -183,6 +183,8 @@ def _builtin_cover(base, kind, params):
         c = poly.ptrim(base, c)
         if not c:
             raise ExtensionError("kummer_sqrt needs nonzero c")
+        if len(c) == 1 and base.pow_(c[0], (base.q - 1) // 2) == base.one:
+            raise ExtensionError("kummer_sqrt needs c that is not a square in F_q")
         factors = poly.factor_monic(base, c)
         if any(mult > 1 for _, mult in factors):
             raise ExtensionError("kummer_sqrt needs squarefree c")

@@ -32,7 +32,8 @@ where S~_i is coordinate i with its F_p digits read as integers.  The
 division by p^k must be exact in every coefficient; when it is not, the
 evaluation raises WittError, so every value checks itself.  All series
 are power series in u truncated after u^M, so every coordinate is known
-to precision exactly M.
+to precision exactly M; it is kept as the record it prints (LaurentSeries),
+as goss values are, and nothing in the package does arithmetic on it.
 
 Integers enter W_N through their Teichmuller digits: in W(F_p) = Z_p an
 integer is k = sum p^i [a_i], where [a] = a^(p^(N-1)) mod p^N, so
@@ -49,7 +50,6 @@ from functools import lru_cache
 from . import textforms
 from .errors import WittError
 from .field import _is_prime
-from .laurent import LaurentSeries
 from .poly import power
 
 WITT_LEN_BOUND = 64  # the longest Witt vectors a lifted zeta may use
@@ -149,16 +149,30 @@ class FieldOps:
         return textforms.format_terms(self.field, [(a, 0)])
 
 
-class LaurentOps:
+class LaurentOps(FieldOps):
     """Witt coordinate ring: Laurent series at fixed precision."""
 
     def __init__(self, field, precision):
-        self.field = field
-        self.p = field.p
+        super().__init__(field)
         self.precision = precision
 
     def render(self, a):
         return str(a)
+
+
+class LaurentSeries(namedtuple("LaurentSeries", "field terms precision")):
+    """A series as it prints: nonzero (coefficient, T-exponent) terms, highest first."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        return f"{textforms.format_terms(self.field, self.terms)} [prec {self.precision}]"
+
+
+def laurent(K, top, coeffs, M):
+    """The series sum coeffs[i] * T^(top - i) over K, at precision M."""
+    return LaurentSeries(K, tuple((c, top - i) for i, c in enumerate(coeffs)
+                                  if c != K.zero), M)
 
 
 class WittVector(namedtuple("WittVector", "p N coords")):
@@ -294,7 +308,7 @@ def ghost_sum(table, e, M, j):
 
 def mod_p_series(K, w, M):
     """The Laurent series over K of a series over GR, read mod p."""
-    return LaurentSeries(K, 0, [K.element_from_coords(c) for c in w], M)
+    return laurent(K, 0, [K.element_from_coords(c) for c in w], M)
 
 
 # --- the lifted zeta ---

@@ -10,7 +10,8 @@ of the same table of nonnegative integers:
 
   * the counting (Weil) series sums B over each degree block,
   * the positive-characteristic zeta reduces B mod p and pairs it with
-    Laurent expansions of n^-s at the infinite place,
+    Laurent expansions of n^-s at the infinite place, into the printed
+    record witt.LaurentSeries (a polynomial in T at s <= 0),
   * the lifted zeta (see witt.py) keeps B as an integer mod p^N; at s <= 0
     it and the mod-p zeta sum the whole table and stop by one rule
     (check_stopped), so the Goss value at s = 0 is its lift's first digit.
@@ -35,9 +36,8 @@ from . import poly, textforms
 from .errors import ZetaError
 from .extension import splitting_types
 from .field import byte_residues
-from .laurent import LaurentSeries
 from .poly import MonicPoly
-from .witt import check_args, check_stopped, ghost_sum, mod_p_series
+from .witt import check_args, check_stopped, ghost_sum, laurent, mod_p_series
 
 
 def local_counts(st, kmax):
@@ -309,7 +309,7 @@ def goss_eval(table, s, M):
     blocks = _power_blocks(table, -s)
     check_stopped(blocks, s, ZetaError)
     total = functools.reduce(functools.partial(poly.padd, K), blocks, ())
-    return LaurentSeries.from_tpoly(K, total, M)
+    return laurent(K, len(total) - 1, total[::-1], M)
 
 
 def _power_blocks(table, k):

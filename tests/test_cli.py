@@ -411,6 +411,29 @@ def test_bad_config_keys_exit_3(tmp_path, field, ext, needle):
     assert res.stderr == f"error[extension]: {needle}\n"
 
 
+@pytest.mark.parametrize("field, c", [("p=5", "4"), ("p=5", "1"), ("p=7", "2"),
+                                      ("p=3 m=2", "2"), ("p=3 m=2", "g")],
+                         ids=["F5-4", "F5-1", "F7-2", "F9-2", "F9-g"])
+def test_constant_square_radicand_exits_3(tmp_path, field, c):
+    """X^2 - c with c a square in F_q is reducible: one error[extension]
+    line and exit 3, not the table of two copies of the base."""
+    cfg = write_cfg(tmp_path, "ks.cfg", f"[field]\n{field}\n[extension]\n"
+                    f"name=KS\nbuiltin=kummer_sqrt:c={c}\n")
+    res = run_child(["zeta", "--kind", "weil", "--ext", cfg, "--max-degree", "3"],
+                    timeout=20)
+    assert res.returncode == 3
+    assert res.stdout.splitlines() == NOTHING_LOADED
+    assert res.stderr == ("error[extension]: kummer_sqrt needs c that is not "
+                          "a square in F_q\n")
+
+
+def test_constant_nonsquare_radicand_is_the_constant_field_extension(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "ks.cfg",
+                    "[field]\np=7\n[extension]\nname=KS\nbuiltin=kummer_sqrt:c=3\n")
+    assert main(["zeta", "--kind", "weil", "--ext", cfg, "--max-degree", "2"]) == 0
+    assert capsys.readouterr().out == "1 + 0*u^1 + 49*u^2 + O(u^3)\n"
+
+
 @pytest.mark.parametrize("text", ["x(2,1)(0", "(2,1)(1,1x)junk",
                                   "(1" + "1" * 5000 + ",1)"],
                          ids=["prefix", "suffix", "huge-entry"])

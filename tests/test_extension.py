@@ -138,6 +138,23 @@ def test_builtin_kummer():
         builtin_extension(K, "frobenius_tower")
 
 
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_builtin_kummer_refuses_exactly_the_constant_squares(p, m):
+    """A constant c gives X^2 - c irreducible exactly when c is not a
+    square in F_q; the squares are found by squaring every element."""
+    K = gf_create(p, m)
+    squares = {K.mul(x, x) for x in K.elements()}
+    for c in K.elements():
+        if c == K.zero:
+            continue
+        if c in squares:
+            with pytest.raises(ExtensionError,
+                               match="kummer_sqrt needs c that is not a square in F_q"):
+                builtin_extension(K, "kummer_sqrt", c=(c,))
+        else:
+            assert builtin_extension(K, "kummer_sqrt", c=(c,)).overrides == {}
+
+
 def test_kummer_split_iff_square():
     """X^2 - c splits at an odd prime exactly when c is a square there."""
     for q, c_text, bound in ((3, "T", 5), (3, "T + 1", 4), (5, "T^2 + T", 3)):

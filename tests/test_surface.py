@@ -63,7 +63,7 @@ def test_every_src_name_is_used_by_the_program():
 
 def test_the_scan_sees_definitions_and_references():
     defined = {qualified for _, qualified, _ in defined_names()}
-    assert {"dirichlet_table", "LaurentSeries.from_tpoly", "run"} <= defined
+    assert {"dirichlet_table", "DirichletTable.block_sums", "run"} <= defined
     used = referenced_names()
     # an import alias, an attribute and the console script entry point
-    assert {"dump_blocks", "from_tpoly", "run"} <= used
+    assert {"dump_blocks", "block_sums", "run"} <= used

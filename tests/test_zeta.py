@@ -13,18 +13,18 @@ from gosslift.extension import (ExtensionSpec, SplittingType,
                                 builtin_extension, splitting_type,
                                 splitting_types, trivial_extension)
 from gosslift.field import gf_create
-from gosslift.laurent import LaurentSeries
 from gosslift import poly, textforms, zeta
 from gosslift.poly import MonicPoly, enumerate_monic_irreducibles
 from gosslift.textforms import parse_monic
-from gosslift.witt import FieldOps, lifted_goss_eval, witt_text
+from gosslift.witt import FieldOps, LaurentSeries, lifted_goss_eval, witt_text
 from gosslift.zeta import (DirichletTable, compare_zeta, dirichlet_table,
                            dump_table, goss_eval, local_counts,
                            pgalois_check,
                            power_marks, prime_power_residues, rank,
                            reconstruct_splitting, unrank, weil_series)
 from poly_helpers import dump_oracle, sub
-from witt_oracle import coefficient
+from witt_oracle import (coefficient, laurent_inv_pow, series, series_add,
+                         series_scale)
 
 K3 = gf_create(3)
 
@@ -192,11 +192,11 @@ def test_goss_eval_nonpositive_s():
     assert str(goss_eval(triv, 0, 4)) == "1 [prec 4]"
     assert str(goss_eval(triv, -1, 6)) == "1 [prec 6]"
     z2 = goss_eval(triv, -2, 6)
-    assert z2 == LaurentSeries(K3, 0, (), 6)
+    assert z2 == LaurentSeries(K3, (), 6)
     kummer = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 6)
     assert str(goss_eval(kummer, 0, 4)) == "1 [prec 4]"
     assert str(goss_eval(kummer, -1, 4)) == "2 [prec 4]"
-    assert goss_eval(kummer, -2, 4).is_zero
+    assert not goss_eval(kummer, -2, 4).terms
     assert str(goss_eval(kummer, -3, 4)) == "2 [prec 4]"
     with pytest.raises(ZetaError):
         goss_eval(dirichlet_table(trivial_extension(K3), 4), -2, 6)
@@ -226,7 +226,7 @@ def test_goss_eval_stops_only_when_the_top_blocks_vanish():
     ext = builtin_extension(K3, "artin_schreier", m=1)
     with pytest.raises(ZetaError, match="degree block 3 "):
         goss_eval(dirichlet_table(ext, 5), -2, 6)
-    assert goss_eval(dirichlet_table(ext, 6), -2, 6) == LaurentSeries(K3, 0, (), 6)
+    assert goss_eval(dirichlet_table(ext, 6), -2, 6) == LaurentSeries(K3, (), 6)
 
 
 KS8 = "T^8 + 2*T^7 + T^6 + T^3 + T^2 + T + 1"
@@ -237,7 +237,7 @@ def test_goss_eval_at_zero_reads_every_block():
     the s = 0 sum is 0, not the 1 of blocks 0..3, and a D=6 table, whose
     top blocks include block 4, is refused by both evaluators."""
     ext = builtin_extension(K3, "kummer_sqrt", c=KS8)
-    assert goss_eval(dirichlet_table(ext, 8), 0, 12).is_zero
+    assert not goss_eval(dirichlet_table(ext, 8), 0, 12).terms
     small = dirichlet_table(ext, 6)
     with pytest.raises(ZetaError, match="degree block 4 "):
         goss_eval(small, 0, 12)
@@ -281,11 +281,70 @@ def test_goss_at_s_le_0_agrees_with_lift_and_brute_force(p, D):
                 got = goss_eval(table, -k, 4)
             except ZetaError:
                 continue
-            total = ()
-            for n, b in table.entries.items():
-                term = poly.pscale(K, K.from_int(b), poly.ppow(K, n.coeffs, k))
-                total = poly.padd(K, total, term)
-            assert got == LaurentSeries.from_tpoly(K, total, 4), ext.xt_coeffs
+            assert got == oracle_goss_value(table, -k, 4), ext.xt_coeffs
+
+
+def oracle_goss_value(table, s, M):
+    """goss_eval's value as the sum of its table's entries, one at a time,
+    in the oracle's series arithmetic: B(n) * n^-s at s >= 1, B(n) * n^-s
+    as a polynomial in T at s <= 0, each entry with B(n) nonzero mod p."""
+    K = table.field
+    acc, total = series(K, 0, (), M), ()
+    for r in range(table.starts[M // s + 1] if s >= 1 else len(table.counts)):
+        b = K.from_int(table.counts[r])
+        if b == K.zero:
+            continue
+        n = unrank(K, r)
+        if s >= 1:
+            acc = series_add(acc, series_scale(laurent_inv_pow(n, s, M), b))
+        else:
+            term = poly.pscale(K, b, poly.ppow(K, n.coeffs, -s))
+            total = poly.padd(K, total, term)
+    return acc if s >= 1 else series(K, 1 - len(total), total[::-1], M)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)],
+                         ids=["F2", "F3", "F4", "F5", "F9"])
+def test_goss_values_are_canonical_records(p, m):
+    """Over random count lists, every accepted goss value holds only
+    nonzero terms, exponents strictly decreasing and none below -M; two
+    values are equal exactly when they print the same text; and each is
+    the oracle's per-entry sum.  The second table has its top three
+    blocks zeroed, so its sums at s <= 0 stop and are accepted, and it
+    agrees with the first at low degree, so some values repeat."""
+    D = 5
+    K = gf_create(p, m)
+    rng = random.Random(25 * p + m)
+    size = (K.q ** (D + 1) - 1) // (K.q - 1)
+    counts = [rng.randrange(1, p * p) if rng.random() < 0.2 else 0
+              for _ in range(size)]
+    full = DirichletTable("random", K, D, counts)
+    cut = full.starts[D - 2]
+    stopped = DirichletTable("stopped", K, D, counts[:cut] + [0] * (size - cut))
+    values = []
+    for table in (full, stopped):
+        for s in range(-2, 4):
+            for M in (0, 1, D, 2 * D) if s >= 1 else (0, 2 * D):
+                if s >= 1 and M > s * D:
+                    continue
+                try:
+                    v = goss_eval(table, s, M)
+                except ZetaError:
+                    continue
+                exps = [e for _, e in v.terms]
+                assert all(c != K.zero for c, _ in v.terms)
+                assert exps == sorted(set(exps), reverse=True)
+                assert all(e >= -M for e in exps)
+                assert v == oracle_goss_value(table, s, M), (s, M)
+                values.append(v)
+    assert any(not v.terms for v in values)
+    assert any(v.terms and v.terms[0][1] > 0 for v in values)
+    repeats = 0
+    for a in values:
+        for b in values:
+            assert (a == b) == (str(a) == str(b))
+            repeats += a is not b and a == b
+    assert repeats
 
 
 def expand_inverse_power(K, n_coeffs, s, M):

@@ -13,11 +13,14 @@ agree term for term.  `witt_structure_exprs` turns the package's frozen
 polynomials back into sympy expressions for the ghost-identity checks.
 
 `series_add`, `series_mul`, `series_pow`, `laurent_inv_pow` and their
-neighbours are the Laurent series arithmetic gosslift.laurent used to
-carry, with `coefficient` to read a series and `LaurentError` for what
-the arithmetic refuses.  Arithmetic tracks precision conservatively: a
-sum is known to the smaller of the two precisions, a product
-additionally loses whatever a negative valuation amplifies.
+neighbours are the Laurent series arithmetic the package used to carry,
+with `coefficient` to read a series and `LaurentError` for what the
+arithmetic refuses.  They take and return the package's printed record,
+`gosslift.witt.LaurentSeries`: `dense` reads it as (valuation,
+coefficients) and `series` builds it back, dropping what lies past the
+precision.  Arithmetic tracks precision conservatively: a sum is known
+to the smaller of the two precisions, a product additionally loses
+whatever a negative valuation amplifies.
 
 `FieldRing` and `LaurentRing` add ring arithmetic to the package's
 coordinate rings.  `witt_add`, `witt_mul`, `witt_neg` and `witt_sub`
@@ -40,9 +43,9 @@ import sympy
 
 from gosslift import poly
 from gosslift.errors import GossliftError, WittError
-from gosslift.laurent import LaurentSeries
-from gosslift.witt import (FieldOps, GaloisRing, LaurentOps, WittPolys,
-                           WittVector, witt_structure_polys)
+from gosslift.witt import (FieldOps, GaloisRing, LaurentOps, LaurentSeries,
+                           WittPolys, WittVector, laurent,
+                           witt_structure_polys)
 from gosslift.zeta import unrank
 
 
@@ -112,12 +115,29 @@ class LaurentError(GossliftError):
     tag = "laurent"
 
 
+def dense(x):
+    """(valuation, coefficients) of the series x: coefficient i is that of
+    T^-(valuation + i).  The zero series has valuation precision + 1."""
+    if not x.terms:
+        return x.precision + 1, ()
+    v = -x.terms[0][1]
+    coeffs = [x.field.zero] * (1 - v - x.terms[-1][1])
+    for c, e in x.terms:
+        coeffs[-e - v] = c
+    return v, tuple(coeffs)
+
+
+def series(K, v, coeffs, prec):
+    """The series sum coeffs[i] * T^-(v + i) over K at precision prec,
+    with the coefficients past the precision dropped."""
+    return laurent(K, -v, coeffs[:max(prec - v + 1, 0)], prec)
+
+
 def coefficient(x, j):
     """Coefficient of T^-j in the series x, for j up to its precision."""
     if j > x.precision:
         raise LaurentError(f"coefficient T^-{j} is beyond precision {x.precision}")
-    i = j - x.valuation
-    return x.coeffs[i] if 0 <= i < len(x.coeffs) else x.field.zero
+    return next((c for c, e in x.terms if e == -j), x.field.zero)
 
 
 def _check(a, b):
@@ -129,27 +149,25 @@ def series_add(a, b):
     _check(a, b)
     K = a.field
     prec = min(a.precision, b.precision)
-    if a.is_zero:
-        return LaurentSeries(K, b.valuation, b.coeffs, prec)
-    if b.is_zero:
-        return LaurentSeries(K, a.valuation, a.coeffs, prec)
-    v = min(a.valuation, b.valuation)
+    (va, ca), (vb, cb) = dense(a), dense(b)
+    if not ca:
+        return series(K, vb, cb, prec)
+    if not cb:
+        return series(K, va, ca, prec)
+    v = min(va, vb)
     out = [K.zero] * (prec - v + 1)
-    for i, c in enumerate(a.coeffs):
-        j = a.valuation + i - v
-        if j < len(out):
-            out[j] = K.add(out[j], c)
-    for i, c in enumerate(b.coeffs):
-        j = b.valuation + i - v
-        if j < len(out):
-            out[j] = K.add(out[j], c)
-    return LaurentSeries(K, v, out, prec)
+    for vx, cx in ((va, ca), (vb, cb)):
+        for i, c in enumerate(cx):
+            j = vx + i - v
+            if j < len(out):
+                out[j] = K.add(out[j], c)
+    return series(K, v, out, prec)
 
 
 def series_neg(a):
     K = a.field
-    return LaurentSeries(K, a.valuation, [K.neg(c) for c in a.coeffs],
-                         a.precision)
+    v, coeffs = dense(a)
+    return series(K, v, [K.neg(c) for c in coeffs], a.precision)
 
 
 def series_sub(a, b):
@@ -159,39 +177,39 @@ def series_sub(a, b):
 def series_mul(a, b):
     _check(a, b)
     K = a.field
-    va, vb = a.valuation, b.valuation
+    (va, ca), (vb, cb) = dense(a), dense(b)
     prec = min(a.precision, b.precision, va + b.precision, vb + a.precision)
-    if a.is_zero or b.is_zero:
-        return LaurentSeries(K, 0, (), prec)
+    if not ca or not cb:
+        return series(K, 0, (), prec)
     width = prec - (va + vb) + 1
     if width <= 0:
-        return LaurentSeries(K, 0, (), prec)
+        return series(K, 0, (), prec)
     out = [K.zero] * width
     add, mul, z = K.add, K.mul, K.zero
-    for i, x in enumerate(a.coeffs):
+    for i, x in enumerate(ca):
         if i >= width:
             break
         if x == z:
             continue
-        for j, y in enumerate(b.coeffs[:width - i]):
+        for j, y in enumerate(cb[:width - i]):
             if y != z:
                 out[i + j] = add(out[i + j], mul(x, y))
-    return LaurentSeries(K, va + vb, out, prec)
+    return series(K, va + vb, out, prec)
 
 
 def series_scale(a, element):
     K = a.field
     if element == K.zero:
-        return LaurentSeries(K, 0, (), a.precision)
-    return LaurentSeries(K, a.valuation, [K.mul(element, c) for c in a.coeffs],
-                         a.precision)
+        return series(K, 0, (), a.precision)
+    v, coeffs = dense(a)
+    return series(K, v, [K.mul(element, c) for c in coeffs], a.precision)
 
 
 def series_pow(a, e):
     if e < 0:
         raise LaurentError("negative powers need an explicit expansion")
     if e == 0:
-        return LaurentSeries(a.field, 0, (a.field.one,), a.precision)
+        return series(a.field, 0, (a.field.one,), a.precision)
     # from the base, not from a 1 that costs a product and precision
     return poly.power(series_mul, a, a, e - 1)
 
@@ -219,7 +237,7 @@ def laurent_inv_pow(n, j, M):
             if e != z:
                 s = add(s, mul(e, c[i + t - D]))
         c[t] = neg(s)
-    return LaurentSeries(K, D, c, M)
+    return series(K, D, c, M)
 
 
 # --- ring arithmetic on the package's coordinate rings ---
@@ -264,12 +282,11 @@ class LaurentRing(LaurentOps):
 
     def __init__(self, field, precision):
         super().__init__(field, precision)
-        self.zero = LaurentSeries(field, 0, (), precision)
-        self.one = LaurentSeries(field, 0, (field.one,), precision)
+        self.zero = series(field, 0, (), precision)
+        self.one = series(field, 0, (field.one,), precision)
 
     def from_int(self, k):
-        return LaurentSeries(self.field, 0, (self.field.from_int(k),),
-                             self.precision)
+        return series(self.field, 0, (self.field.from_int(k),), self.precision)
 
     def add(self, a, b):
         return series_add(a, b)
@@ -284,14 +301,16 @@ class LaurentRing(LaurentOps):
         return series_pow(a, e)
 
     def shape(self, a):
-        return a.valuation, a.precision
+        return dense(a)[0], a.precision
 
     def scale(self, a, k, prec):
         """k * a, known to precision prec (at most a's)."""
         K = self.field
         c = K.from_int(k)
-        coeffs = a.coeffs if c == K.one else [K.mul(c, x) for x in a.coeffs]
-        return LaurentSeries(K, a.valuation, coeffs, prec)
+        v, coeffs = dense(a)
+        if c != K.one:
+            coeffs = [K.mul(c, x) for x in coeffs]
+        return series(K, v, coeffs, prec)
 
 
 # --- Witt arithmetic through the structure polynomials ---
