@@ -22,7 +22,7 @@ from .extension import parse_extension_file, splitting_type
 from .gassmann import (cayley_komatsu, gassmann_by_cycle_type,
                        gassmann_check, klein4_pair, parse_group_file,
                        psl27_pair, psl211_pair)
-from .textforms import parse_monic
+from .textforms import format_tpoly, parse_monic
 from .witt import (FieldOps, LaurentOps, check_args, check_lifted_args,
                    lifted_goss_eval, witt_text)
 from .zeta import (check_same_field, compare_zeta, dirichlet_table,
@@ -33,7 +33,7 @@ def _cmd_splitting(args):
     ext = parse_extension_file(args.ext)
     prime = parse_monic(ext.field, args.prime)
     st = splitting_type(ext, prime)
-    print(f"{prime} in {ext.name}: {st}")
+    print(f"{format_tpoly(ext.field, prime)} in {ext.name}: {st}")
     return 0
 
 

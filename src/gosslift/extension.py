@@ -6,10 +6,11 @@ mod a prime does not tell the truth.  A prime pi not dividing the
 discriminant is unramified, f mod pi is squarefree, and the degrees of
 its irreducible factors are the inertia degrees above pi (Kummer's
 theorem; Stichtenoth, Algebraic Function Fields and Codes, 3.3.7).
-A spec is checked once, when it is built: f must be separable, and every
-prime that divides the discriminant must carry an override, or the spec
-is refused, naming the first such prime.  Nothing here computes integral
-closures: an override is trusted as given.
+A spec is checked once, when it is built: f must be separable, and the
+overrides must sit at exactly the primes that divide the discriminant
+(off it the type is that of f mod pi, by Dedekind-Kummer), or the spec
+is refused, naming the first prime that breaks the rule.  A prime is its
+coefficient tuple over F_q, constant term first, as in every module.
 
 So both paths take the override, else the type of an unramified prime.
 splitting_type, for one prime given from outside, reduces onto the
@@ -48,7 +49,6 @@ import re
 from . import poly, textforms
 from .errors import ExtensionError
 from .field import FiniteField, ResidueField, gf_create
-from .poly import MonicPoly
 
 # degree bound for a prime given from outside: its Rabin test and the
 # factoring over its residue field already take seconds at this degree
@@ -106,7 +106,8 @@ class ExtensionSpec:
             _require_prime(base, p)
             if st.degree != self.degree:
                 raise ExtensionError(
-                    f"override at {p} has total degree {st.degree}, expected {self.degree}")
+                    f"override at {textforms.format_tpoly(base, p)} has total "
+                    f"degree {st.degree}, expected {self.degree}")
         _validate_cover(self)
 
     def __repr__(self):
@@ -117,25 +118,36 @@ class ExtensionSpec:
 
 
 def _require_prime(base, p):
-    if not isinstance(p, MonicPoly) or p.field != base:
-        raise ExtensionError("primes must be MonicPoly over the base field")
-    if p.degree > PRIME_DEGREE_BOUND:
+    """Refuse anything but a monic irreducible coefficient tuple over base."""
+    if not (isinstance(p, tuple) and p and p[-1] == base.one
+            and all(isinstance(c, int) and 0 <= c < base.q for c in p)):
         raise ExtensionError(
-            f"prime degree {p.degree} exceeds bound {PRIME_DEGREE_BOUND}")
-    if p.degree < 1:
+            "primes must be monic coefficient tuples over the base field")
+    if len(p) > PRIME_DEGREE_BOUND + 1:
+        raise ExtensionError(
+            f"prime degree {len(p) - 1} exceeds bound {PRIME_DEGREE_BOUND}")
+    if len(p) < 2:
         raise ExtensionError("the unit polynomial is not a prime")
-    if not poly.is_irreducible(base, p.coeffs):
-        raise ExtensionError(f"{p} is not irreducible")
+    if not poly.is_irreducible(base, p):
+        raise ExtensionError(f"{textforms.format_tpoly(base, p)} is not irreducible")
 
 
 def _validate_cover(ext):
-    """Refuse an inseparable f, and the first prime in enumeration order
-    that divides the discriminant but has no override."""
-    for prime, _ in poly.factor_monic(ext.field, discriminant(ext).coeffs):
+    """Refuse an inseparable f, then the first prime in enumeration order
+    that divides the discriminant but has no override, then the first
+    override at a prime that does not divide it."""
+    K = ext.field
+    ramified = [prime for prime, _ in poly.factor_monic(K, discriminant(ext))]
+    for prime in ramified:
         if prime not in ext.overrides:
             raise ExtensionError(
-                f"prime {prime} divides the discriminant of {ext.name} "
-                f"but has no override")
+                f"prime {textforms.format_tpoly(K, prime)} divides the "
+                f"discriminant of {ext.name} but has no override")
+    stray = sorted(set(ext.overrides) - set(ramified), key=lambda f: (len(f), f))
+    if stray:
+        raise ExtensionError(
+            f"override at {textforms.format_tpoly(K, stray[0])}, which does "
+            f"not divide the discriminant of {ext.name}")
 
 
 # --- builtins ---
@@ -216,7 +228,7 @@ def discriminant(ext):
     det = _resultant(K, f, fp)
     if not det:
         raise ExtensionError("defining polynomial is inseparable (zero discriminant)")
-    return MonicPoly(K, poly.pmonic(K, det))
+    return poly.pmonic(K, det)
 
 
 def _xderiv(K, cols):
@@ -287,7 +299,7 @@ def splitting_type(ext, prime):
     st = ext.overrides.get(prime)
     if st is not None:
         return st
-    R = ResidueField(ext.field, prime.coeffs)
+    R = ResidueField(ext.field, prime)
     return _reduced_type(R, tuple(R.project(c) for c in ext.xt_coeffs))
 
 
@@ -302,9 +314,8 @@ def splitting_types(ext, d):
     """
     F = ext.field.zech_field(d)
     type_at = _unramified_types(ext, F)
-    overrides = {p.coeffs: st for p, st in ext.overrides.items()}
     for i, prime in enumerate(F.irreducibles()[0]):
-        st = overrides.get(prime)
+        st = ext.overrides.get(prime)
         yield prime, type_at(i) if st is None else st
 
 
@@ -392,7 +403,8 @@ def parse_extension(text):
         except KeyError as e:
             raise ExtensionError(f"[override] section is missing {e.args[0]}") from None
         if prime in overrides:
-            raise ExtensionError(f"duplicate override for prime {prime}")
+            raise ExtensionError("duplicate override for prime "
+                                 + textforms.format_tpoly(base, prime))
         overrides[prime] = st
     if has_builtin:
         _, cols, builtin_overrides = _builtin_cover(
@@ -455,10 +467,9 @@ def _check_irreducible(ext):
     """
     n = ext.degree
     possible = set(range(n + 1))
-    overridden = {p.coeffs for p in ext.overrides}
     for d in (1, 2):
         for prime, st in splitting_types(ext, d):
-            if prime in overridden:
+            if prime in ext.overrides:
                 continue
             sums = {0}
             for f in st.inertia_degrees():
@@ -469,7 +480,7 @@ def _check_irreducible(ext):
     f = ext.xt_coeffs
     if f[0]:
         for prime, mult in poly.factor_monic(ext.field, f[0]):
-            if mult == 1 and not any(poly.pmod(ext.field, c, prime.coeffs)
+            if mult == 1 and not any(poly.pmod(ext.field, c, prime)
                                      for c in f[1:-1]):
                 return
     left = ", ".join(str(k) for k in sorted(possible - {0, n}))

@@ -434,7 +434,7 @@ class ZechField:
         """The monic irreducibles of degree d over the base, with one root each.
 
         Returns (primes, roots): primes as coefficient tuples over the
-        base, low to high, in enumeration order (that of poly.MonicPoly),
+        base, low to high, in enumeration order (as tuples, ascending),
         and roots[i] a root of primes[i] in this field, the power Y^k of
         least k.  The nonzero elements of degree d are the Y^k whose
         Frobenius orbit k, qk, q^2 k, ... mod q^d - 1 has length exactly

@@ -19,13 +19,10 @@ Laurent series or Witt structure polynomial; is_irreducible is Rabin's
 test; factor_monic factors by squarefree parts, distinct-degree parts
 and equal-degree splitting, with no model of an extension field.
 
-MonicPoly wraps a monic polynomial over a table field together with its
-field; it is hashable and totally ordered (degree, then coefficients read
-low to high), which fixes the enumeration order used everywhere else.
-It is the form of a prime given from outside (a config, a query, a
-factor); the primes a table walks stay plain coefficient tuples
-(field.ZechField.irreducibles), and enumerate_monic_irreducibles wraps
-them.
+A monic polynomial over a table field, a prime above all, is its
+coefficient tuple wherever it goes: a config, a query, a factor, a
+discriminant, a table.  Its enumeration order is by degree, then by
+coefficients read low to high, the sort key (len(f), f).
 """
 
 from __future__ import annotations
@@ -365,69 +362,21 @@ def equal_degree_split(K, g, e):
 # --- monic polynomials over a table field ---
 
 
-class MonicPoly:
-    """Monic polynomial in T over a table field, used as a dictionary key.
-
-    Ordering is by degree first, then coefficients compared low to high,
-    which is the enumeration order of enumerate_monic.
-    """
-
-    __slots__ = ("field", "coeffs", "_hash")
-
-    def __init__(self, field, coeffs):
-        coeffs = ptrim(field, coeffs)
-        if not coeffs or coeffs[-1] != field.one:
-            raise PolyError("polynomial is not monic")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", hash((field.p, field.m, coeffs)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MonicPoly is immutable")
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (isinstance(other, MonicPoly)
-                and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __lt__(self, other):
-        return (self.degree, self.coeffs) < (other.degree, other.coeffs)
-
-    def __str__(self):
-        from .textforms import format_tpoly
-        return format_tpoly(self.field, self.coeffs)
-
-    def __repr__(self):
-        return f"MonicPoly({self})"
-
-
 def enumerate_monic(field, d):
     """All monic degree-d polynomials, ordered by coefficients low to high."""
     if d < 0:
         raise PolyError("negative degree")
-    if d == 0:
-        return [MonicPoly(field, (field.one,))]
-    out = []
-    one = field.one
-    for lower in itertools.product(field.elements(), repeat=d):
-        out.append(MonicPoly(field, lower + (one,)))
-    return out
+    one = (field.one,)
+    return [lower + one for lower in itertools.product(field.elements(), repeat=d)]
 
 
 def factor_monic(field, coeffs):
     """Factor a nonzero polynomial over a table field into monic irreducibles.
 
     The unit leading coefficient is discarded.  Returns ((prime, mult), ...)
-    with primes in enumeration order.  Squarefree parts, then their
-    distinct-degree parts, then equal-degree splitting of each: no model of
-    any extension field is built.
+    with primes as coefficient tuples in enumeration order.  Squarefree
+    parts, then their distinct-degree parts, then equal-degree splitting of
+    each: no model of any extension field is built.
     """
     coeffs = pmonic(field, ptrim(field, coeffs))
     if not coeffs:
@@ -435,9 +384,8 @@ def factor_monic(field, coeffs):
     out = []
     for mult, part in squarefree_decomposition(field, coeffs).items():
         for e, g in distinct_degree_parts(field, part):
-            out.extend((MonicPoly(field, f), mult)
-                       for f in equal_degree_split(field, g, e))
-    return tuple(sorted(out))
+            out.extend((f, mult) for f in equal_degree_split(field, g, e))
+    return tuple(sorted(out, key=lambda fm: (len(fm[0]), fm[0])))
 
 
 def enumerate_monic_irreducibles(field, d):
@@ -448,4 +396,4 @@ def enumerate_monic_irreducibles(field, d):
     """
     if d < 1:
         raise PolyError("irreducibles have degree at least 1")
-    return [MonicPoly(field, c) for c in field.zech_field(d).irreducibles()[0]]
+    return list(field.zech_field(d).irreducibles()[0])

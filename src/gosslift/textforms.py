@@ -137,8 +137,11 @@ def parse_tpoly(field, text):
 
 
 def parse_monic(field, text):
+    """Monic polynomial in T as a coefficient tuple, constant term first."""
     coeffs = parse_tpoly(field, text)
-    return poly.MonicPoly(field, coeffs)
+    if not coeffs or coeffs[-1] != field.one:
+        raise PolyError("polynomial is not monic")
+    return coeffs
 
 
 def parse_xt_poly(field, text):

@@ -23,7 +23,8 @@ table is built by expanding the Euler product over the primes of degree
 of field.byte_residues) each product is one product of ints whose bytes
 are the coefficients, elsewhere it runs on the base field's tables.  Its
 text form (dump_table) is output only, written in pieces (dump_blocks),
-so the whole text of a large table is never held at once.
+so the whole text of a large table is never held at once.  Readers find
+n by rank; only unrank and the entries view build n, a coefficient tuple.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from . import poly, textforms
 from .errors import ZetaError
 from .extension import splitting_types
 from .field import byte_residues
-from .poly import MonicPoly
 from .witt import check_args, check_stopped, ghost_sum, laurent, mod_p_series
 
 
@@ -80,7 +80,7 @@ def rank(K, coeffs):
 
 
 def unrank(K, r):
-    """The MonicPoly of rank r over the table field K."""
+    """The coefficient tuple of the monic polynomial of rank r over K."""
     q = K.q
     d = 0
     while block_start(q, d + 1) <= r:
@@ -89,7 +89,13 @@ def unrank(K, r):
     coeffs = [K.one] * (d + 1)
     for i in range(d - 1, -1, -1):
         low, coeffs[i] = divmod(low, q)
-    return MonicPoly(K, coeffs)
+    return tuple(coeffs)
+
+
+class _Modulus(tuple):
+    """A key of DirichletTable.entries: a coefficient tuple with a degree."""
+    __slots__ = ()
+    degree = property(lambda self: len(self) - 1)
 
 
 class DirichletTable:
@@ -97,7 +103,7 @@ class DirichletTable:
 
     counts is a list with B(n) at rank(n), one entry for each of the
     (q^(bound+1) - 1)/(q - 1) monic moduli of degree <= bound, degree d at
-    counts[starts[d]:starts[d + 1]]; the zeta values make no MonicPoly.
+    counts[starts[d]:starts[d + 1]].
     """
 
     def __init__(self, ext_name, field, bound, counts):
@@ -110,16 +116,13 @@ class DirichletTable:
                 f"a table of bound {bound} over GF({field.q}) needs a list of "
                 f"{self.starts[-1]} counts")
         self.counts = counts
-        self._entries = None
 
-    @property
+    @functools.cached_property
     def entries(self):
-        """Read-only {MonicPoly: count} view in enumeration order, made once."""
-        if self._entries is None:
-            monics = itertools.chain.from_iterable(
-                poly.enumerate_monic(self.field, d) for d in range(self.bound + 1))
-            self._entries = MappingProxyType(dict(zip(monics, self.counts)))
-        return self._entries
+        """Read-only {n: count} view in enumeration order, made once."""
+        monics = itertools.chain.from_iterable(
+            poly.enumerate_monic(self.field, d) for d in range(self.bound + 1))
+        return MappingProxyType(dict(zip(map(_Modulus, monics), self.counts)))
 
     def block_sums(self):
         """Sum of B(n) over each degree block, degrees 0..bound."""
@@ -337,14 +340,14 @@ class ZetaVerdict:
     def __init__(self, equal, bound, witness=None, left=None, right=None):
         self.equal = equal
         self.bound = bound
-        self.witness = witness  # MonicPoly or degree int
+        self.witness = witness  # the text of n, or a degree int
         self.left = left
         self.right = right
 
     def text(self):
         if self.equal:
             return f"EQUAL bound={self.bound}"
-        if isinstance(self.witness, MonicPoly):
+        if isinstance(self.witness, str):
             return f"DIFFER n={self.witness} left={self.left} right={self.right}"
         return f"DIFFER d={self.witness} left={self.left} right={self.right}"
 
@@ -381,7 +384,8 @@ def compare_zeta(table_a, table_b, kind):
         counts_b = [b % p for b in counts_b]
     for r, (b, c) in enumerate(zip(counts_a, counts_b)):
         if b != c:
-            return ZetaVerdict(False, bound, unrank(table_a.field, r), b, c)
+            n = textforms.format_tpoly(table_a.field, unrank(table_a.field, r))
+            return ZetaVerdict(False, bound, n, b, c)
     return ZetaVerdict(True, bound)
 
 
@@ -455,7 +459,7 @@ def power_marks(K, bound, k):
     marks = bytearray(block_start(K.q, bound + 1))
     for e in range(bound // k + 1):
         for m in poly.enumerate_monic(K, e):
-            marks[rank(K, poly.ppow(K, m.coeffs, k))] = 1
+            marks[rank(K, poly.ppow(K, m, k))] = 1
     return marks
 
 

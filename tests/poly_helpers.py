@@ -1,14 +1,14 @@
 """Polynomial and field helpers that only the tests call.
 
 gosslift itself never evaluates a polynomial at a point, powers one
-modulo another, subtracts field elements, or multiplies two MonicPolys
-or tests their divisibility, so these live beside the tests that use
-them.  dump_oracle
+modulo another, subtracts field elements, or multiplies a list of
+polynomials, so these live beside the tests that use them.  dump_oracle
 spells a table's dump text from its entries view, apart from the
 package's run-by-run writer (zeta.dump_blocks).
 """
 
-from gosslift.poly import MonicPoly, pmod, pmul, power
+from gosslift.poly import pmod, pmul, power
+from gosslift.textforms import format_tpoly
 
 
 def ppow_mod(K, base, e, mod):
@@ -30,18 +30,13 @@ def sub(K, a, b):
     return K._add[a][K._neg[b]]
 
 
-def monic_product(*fs):
-    """The product of MonicPolys over one field, as a MonicPoly."""
-    K = fs[0].field
+def monic_product(K, *fs):
+    """The product of coefficient tuples over K."""
     out = (K.one,)
     for f in fs:
-        out = pmul(K, out, f.coeffs)
-    return MonicPoly(K, out)
+        out = pmul(K, out, f)
+    return out
 
-
-def divides(f, g):
-    """Whether the MonicPoly f divides the MonicPoly g."""
-    return not pmod(f.field, g.coeffs, f.coeffs)
 
 
 def dump_oracle(table):
@@ -50,4 +45,5 @@ def dump_oracle(table):
     K = table.field
     name = table.ext_name.replace(" ", "_")
     return (f"# ext={name} p={K.p} m={K.m} D={table.bound}\n"
-            + "".join(f"{n} {b}\n" for n, b in table.entries.items()))
+            + "".join(f"{format_tpoly(K, n)} {b}\n"
+                      for n, b in table.entries.items()))

@@ -21,8 +21,7 @@ from gosslift.gassmann import (PermGroup, cayley_komatsu, coset_cycle_type,
                                coset_types, cyclic_subgroup_classes,
                                gassmann_by_cycle_type, gassmann_check, klein4,
                                parse_perm, psl27, subgroups_of_order)
-from gosslift.poly import (MonicPoly, enumerate_monic,
-                           enumerate_monic_irreducibles)
+from gosslift.poly import enumerate_monic, enumerate_monic_irreducibles
 from gosslift.witt import (FieldOps, WittVector, int_to_witt,
                            lifted_goss_eval)
 from gosslift.zeta import (DirichletTable, compare_zeta, dirichlet_table,
@@ -68,12 +67,12 @@ def test_criterion_02_cyclic_cubic_cover():
     ok, witness = pgalois_check(cover, 3)
     assert ok and witness is None
     assert len(cover.entries) == 1093
-    assert sum(1 for n in cover.entries if n.degree <= 5) == 364
+    assert sum(1 for n in cover.entries if len(n) <= 6) == 364
     # independent cube list: n is a cube iff n = m^3 with m monic
     cubes = set()
     for d in range(0, 3):
         for m in enumerate_monic(K, d):
-            cubes.add(MonicPoly(K, poly.ppow(K, m.coeffs, 3)))
+            cubes.add(poly.ppow(K, m, 3))
     for n, b in cover.entries.items():
         assert b % 3 == (1 if n in cubes else 0)
     base = dirichlet_table(trivial_extension(K), 6)
@@ -113,7 +112,7 @@ def _curve_counts(ms, kmax):
     counts = {m: [] for m in ms}
     for k in range(1, kmax + 1):
         pi = enumerate_monic_irreducibles(K, k)[0]
-        F = ResidueField(K, pi.coeffs)
+        F = ResidueField(K, pi)
         lhs = Counter()
         xs = list(itertools.product(range(K.q), repeat=k))
         for y in xs:
@@ -176,7 +175,7 @@ def test_criterion_04_weil_reduction():
         a = weil_series(table).coeffs
         blocks = [0] * 7
         for n, b in table.entries.items():
-            blocks[n.degree] = (blocks[n.degree] + b) % 3
+            blocks[len(n) - 1] = (blocks[len(n) - 1] + b) % 3
         assert [x % 3 for x in a] == blocks
     dt = time.monotonic() - t0
     print(f"criterion 04 PASS: Weil coefficients reduce mod 3 to the "
@@ -223,16 +222,17 @@ def test_criterion_06_lift_sensitivity():
         keys = list(t.entries)
         n0 = keys[rng.randrange(len(keys))]
         bumped = list(t.counts)
-        bumped[rank(t.field, n0.coeffs)] += 3
+        bumped[rank(t.field, n0)] += 3
         tb = DirichletTable(t.ext_name, t.field, t.bound, bumped)
         assert compare_zeta(t, tb, "goss").equal
         v = compare_zeta(t, tb, "lifted")
-        assert not v.equal and v.witness == n0 and v.right - v.left == 3
+        assert (not v.equal and v.witness == textforms.format_tpoly(t.field, n0)
+                and v.right - v.left == 3)
     # the same bump flips the length-2 Witt value while length 1 is blind
     base = dirichlet_table(builtin_extension(K, "kummer_sqrt", c="T"), 3)
-    n0 = next(n for n in base.entries if str(n) == "T + 2")
+    n0 = textforms.parse_monic(K, "T + 2")
     bumped = list(base.counts)
-    bumped[rank(K, n0.coeffs)] += 3
+    bumped[rank(K, n0)] += 3
     other = DirichletTable(base.ext_name, base.field, base.bound, bumped)
     assert lifted_goss_eval(base, 1, 3, 1) == lifted_goss_eval(other, 1, 3, 1)
     assert lifted_goss_eval(base, 1, 3, 2) != lifted_goss_eval(other, 1, 3, 2)
@@ -363,7 +363,7 @@ def test_criterion_09_witt_layer():
     brute = ()
     for d in range(0, 6):
         for n in enumerate_monic(K, d):
-            brute = poly.padd(K, brute, poly.ppow(K, n.coeffs, 2))
+            brute = poly.padd(K, brute, poly.ppow(K, n, 2))
     assert brute == ()
 
     # lifted zeta of the base at s=0 is the Witt unit (1; 1)

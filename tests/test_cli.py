@@ -434,6 +434,24 @@ def test_constant_nonsquare_radicand_is_the_constant_field_extension(tmp_path, c
     assert capsys.readouterr().out == "1 + 0*u^1 + 49*u^2 + O(u^3)\n"
 
 
+@pytest.mark.parametrize("args", [["splitting", "--prime", "T + 1"],
+                                  ["zeta", "--kind", "weil", "--max-degree", "4"]],
+                         ids=["splitting", "weil"])
+def test_override_off_the_discriminant_exits_3(tmp_path, args):
+    """T + 1 does not divide the discriminant of X^2 - T, so its type is
+    read off f mod T + 1: an override there is refused with one
+    error[extension] line, not used in every table of the cover."""
+    cfg = write_cfg(tmp_path, "bad3.cfg",
+                    "[field]\np=3\nm=1\n[extension]\nname=bad3\n"
+                    "builtin=kummer_sqrt:c=T\n"
+                    "[override]\nprime=T + 1\ntype=(1,1),(1,1)\n")
+    res = run_child([args[0], "--ext", cfg, *args[1:]], timeout=20)
+    assert res.returncode == 3
+    assert res.stdout.splitlines() == NOTHING_LOADED
+    assert res.stderr == ("error[extension]: override at T + 1, which does not "
+                          "divide the discriminant of bad3\n")
+
+
 @pytest.mark.parametrize("text", ["x(2,1)(0", "(2,1)(1,1x)junk",
                                   "(1" + "1" * 5000 + ",1)"],
                          ids=["prefix", "suffix", "huge-entry"])

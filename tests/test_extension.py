@@ -13,7 +13,7 @@ from gosslift.extension import (PRIME_DEGREE_BOUND, ExtensionSpec,
                                 trivial_extension)
 from gosslift.field import ResidueField, gf_create
 from gosslift import poly
-from gosslift.poly import MonicPoly, enumerate_monic_irreducibles
+from gosslift.poly import enumerate_monic_irreducibles
 from gosslift.textforms import (MAX_TEXT_DEGREE, parse_monic, parse_tpoly,
                                 parse_xt_poly)
 
@@ -46,7 +46,7 @@ def test_extension_spec_validation():
         ExtensionSpec("K", K, ((1, 1),))  # X-degree zero
     with pytest.raises(ExtensionError):
         ExtensionSpec("K", K, ((0, 2), (), (2,)))  # not monic in X
-    t = MonicPoly(K, (0, 1))
+    t = (0, 1)
     with pytest.raises(ExtensionError):
         # override total degree must match the extension degree
         ExtensionSpec("K", K, parse_xt_poly(K, "X^2 - T"),
@@ -62,7 +62,7 @@ def test_trivial_extension():
     ext = trivial_extension(K)
     assert ext.name == "F"
     assert ext.degree == 1
-    assert discriminant(ext).degree == 0
+    assert discriminant(ext) == (1,)
     for p in primes_through(K, 3):
         assert splitting_type(ext, p).pairs == ((1, 1),)
 
@@ -70,7 +70,7 @@ def test_trivial_extension():
 def test_discriminant_quadratic():
     K3 = gf_create(3)
     ext = builtin_extension(K3, "kummer_sqrt", c="T")
-    assert discriminant(ext) == MonicPoly(K3, (0, 1))
+    assert discriminant(ext) == (0, 1)
     K5 = gf_create(5)
     ext2 = builtin_extension(K5, "kummer_sqrt", c="T^2 + T")
     assert discriminant(ext2) == parse_monic(K5, "T^2 + T")
@@ -80,11 +80,10 @@ def test_discriminant_cubic():
     # X^3 + aX + b has discriminant -4a^3 - 27b^2
     K3 = gf_create(3)
     as1 = builtin_extension(K3, "artin_schreier", m=1)
-    assert discriminant(as1).degree == 0
-    assert discriminant(as1).coeffs == (1,)
+    assert discriminant(as1) == (1,)
     K5 = gf_create(5)
     ext = ExtensionSpec("C", K5, parse_xt_poly(K5, "X^3 - T"),
-                        overrides={MonicPoly(K5, (0, 1)): SplittingType(((3, 1),))})
+                        overrides={(0, 1): SplittingType(((3, 1),))})
     assert discriminant(ext) == parse_monic(K5, "T^2")
 
 
@@ -118,8 +117,8 @@ def test_artin_schreier_exponent_is_bounded():
 def test_builtin_kummer():
     K = gf_create(3)
     ext = builtin_extension(K, "kummer_sqrt", c="T^2 + T")
-    t = MonicPoly(K, (0, 1))
-    t1 = MonicPoly(K, (1, 1))
+    t = (0, 1)
+    t1 = (1, 1)
     assert set(ext.overrides) == {t, t1}
     assert all(st.pairs == ((2, 1),) for st in ext.overrides.values())
     assert splitting_type(ext, t).pairs == ((2, 1),)
@@ -165,7 +164,7 @@ def test_kummer_split_iff_square():
         for p in primes_through(K, bound):
             if p in ext.overrides:
                 continue
-            R = ResidueField(K, p.coeffs)
+            R = ResidueField(K, p)
             cbar = R.project(c)
             squares = {R.mul(a, a)
                        for a in itertools.product(range(K.q), repeat=R.deg)}
@@ -196,7 +195,7 @@ def test_artin_schreier_split_iff_trace_zero():
         p = K.p
         seen = set()
         for pr in primes_through(K, bound):
-            R = ResidueField(K, pr.coeffs)
+            R = ResidueField(K, pr)
             tm = R.project((K.zero,) * m + (K.one,))
             st = splitting_type(ext, pr)
             seen.add(st.pairs)
@@ -212,14 +211,16 @@ def test_artin_schreier_split_iff_trace_zero():
 def test_splitting_rejects_bad_input():
     K = gf_create(3)
     ext = builtin_extension(K, "artin_schreier", m=1)
-    with pytest.raises(ExtensionError):
-        splitting_type(ext, MonicPoly(K, (0, 2, 1)))  # T(T+2) is composite
-    with pytest.raises(ExtensionError):
-        splitting_type(ext, MonicPoly(K, (1,)))
-    with pytest.raises(ExtensionError):
-        splitting_type(ext, (0, 1))
-    with pytest.raises(ExtensionError):
-        splitting_type(ext, MonicPoly(gf_create(5), (0, 1)))
+    with pytest.raises(ExtensionError, match="T\\^2 \\+ 2\\*T is not irreducible"):
+        splitting_type(ext, (0, 2, 1))  # T(T+2) is composite
+    with pytest.raises(ExtensionError, match="the unit polynomial is not a prime"):
+        splitting_type(ext, (1,))
+    # not a trimmed monic tuple of elements of F_3: a list, a trailing
+    # zero, a leading 2, no coefficients, and T + 4, a prime over F_5
+    for bad in ([0, 1], (0, 1, 0), (0, 2), (), (4, 1)):
+        with pytest.raises(ExtensionError, match="monic coefficient tuples"):
+            splitting_type(ext, bad)
+    assert splitting_type(ext, (0, 1)).pairs == ((1, 1),) * 3
 
 
 def test_ramified_without_override_raises():
@@ -231,13 +232,53 @@ def test_ramified_without_override_raises():
         ExtensionSpec("bare", K, parse_xt_poly(K, "X^2 - T"))
 
 
+BAD3 = """
+[field]
+p=3
+m=1
+[extension]
+name=bad3
+builtin=kummer_sqrt:c=T
+[override]
+prime=T + 1
+type=(1,1),(1,1)
+"""
+
+
+def test_override_off_the_discriminant_is_refused():
+    """At a prime that does not divide the discriminant, A[X]/(f) is
+    P-maximal and the type is the factorization of f mod P
+    (Dedekind-Kummer), so an override there is refused, not read."""
+    with pytest.raises(ExtensionError) as err:
+        parse_extension(BAD3)
+    assert str(err.value) == ("override at T + 1, which does not divide the "
+                              "discriminant of bad3")
+    # without the override, T + 1 is inert, as in K_sqrt
+    ext = parse_extension(BAD3.split("[override]")[0])
+    assert splitting_type(ext, (1, 1)).pairs == ((1, 2),)
+    K = gf_create(3)
+    # a missing override is named before a stray one
+    with pytest.raises(ExtensionError,
+                       match="^prime T divides the discriminant of K but has no override$"):
+        ExtensionSpec("K", K, parse_xt_poly(K, "X^2 - T"),
+                      overrides={(1, 1): SplittingType(((2, 1),))})
+    # of several strays, the first in enumeration order is named: T + 2
+    # before T^2 + 1, though (1, 0, 1) < (2, 1) as tuples
+    inert = SplittingType(((1, 3),))
+    with pytest.raises(ExtensionError,
+                       match="^override at T \\+ 2, which does not divide "
+                             "the discriminant of AS_m1$"):
+        ExtensionSpec("AS_m1", K, parse_xt_poly(K, "X^3 - X - T"),
+                      overrides={(1, 0, 1): inert, (2, 1): inert})
+
+
 def test_prime_degree_bound_comes_before_rabin(monkeypatch):
     """A prime of degree above PRIME_DEGREE_BOUND is refused, given as a
     query or as an override, before Rabin's test runs."""
     K = gf_create(3)
     ext = builtin_extension(K, "artin_schreier", m=1)
-    big = MonicPoly(K, (2, 1) + (0,) * (PRIME_DEGREE_BOUND - 1) + (1,))
-    assert big.degree == PRIME_DEGREE_BOUND + 1
+    big = (2, 1) + (0,) * (PRIME_DEGREE_BOUND - 1) + (1,)
+    assert poly.pdeg(big) == PRIME_DEGREE_BOUND + 1
 
     def no_rabin(K, g):
         raise AssertionError("Rabin's test ran")
@@ -279,15 +320,15 @@ def test_parse_extension_poly():
     assert ext.name == "K"
     assert ext.field == gf_create(3)
     assert ext.degree == 2
-    t = MonicPoly(ext.field, (0, 1))
+    t = (0, 1)
     assert splitting_type(ext, t).pairs == ((2, 1),)
-    assert splitting_type(ext, MonicPoly(ext.field, (1, 1))).degree == 2
+    assert splitting_type(ext, (1, 1)).degree == 2
 
 
 def test_parse_extension_builtin_merge():
     # config override wins over the builtin's own override at T
     ext = parse_extension(CONFIG_BUILTIN)
-    t = MonicPoly(ext.field, (0, 1))
+    t = (0, 1)
     assert splitting_type(ext, t).pairs == ((1, 1), (1, 1))
 
 
@@ -357,7 +398,7 @@ def test_unknown_and_repeated_keys_refused(text, key):
 ])
 def test_splitting_type_text_accepted(text, pairs):
     ext = parse_extension(_poly_cfg(3, "X^2 - T", f"[override]\nprime=T\ntype={text}\n"))
-    assert splitting_type(ext, MonicPoly(ext.field, (0, 1))).pairs == pairs
+    assert splitting_type(ext, (0, 1)).pairs == pairs
 
 
 @pytest.mark.parametrize("text", [

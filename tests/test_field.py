@@ -198,10 +198,10 @@ def test_residue_field_over_extension_base():
     K9 = gf_create(3, 2)
     irred = None
     for f in poly.enumerate_monic(K9, 2):
-        if poly.is_irreducible(K9, f.coeffs):
+        if poly.is_irreducible(K9, f):
             irred = f
             break
-    R = ResidueField(K9, irred.coeffs)
+    R = ResidueField(K9, irred)
     assert R.order == 81
     rng = random.Random(1)
     elems = list(itertools.product(range(K9.q), repeat=2))

@@ -7,9 +7,8 @@ import pytest
 from gosslift.errors import PolyError
 from gosslift.field import FiniteField, gf_create
 from gosslift import poly
-from gosslift.poly import MonicPoly
 from gosslift.textforms import parse_monic
-from poly_helpers import divides, monic_product, peval, ppow_mod
+from poly_helpers import monic_product, peval, ppow_mod
 
 
 def random_poly(rng, K, max_deg):
@@ -148,7 +147,7 @@ def test_squarefree_decomposition_reconstructs():
             for g in chosen:
                 e = rng.randrange(1, 4)
                 mults[g] = e
-                f = poly.pmul(K, f, poly.ppow(K, g.coeffs, e))
+                f = poly.pmul(K, f, poly.ppow(K, g, e))
             parts = poly.squarefree_decomposition(K, f)
             rebuilt = (1,)
             for e, part in parts.items():
@@ -160,7 +159,7 @@ def test_squarefree_decomposition_reconstructs():
 
 def factor_degrees(K, f):
     """Sorted (degree, multiplicity) pairs, one per irreducible factor."""
-    return tuple(sorted((g.degree, e) for g, e in poly.factor_monic(K, f)))
+    return tuple(sorted((poly.pdeg(g), e) for g, e in poly.factor_monic(K, f)))
 
 
 def test_factor_degree_multiset_examples():
@@ -168,7 +167,7 @@ def test_factor_degree_multiset_examples():
     f = poly.pmul(K, poly.pmul(K, (2, 1), (2, 1)), (1, 1))
     assert factor_degrees(K, f) == ((1, 1), (1, 2))
     g = parse_monic(K, "T^2 + 1")
-    assert factor_degrees(K, g.coeffs) == ((2, 1),)
+    assert factor_degrees(K, g) == ((2, 1),)
     assert factor_degrees(K, (0, 1)) == ((1, 1),)
     assert factor_degrees(K, (2,)) == ()
 
@@ -186,8 +185,8 @@ def test_factor_degree_multiset_random_products():
             expect = []
             for g in chosen:
                 e = rng.randrange(1, 4)
-                expect.append((g.degree, e))
-                f = poly.pmul(K, f, poly.ppow(K, g.coeffs, e))
+                expect.append((poly.pdeg(g), e))
+                f = poly.pmul(K, f, poly.ppow(K, g, e))
             got = factor_degrees(K, f)
             assert got == tuple(sorted(expect))
             assert sum(d * e for d, e in got) == poly.pdeg(f)
@@ -220,14 +219,14 @@ def test_irreducible_counts_match_necklace_formula():
 def test_irreducibles_pass_frobenius_certificate():
     """gcd(X^{q^e} - X, f) = 1 for e < d and X^{q^d} = X mod f."""
     def check(K, f):
-        xm = poly.pmod(K, (0, 1), f.coeffs)
+        xm = poly.pmod(K, (0, 1), f)
         h = xm
-        d = f.degree
+        d = poly.pdeg(f)
         for e in range(1, d + 1):
-            h = ppow_mod(K, h, K.q, f.coeffs)
+            h = ppow_mod(K, h, K.q, f)
             if e < d:
                 diff = poly.psub(K, h, xm)
-                assert poly.pgcd(K, diff, f.coeffs) == (1,)
+                assert poly.pgcd(K, diff, f) == (1,)
         assert h == xm
 
     rng = random.Random(6)
@@ -247,47 +246,30 @@ def test_enumerate_monic_order_and_counts():
     quadratics = poly.enumerate_monic(K, 2)
     assert len(quadratics) == 9
     assert quadratics == sorted(quadratics)
-    assert quadratics[0].coeffs == (0, 0, 1)
-    assert all(f.degree == 2 for f in quadratics)
+    assert quadratics[0] == (0, 0, 1)
+    assert all(len(f) == 3 for f in quadratics)
+    assert poly.enumerate_monic(K, 0) == [(1,)]
 
 
-def test_monic_poly_validation():
-    K = gf_create(3)
-    with pytest.raises(PolyError):
-        MonicPoly(K, (1, 2))
-    with pytest.raises(PolyError):
-        MonicPoly(K, ())
-    one = MonicPoly(K, (1,))
-    assert one.degree == 0
-    with pytest.raises(AttributeError):
-        one.coeffs = (0, 1)
-
-
-def test_monic_poly_ordering_and_arithmetic():
-    K = gf_create(3)
-    t = MonicPoly(K, (0, 1))
-    t1 = MonicPoly(K, (1, 1))
-    t_t1 = monic_product(t, t1)
-    assert t < t1 < MonicPoly(K, (0, 0, 1))
-    assert t_t1.coeffs == (0, 1, 1)
-    assert monic_product(t, t, t).degree == 3
-    assert divides(t, t_t1)
-    assert not divides(t1, t)
-    assert str(t1) == "T + 1"
-    d = {t: "a", t1: "b"}
-    assert d[MonicPoly(K, (0, 1))] == "a"
+def enumeration_order(factors):
+    """(prime, multiplicity) pairs sorted as factor_monic returns them:
+    by degree, then by coefficients low to high."""
+    return tuple(sorted(factors, key=lambda fe: (len(fe[0]), fe[0])))
 
 
 def test_factor_monic():
     K = gf_create(3)
-    t1 = MonicPoly(K, (1, 1))
-    t2 = MonicPoly(K, (2, 1))
-    f = monic_product(t1, t2, t2)
-    assert poly.factor_monic(K, f.coeffs) == ((t1, 1), (t2, 2))
+    t1 = (1, 1)
+    t2 = (2, 1)
+    f = monic_product(K, t1, t2, t2)
+    assert poly.factor_monic(K, f) == ((t1, 1), (t2, 2))
     # unit leading coefficient is discarded
-    assert poly.factor_monic(K, poly.pscale(K, 2, f.coeffs)) == ((t1, 1), (t2, 2))
+    assert poly.factor_monic(K, poly.pscale(K, 2, f)) == ((t1, 1), (t2, 2))
     assert poly.factor_monic(K, (2,)) == ()
-    assert poly.factor_monic(K, (1, 0, 1)) == ((MonicPoly(K, (1, 0, 1)), 1),)
+    assert poly.factor_monic(K, (1, 0, 1)) == (((1, 0, 1), 1),)
+    # degree first: T + 2 comes before T^2 + 1, though (1, 0, 1) < (2, 1)
+    assert poly.factor_monic(K, monic_product(K, (1, 0, 1), (2, 1))) == (
+        ((2, 1), 1), ((1, 0, 1), 1))
     with pytest.raises(PolyError):
         poly.factor_monic(K, ())
 
@@ -306,22 +288,22 @@ def test_factor_monic_recovers_random_products(p, m):
             # several distinct factors of one degree: equal-degree splitting
             primes = by_degree[rng.choice((1, 2, 3))]
             chosen = rng.sample(primes, min(len(primes), rng.randrange(2, 5)))
-        f = MonicPoly(K, (1,))
+        f = (K.one,)
         expect = {}
         for g in chosen:
             e = rng.randrange(1, 5)  # e = p takes the p-th root path
             expect[g] = e
             for _ in range(e):
-                f = monic_product(f, g)
+                f = monic_product(K, f, g)
         # primes come out in enumeration order
-        assert poly.factor_monic(K, f.coeffs) == tuple(sorted(expect.items()))
+        assert poly.factor_monic(K, f) == enumeration_order(expect.items())
 
 
 def random_irreducible(K, rng, d):
     while True:
         f = tuple(rng.randrange(K.q) for _ in range(d)) + (1,)
         if poly.is_irreducible(K, f):
-            return MonicPoly(K, f)
+            return f
 
 
 def test_factor_monic_trial_divides_only_where_needed():
@@ -330,23 +312,23 @@ def test_factor_monic_trial_divides_only_where_needed():
     K = FiniteField(3)
     rng = random.Random(27)
     P = random_irreducible(K, rng, 27)
-    t1 = MonicPoly(K, (1, 1))
-    assert poly.factor_monic(K, P.coeffs) == ((P, 1),)
-    assert poly.factor_monic(K, monic_product(t1, t1, P).coeffs) == ((t1, 2), (P, 1))
-    assert poly.factor_monic(K, monic_product(P, P, P).coeffs) == ((P, 3),)
+    t1 = (1, 1)
+    assert poly.factor_monic(K, P) == ((P, 1),)
+    assert poly.factor_monic(K, monic_product(K, t1, t1, P)) == ((t1, 2), (P, 1))
+    assert poly.factor_monic(K, monic_product(K, P, P, P)) == ((P, 3),)
     # two distinct primes of degree 13 split apart without a model of F_{3^13}
     A = random_irreducible(K, rng, 13)
     B = random_irreducible(K, rng, 13)
     while B == A:
         B = random_irreducible(K, rng, 13)
     A, B = sorted((A, B))
-    assert poly.factor_monic(K, monic_product(A, B).coeffs) == ((A, 1), (B, 1))
+    assert poly.factor_monic(K, monic_product(K, A, B)) == ((A, 1), (B, 1))
     assert not K._zech_cache
 
 
 def brute_irreducible(K, g):
     """No monic divisor of degree 1 .. deg(g) // 2."""
-    return not any(poly.pmod(K, g, h.coeffs) == ()
+    return not any(poly.pmod(K, g, h) == ()
                    for d in range(1, poly.pdeg(g) // 2 + 1)
                    for h in poly.enumerate_monic(K, d))
 
@@ -357,7 +339,7 @@ def test_is_irreducible_matches_trial_division(p, m, top):
     K = gf_create(p, m)
     for d in range(1, top + 1):
         for f in poly.enumerate_monic(K, d):
-            assert poly.is_irreducible(K, f.coeffs) == brute_irreducible(K, f.coeffs)
+            assert poly.is_irreducible(K, f) == brute_irreducible(K, f)
 
 
 def test_power_is_square_and_multiply_low_bit_first():

@@ -64,8 +64,11 @@ def test_parse_errors():
         parse_tpoly(K, "y + 1")
     with pytest.raises(PolyError):
         parse_tpoly(K, "g + 1")  # no generator over a prime field
-    with pytest.raises(PolyError):
-        parse_monic(K, "2*T + 1")
+    for text in ("2*T + 1", "0", "T^2 + 2*T^2"):
+        with pytest.raises(PolyError, match="not monic"):
+            parse_monic(K, text)
+    assert parse_monic(K, "1") == (1,)
+    assert parse_monic(K, "T^2 + 1 + 1") == (2, 0, 1)
 
 
 def test_parse_rejects_huge_degrees_and_integers():

@@ -11,6 +11,7 @@ from gosslift.errors import WittError
 from gosslift.extension import (builtin_extension, parse_extension_file,
                                 trivial_extension)
 from gosslift.field import gf_create
+from gosslift.textforms import parse_monic
 from gosslift.witt import (WITT_LEN_BOUND, FieldOps, LaurentOps, WittPolys,
                            WittVector, check_lifted_args, int_to_witt,
                            lifted_goss_eval, witt_structure_polys, witt_text)
@@ -288,11 +289,11 @@ def test_lifted_component_zero_is_the_mod_p_value():
 
 def test_lifted_detects_mod_p_squared_difference():
     base = dirichlet_table(builtin_extension(K3, "kummer_sqrt", c="T"), 3)
-    n0 = next(n for n in base.entries if str(n) == "T + 2")
+    n0 = parse_monic(K3, "T + 2")
     for s in (1, 2, 3):
         M = 3 * s
         bumped = list(base.counts)
-        bumped[rank(K3, n0.coeffs)] += 3
+        bumped[rank(K3, n0)] += 3
         other = DirichletTable(base.ext_name, base.field, base.bound, bumped)
         assert (lifted_goss_eval(base, s, M, 1)
                 == lifted_goss_eval(other, s, M, 1))
@@ -300,7 +301,7 @@ def test_lifted_detects_mod_p_squared_difference():
                 != lifted_goss_eval(other, s, M, 2))
         # a shift by p^2 is invisible at length 2
         bumped9 = list(base.counts)
-        bumped9[rank(K3, n0.coeffs)] += 9
+        bumped9[rank(K3, n0)] += 9
         other9 = DirichletTable(base.ext_name, base.field, base.bound, bumped9)
         assert (lifted_goss_eval(base, s, M, 2)
                 == lifted_goss_eval(other9, s, M, 2))
@@ -536,19 +537,19 @@ def test_class_ghost_sum_matches_the_per_entry_oracle(p, m, D):
                 assert witt.ghost_sum(table, s, M, j) == oracle_ghost_sum(table, s, M, j)
 
 
-def test_zeta_values_make_no_monic_poly(monkeypatch):
+def test_zeta_values_read_counts_by_rank(monkeypatch):
     """goss_eval at s >= 1 and s <= 0 and lifted_goss_eval read the count
-    list by rank: with unrank and MonicPoly refused they give the same
-    values."""
+    list by rank: with unrank and the entries view refused they give the
+    same values."""
     table = dirichlet_table(parse_extension_file(K_SQRT), 6)
     want = (goss_eval(table, 2, 12), goss_eval(table, -1, 6),
             lifted_goss_eval(table, 1, 6, 3))
 
     def refuse(*args):
-        raise AssertionError("an evaluation made a MonicPoly")
+        raise AssertionError("an evaluation made a polynomial of a rank")
 
     monkeypatch.setattr(zeta, "unrank", refuse)
-    monkeypatch.setattr(poly.MonicPoly, "__init__", refuse)
+    monkeypatch.setattr(zeta.DirichletTable, "entries", property(refuse))
     assert (goss_eval(table, 2, 12), goss_eval(table, -1, 6),
             lifted_goss_eval(table, 1, 6, 3)) == want
 

@@ -14,7 +14,7 @@ from gosslift.extension import (ExtensionSpec, SplittingType, builtin_extension,
                                 parse_extension_file, splitting_type,
                                 splitting_types, trivial_extension)
 from gosslift.field import ResidueField, gf_create
-from gosslift.poly import MonicPoly, enumerate_monic, enumerate_monic_irreducibles
+from gosslift.poly import enumerate_monic, enumerate_monic_irreducibles
 from gosslift.textforms import parse_monic, parse_xt_poly
 from gosslift.zeta import dirichlet_table, local_counts
 from poly_helpers import peval
@@ -140,7 +140,7 @@ def test_one_minpoly_product_per_symmetry_class(p, m, d, monkeypatch):
 def trial_division_irreducibles(K, d):
     out = []
     for f in enumerate_monic(K, d):
-        if not any(poly.pmod(K, f.coeffs, g.coeffs) == ()
+        if not any(poly.pmod(K, f, g) == ()
                    for e in range(1, d // 2 + 1) for g in enumerate_monic(K, e)):
             out.append(f)
     return out
@@ -186,9 +186,8 @@ def covers(K):
     m = 5 if K.p == 3 else 3
     out = [trivial_extension(K), builtin_extension(K, "artin_schreier", m=m)]
     if K.p == 2:
-        t = MonicPoly(K, (0, 1))
         out.append(ExtensionSpec("Q2", K, parse_xt_poly(K, "X^2 + T*X + 1"),
-                                 overrides={t: SplittingType(((2, 1),))}))
+                                 overrides={(0, 1): SplittingType(((2, 1),))}))
     else:
         out.append(builtin_extension(K, "kummer_sqrt", c="T^3 - T"))
     return out
@@ -201,14 +200,14 @@ def test_table_types_match_splitting_type(p, m, bound):
         table = dirichlet_table(ext, bound)
         seen = set()
         for d in range(1, bound + 1):
-            got = [(MonicPoly(K, prime), st) for prime, st in splitting_types(ext, d)]
+            got = list(splitting_types(ext, d))
             assert [prime for prime, _ in got] == enumerate_monic_irreducibles(K, d)
             for prime, st in got:
                 assert st.pairs == splitting_type(ext, prime).pairs
                 seen.add(st.pairs)
                 counts = local_counts(st, bound // d)
                 for k in range(1, bound // d + 1):
-                    power = MonicPoly(K, poly.ppow(K, prime.coeffs, k))
+                    power = poly.ppow(K, prime, k)
                     assert table.entries[power] == counts[k]
         if ext.degree > 1:
             assert len(seen) > 1
@@ -307,10 +306,10 @@ def model_path_types(ext, d):
     """type_pairs of splitting_types with the distinct-degree last step at
     every prime, on values at the roots taken by Horner's rule."""
     F = ext.field.zech_field(d)
-    disc = extension.discriminant(ext).coeffs
+    disc = extension.discriminant(ext)
     out = []
     for prime, alpha in zip(*F.irreducibles()):
-        st = ext.overrides.get(MonicPoly(ext.field, prime))
+        st = ext.overrides.get(prime)
         if st is None:
             assert peval(F, disc, alpha)
             st = extension._reduced_type(
@@ -423,7 +422,7 @@ def test_root_counts_without_the_sweep(make, monkeypatch):
         assert not calls
         assert type_pairs(got) == model_path_types(ext, d)
         seen |= {st.pairs for prime, st in got
-                 if MonicPoly(ext.field, prime) not in ext.overrides}
+                 if prime not in ext.overrides}
         calls.clear()
         d += 1
     n = ext.degree
@@ -452,19 +451,18 @@ def test_other_covers_fall_back_to_distinct_degree_types(monkeypatch):
     """X^4 - T is separated but of degree 4 and not Artin-Schreier, and
     X^2 + T*X + 1 is not separated: both factor at every unramified prime."""
     K2, K5 = gf_create(2), gf_create(5)
-    t2, t5 = MonicPoly(K2, (0, 1)), MonicPoly(K5, (0, 1))
+    t = (0, 1)
     covers = (
         (ExtensionSpec("quartic", K5, parse_xt_poly(K5, "X^4 - T"),
-                       overrides={t5: SplittingType(((4, 1),))}), 3),
+                       overrides={t: SplittingType(((4, 1),))}), 3),
         (ExtensionSpec("Q2", K2, parse_xt_poly(K2, "X^2 + T*X + 1"),
-                       overrides={t2: SplittingType(((2, 1),))}), 6),
+                       overrides={t: SplittingType(((2, 1),))}), 6),
     )
     calls = counted_distinct_degree(monkeypatch)
     for ext, bound in covers:
         for d in range(1, bound + 1):
             got = list(splitting_types(ext, d))
-            factored = sum(MonicPoly(ext.field, prime) not in ext.overrides
-                           for prime, _ in got)
+            factored = sum(prime not in ext.overrides for prime, _ in got)
             assert len(calls) == factored > 0
             assert type_pairs(got) == model_path_types(ext, d)
             calls.clear()

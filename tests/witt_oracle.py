@@ -35,8 +35,8 @@ skipping arithmetic and the package's ghost route must both equal their
 results, precision included.
 
 `oracle_ghost_sum` is the per-entry ghost sum gosslift.witt ran before it
-summed the counts of each coefficient-prefix class: one MonicPoly and
-one series for every entry that is nonzero mod p^j.
+summed the counts of each coefficient-prefix class: one unranked
+polynomial and one series for every entry that is nonzero mod p^j.
 """
 
 import sympy
@@ -214,19 +214,18 @@ def series_pow(a, e):
     return poly.power(series_mul, a, a, e - 1)
 
 
-def laurent_inv_pow(n, j, M):
-    """Expansion of n^-j at 1/T to precision M, for monic n and j >= 1.
+def laurent_inv_pow(K, n, j, M):
+    """Expansion of n^-j at 1/T to precision M, for monic n over K and j >= 1.
 
     The result has valuation exactly deg(n) * j and leading coefficient 1.
     """
     if j < 1:
         raise LaurentError(f"exponent {j} must be at least 1")
-    K = n.field
-    D = n.degree * j
+    D = poly.pdeg(n) * j
     if M < D:
         raise LaurentError(
             f"precision {M} cannot hold the leading term T^-{D} of the expansion")
-    denom = poly.ppow(K, n.coeffs, j)
+    denom = poly.ppow(K, n, j)
     add, mul, neg, z = K.add, K.mul, K.neg, K.zero
     c = [z] * (M - D + 1)
     c[0] = K.one
@@ -489,11 +488,11 @@ def oracle_lifted_goss_eval(table, s, M, N, add=oracle_add):
     lifts = {}
     for n, b in table.entries.items():
         b %= K.p ** N
-        if n.degree * s > M or b == 0:
+        if poly.pdeg(n) * s > M or b == 0:
             continue
         if b not in lifts:
             lifts[b] = oracle_int_to_witt(FieldRing(K), b, N)
-        x = laurent_inv_pow(n, s, M)
+        x = laurent_inv_pow(K, n, s, M)
         coords = []
         for i in range(N):
             coords.append(series_scale(x, lifts[b].coords[i]))
@@ -510,7 +509,7 @@ def oracle_ghost_sum(table, e, M, j):
     """witt.ghost_sum with one series for each entry of the table.
 
     Each rank of degree at most M // e whose count is nonzero mod p^j is
-    made into its MonicPoly n, and n~^-e = u^(de) * g~(u)^-e is expanded
+    made into its polynomial n, and n~^-e = u^(de) * g~(u)^-e is expanded
     from n's own top coefficients, to length L = M + 1 - de.
     """
     R = GaloisRing(table.field, j)
@@ -521,9 +520,9 @@ def oracle_ghost_sum(table, e, M, j):
         if b % P == 0:
             continue
         n = unrank(table.field, r)
-        v = n.degree * e
+        v = poly.pdeg(n) * e
         L = M + 1 - v
-        g = [lifts[c] for c in reversed(n.coeffs[-L:])]
+        g = [lifts[c] for c in reversed(n[-L:])]
         for t, c in enumerate(R.series_inv(R.series_pow(g, e, L), L)):
             row = acc[v + t]
             for i, x in enumerate(c):
