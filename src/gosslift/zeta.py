@@ -10,8 +10,8 @@ of the same table of nonnegative integers:
 
   * the counting (Weil) series sums B over each degree block,
   * the positive-characteristic zeta reduces B mod p and pairs it with
-    Laurent expansions of n^-s at the infinite place, into the printed
-    record witt.LaurentSeries (a polynomial in T at s <= 0),
+    Laurent expansions of n^-s at the infinite place, or at s <= 0 with
+    the coefficient moments of each degree block, into witt.LaurentSeries,
   * the lifted zeta (see witt.py) keeps B as an integer mod p^N; at s <= 0
     it and the mod-p zeta sum the whole table and stop by one rule
     (check_stopped), so the Goss value at s = 0 is its lift's first digit.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from types import MappingProxyType
 
 from . import poly, textforms
@@ -301,8 +302,8 @@ def goss_eval(table, s, M):
 
     For s >= 1 this is sum B(n) * n^-s over the table, reduced mod p,
     correct through T^-M; the table bound must reach ceil(M / s).  For
-    s <= 0 the sum is over polynomial powers n^|s| and must terminate: it
-    adds the degree blocks of the whole table, and the top three must
+    s <= 0 the sum of B(n) * n^|s| adds the moments of the degree blocks of
+    the whole table (_power_blocks) and must terminate: the top three must
     vanish identically (check_stopped), otherwise the evaluation fails.
     """
     K = table.field
@@ -316,21 +317,35 @@ def goss_eval(table, s, M):
 
 
 def _power_blocks(table, k):
-    """Block sums of B(n) * n^k mod p for degrees 0..bound (k >= 0); at
-    k = 0 they are the table's block sums mod p."""
-    K = table.field
-    if k == 0:
-        return [poly.ptrim(K, [K.from_int(b)]) for b in table.block_sums()]
-    blocks = [()] * (table.bound + 1)
-    # c_0..c_(d-1) of each n, in rank order (see rank)
-    lowers = itertools.chain.from_iterable(
-        itertools.product(K.elements(), repeat=d) for d in range(table.bound + 1))
-    for lower, b in zip(lowers, table.counts):
-        if b % K.p:
-            r = K.from_int(b)
-            term = poly.pscale(K, r, poly.ppow(K, lower + (K.one,), k))
-            blocks[len(lower)] = poly.padd(K, blocks[len(lower)], term)
-    return blocks
+    """Block sums of B(n) * n^k mod p for degrees 0..bound, k >= 0."""
+    K, p, counts, s = table.field, table.field.p, table.counts, table.starts
+    return [_moment(K, d, k, {r: K.from_int(b) for r, b in
+                              enumerate(counts[s[d]:s[d + 1]]) if b % p})
+            for d in range(table.bound + 1)]
+
+
+def _moment(K, d, k, w):
+    """Sum of w(n) * n^k over the monic n of degree d, where w maps ranks in
+    the block (see rank) to nonzero elements.  With n = c_0 + T*n', c_0 the
+    top digit of the rank, n^k = sum_j C(k, j) c_0^(k-j) T^j n'^j: for each
+    j with C(k, j) nonzero mod p, the q slices of the block fold, weighted
+    by c_0^(k-j), into one block of degree d - 1 that recurses with j."""
+    if not w or k == 0 or d == 0:
+        return poly.ptrim(K, [functools.reduce(K.add, w.values(), K.zero)])
+    add, mul, size, out = K._add, K._mul, K.q ** (d - 1), [0] * (d * k + 1)
+    for j in range(k + 1):
+        binom = K.from_int(math.comb(k, j))
+        if not binom:
+            continue
+        by = [mul[K.pow_(c, k - j)] for c in K.elements()]  # v -> c^(k-j) * v
+        fold = {}
+        for r, v in w.items():
+            c, rest = divmod(r, size)
+            fold[rest] = add[fold.get(rest, 0)][by[c][v]]
+        fold = {r: v for r, v in fold.items() if v}
+        for i, c in enumerate(_moment(K, d - 1, j, fold), j):
+            out[i] = add[out[i]][mul[binom][c]]
+    return poly.ptrim(K, out)
 
 
 # --- comparison ---

@@ -12,7 +12,8 @@ import pytest
 from gosslift.errors import ExtensionError, WittError, ZetaError
 from gosslift.demos import standard_extensions
 from gosslift.extension import (ExtensionSpec, SplittingType,
-                                builtin_extension, parse_extension_file,
+                                builtin_extension, parse_extension,
+                                parse_extension_file,
                                 splitting_type, splitting_types,
                                 trivial_extension)
 from gosslift.field import gf_create
@@ -30,6 +31,8 @@ from witt_oracle import (coefficient, laurent_inv_pow, series, series_add,
                          series_scale)
 
 K3 = gf_create(3)
+K_SQRT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "configs", "K_sqrt.cfg")
 
 
 def test_local_counts_examples():
@@ -211,21 +214,45 @@ def test_goss_eval_nonpositive_s():
         goss_eval(dirichlet_table(trivial_extension(K3), 4), -2, 6)
 
 
-@pytest.mark.parametrize("p,m,D", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3)],
-                         ids=["F2", "F3", "F4", "F5"])
+@pytest.mark.parametrize("p,m,D", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3),
+                                   (3, 2, 3)],
+                         ids=["F2", "F3", "F4", "F5", "F9"])
 def test_power_blocks_match_the_entries(p, m, D):
-    """The s <= 0 block sums, read off ranks, equal those over the table's
-    entries view, for random counts."""
+    """The s <= 0 block sums, read off ranks, equal the sums of B(n) * n^k
+    over the table's entries view for k = 0..5 (k >= p included, where
+    binomials vanish mod p), on a dense random count list and on a sparse
+    one with at least 95% of its entries divisible by p, the shape of an
+    Artin-Schreier table."""
     K = gf_create(p, m)
     rng = random.Random(p * 10 + m)
-    counts = [rng.randrange(3 * p) for _ in range((K.q ** (D + 1) - 1) // (K.q - 1))]
-    table = DirichletTable("random", K, D, counts)
-    for k in range(4):
-        want = [()] * (D + 1)
-        for n, b in table.entries.items():
-            term = poly.pscale(K, K.from_int(b), poly.ppow(K, n, k))
-            want[len(n) - 1] = poly.padd(K, want[len(n) - 1], term)
-        assert zeta._power_blocks(table, k) == want
+    size = (K.q ** (D + 1) - 1) // (K.q - 1)
+    dense = [rng.randrange(3 * p) for _ in range(size)]
+    sparse = [p * rng.randrange(3) for _ in range(size)]
+    for r in rng.sample(range(size), size // 25):
+        sparse[r] += rng.randrange(1, p)
+    assert sum(b % p != 0 for b in sparse) <= size // 20
+    for counts in (dense, sparse):
+        table = DirichletTable("random", K, D, counts)
+        for k in range(6):
+            want = [()] * (D + 1)
+            for n, b in table.entries.items():
+                term = poly.pscale(K, K.from_int(b), poly.ppow(K, n, k))
+                want[len(n) - 1] = poly.padd(K, want[len(n) - 1], term)
+            assert zeta._power_blocks(table, k) == want
+
+
+def test_goss_at_s_le_0_raises_no_polynomial_to_a_power(monkeypatch):
+    """goss_eval at s = -1 and s = -2 folds coefficient moments: with
+    poly.ppow and the entries view refused it gives the same values."""
+    table = dirichlet_table(parse_extension_file(K_SQRT), 8)
+    want = (goss_eval(table, -1, 12), goss_eval(table, -2, 12))
+
+    def refuse(*args):
+        raise AssertionError("an s <= 0 value raised a polynomial to a power")
+
+    monkeypatch.setattr(poly, "ppow", refuse)
+    monkeypatch.setattr(zeta.DirichletTable, "entries", property(refuse))
+    assert (goss_eval(table, -1, 12), goss_eval(table, -2, 12)) == want
 
 
 def test_goss_eval_stops_only_when_the_top_blocks_vanish():
@@ -418,6 +445,58 @@ def test_compare_zeta_cubic_pair_blocks_differ():
     w = compare_zeta(a, b, "weil")
     assert not w.equal
     assert w.text() == "DIFFER d=4 left=81 right=99"
+
+
+def _radical_cover(K, n, c, primes, name):
+    """X^n - c parsed from config text, with the override (n,1) at each of
+    primes: the prime factors of a squarefree c, where X^n - c is
+    Eisenstein, and the only primes of its discriminant n^n c^(n-1) when
+    n < p."""
+    cols = (poly.pneg(K, c),) + ((),) * (n - 1) + ((K.one,),)
+    text = (f"[field]\np={K.p}\n[extension]\nname={name}\n"
+            f"poly={textforms.format_xt_poly(K, cols)}\n")
+    for prime in primes:
+        text += f"[override]\nprime={textforms.format_tpoly(K, prime)}\ntype=({n},1)\n"
+    return parse_extension(text)
+
+
+def _pull_back(K, f, a, b):
+    """f(b*T + a)."""
+    out = ()
+    for c in reversed(f):
+        out = poly.padd(K, poly.pmul(K, out, (a, b)), (c,))
+    return out
+
+
+@pytest.mark.parametrize("p,D", [(5, 4), (7, 3)], ids=["F5", "F7"])
+def test_pullback_covers_compare_alike(p, D):
+    """A cover X^n - c and its pullback by T -> b*T + a have the same Weil
+    blocks, since the substitution permutes the monic n of each degree.
+    With n < p, a splitting type is read off its residues mod p, so the
+    goss and lifted comparisons stop at the same n or at none."""
+    K = gf_create(p)
+    rng = random.Random(p)
+    verdicts = Counter()
+    for _ in range(12):
+        n = rng.choice((2, 3))
+        while True:
+            c = poly.ptrim(K, [rng.randrange(p) for _ in range(rng.randint(2, 4))])
+            factors = poly.factor_monic(K, c) if len(c) > 1 else None
+            if factors and all(mult == 1 for _, mult in factors):
+                break
+        a, b = rng.randrange(p), rng.randrange(1, p)
+        primes = [prime for prime, _ in factors]
+        # the monic pullbacks of the factors of c are the factors of c(bT + a)
+        pulled = [poly.pmonic(K, _pull_back(K, prime, a, b)) for prime in primes]
+        pulled_c = _pull_back(K, c, a, b)
+        assert sorted(pulled) == sorted(f for f, _ in poly.factor_monic(K, pulled_c))
+        left = dirichlet_table(_radical_cover(K, n, c, primes, "left"), D)
+        right = dirichlet_table(_radical_cover(K, n, pulled_c, pulled, "right"), D)
+        assert compare_zeta(left, right, "weil").text() == f"EQUAL bound={D}"
+        goss, lifted = (compare_zeta(left, right, kind) for kind in ("goss", "lifted"))
+        assert (goss.equal, goss.witness) == (lifted.equal, lifted.witness)
+        verdicts[goss.equal] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_compare_zeta_validation():
