@@ -35,10 +35,10 @@ are power series in u truncated after u^M, so every coordinate is known
 to precision exactly M; it is kept as the record it prints (LaurentSeries),
 as goss values are, and nothing in the package does arithmetic on it.
 
-Integers enter W_N through their Teichmuller digits: in W(F_p) = Z_p an
-integer is k = sum p^i [a_i], where [a] = a^(p^(N-1)) mod p^N, so
-a_0 = k mod p, then k <- (k - [a_0]) / p, and so on, in exact integer
-arithmetic.  That gives the value at s = 0, a Witt vector over F_q.
+At s = 0 the sum k of all counts mod p^N (stopped_total, goss_eval's
+read mod p) enters W_N by its Teichmuller digits: k = sum p^i [a_i],
+[a] = a^(p^(N-1)) mod p^N, so a_0 = k mod p, k <- (k - [a_0]) / p, and
+so on.  A lifted value is the tuple of its N coordinates, as it prints.
 """
 
 from __future__ import annotations
@@ -143,7 +143,6 @@ class FieldOps:
 
     def __init__(self, field):
         self.field = field
-        self.p = field.p
 
     def render(self, a):
         return textforms.format_terms(self.field, [(a, 0)])
@@ -175,35 +174,26 @@ def laurent(K, top, coeffs, M):
                                   if c != K.zero), M)
 
 
-class WittVector(namedtuple("WittVector", "p N coords")):
-    __slots__ = ()
-
-    def __new__(cls, p, N, coords):
-        if len(coords) != N:
-            raise WittError("coordinate count does not match the length")
-        return super().__new__(cls, p, N, coords)
-
-
-def int_to_witt(ops, k, N):
-    """The image of the integer k in W_N, from its Teichmuller digits.
+def int_to_witt(K, k, N):
+    """The integer k in W_N over K: the tuple of its N Teichmuller digits.
 
     Only k mod p^N matters.  The digit a_i is k mod p; then k becomes
     (k - [a_i]) / p with [a] = a^(p^(N-1)) mod p^N, an exact division
     since [a] = a mod p.
     """
-    p = ops.p
+    p = K.p
     pN = p ** N
     k %= pN
     digits = []
     for _ in range(N):
         a = k % p
-        digits.append(ops.field.from_int(a))
+        digits.append(K.from_int(a))
         k = (k - pow(a, pN // p, pN)) // p
-    return WittVector(p, N, tuple(digits))
+    return tuple(digits)
 
 
 def witt_text(ops, w):
-    return "(" + "; ".join(ops.render(c) for c in w.coords) + ")"
+    return "(" + "; ".join(map(ops.render, w)) + ")"
 
 
 # --- power series over the Galois ring ---
@@ -342,6 +332,14 @@ def check_stopped(blocks, s, error):
                         f"the sum has not stopped at this bound")
 
 
+def stopped_total(table, modulus, s, error):
+    """The sum of all counts mod modulus, for a zeta value at s = 0: the
+    block sums, reduced, must have stopped (check_stopped)."""
+    blocks = [b % modulus for b in table.block_sums()]
+    check_stopped(blocks, s, error)
+    return sum(blocks) % modulus
+
+
 def check_lifted_args(bound, s, M, N):
     """Reject a lifted zeta request that no table of this bound can serve,
     before the table is built: check_args, for a length N in range and
@@ -355,23 +353,21 @@ def check_lifted_args(bound, s, M, N):
 
 
 def lifted_goss_eval(table, s, M, N):
-    """Zeta value at s with coefficients lifted to length-N Witt vectors.
+    """Zeta value at s lifted to length N: the tuple of its N coordinates.
 
     For s >= 1 each ideal count B(n), taken mod p^N rather than mod p,
     multiplies the Teichmuller lift of n^-s; the result has Laurent
     series coordinates at precision M, found from its ghost components
     as the module docstring describes.  At s = 0 the series collapses to
-    the sum of all counts, whose top three degree blocks must vanish mod
-    p^N (check_stopped, goss_eval's rule), and the value is a Witt vector
-    with field coordinates.  Negative s is not defined here.
+    the sum of all counts mod p^N (stopped_total, goss_eval's read mod p),
+    and the coordinates are its Teichmuller digits, field elements.
+    Negative s is not defined here.
     """
     K = table.field
     p = K.p
     check_lifted_args(table.bound, s, M, N)
     if s == 0:
-        blocks = [b % p ** N for b in table.block_sums()]
-        check_stopped(blocks, s, WittError)
-        return int_to_witt(FieldOps(K), sum(blocks), N)
+        return int_to_witt(K, stopped_total(table, p ** N, s, WittError), N)
     R = GaloisRing(K, N)
     coords = []
     powers = []  # at level k, S~_i^(p^(k-i)) mod p^N for each i < k
@@ -394,4 +390,4 @@ def lifted_goss_eval(table, s, M, N):
             digits.append(tuple(x // pk for x in num))
         coords.append(mod_p_series(K, digits, M))
         powers.append(digits)
-    return WittVector(p, N, tuple(coords))
+    return tuple(coords)

@@ -10,11 +10,11 @@ of the same table of nonnegative integers:
 
   * the counting (Weil) series sums B over each degree block,
   * the positive-characteristic zeta reduces B mod p and pairs it with
-    Laurent expansions of n^-s at the infinite place, or at s <= 0 with
+    Laurent expansions of n^-s at the infinite place, or at s < 0 with
     the coefficient moments of each degree block, into witt.LaurentSeries,
-  * the lifted zeta (see witt.py) keeps B as an integer mod p^N; at s <= 0
-    it and the mod-p zeta sum the whole table and stop by one rule
-    (check_stopped), so the Goss value at s = 0 is its lift's first digit.
+  * the lifted zeta (see witt.py) keeps B as an integer mod p^N; at s = 0
+    it and the mod-p zeta make one read of the whole table
+    (stopped_total), so the Goss value at s = 0 is its lift's first digit.
 
 Tables carry the bound D up to which they were built; every verdict they
 support is a verdict "for all n of degree <= D" and nothing more.  A
@@ -38,7 +38,8 @@ from . import poly, textforms
 from .errors import ZetaError
 from .extension import splitting_types
 from .field import byte_residues
-from .witt import check_args, check_stopped, ghost_sum, laurent, mod_p_series
+from .witt import (check_args, check_stopped, ghost_sum, laurent, mod_p_series,
+                   stopped_total)
 
 
 def local_counts(st, kmax):
@@ -302,14 +303,16 @@ def goss_eval(table, s, M):
 
     For s >= 1 this is sum B(n) * n^-s over the table, reduced mod p,
     correct through T^-M; the table bound must reach ceil(M / s).  For
-    s <= 0 the sum of B(n) * n^|s| adds the moments of the degree blocks of
-    the whole table (_power_blocks) and must terminate: the top three must
-    vanish identically (check_stopped), otherwise the evaluation fails.
+    s <= 0 the sum of B(n) * n^|s| must stop (check_stopped): at s = 0 it
+    is the sum of all counts (stopped_total, the lift's read), at s < 0 it
+    adds the moments of the degree blocks of the whole table (_power_blocks).
     """
     K = table.field
     check_args(table.bound, s, M, ZetaError)
     if s >= 1:
         return mod_p_series(K, ghost_sum(table, s, M, 1), M)
+    if s == 0:
+        return laurent(K, 0, [K.from_int(stopped_total(table, K.p, s, ZetaError))], M)
     blocks = _power_blocks(table, -s)
     check_stopped(blocks, s, ZetaError)
     total = functools.reduce(functools.partial(poly.padd, K), blocks, ())

@@ -398,8 +398,15 @@ def test_gassmann_loads_no_dataclasses():
     ("p=3 M=2", "poly=X - T", "unknown key 'M' in the [field] section"),
     ("p=3 p=5", "poly=X - T", "key 'p' given twice in the [field] section"),
     ("p=3", "poly=X - T poly=X + T", "key 'poly' given twice in the [extension] section"),
+    ("p=3", "poly=X^2 + T*X + T^2",
+     "defining polynomial is inseparable (zero discriminant)"),
+    ("p=3", "builtin=artin_schreier", "artin_schreier needs an exponent m="),
+    ("p=3", "builtin=artin_schreier:m=x",
+     "artin_schreier exponent m must be an integer"),
+    ("p=3", "builtin=kummer_sqrt:c=T,d=1", "unknown kummer_sqrt parameters ['d']"),
 ], ids=["name", "base", "kind", "repeated-m", "huge-m", "unknown-key",
-        "repeated-p", "repeated-poly"])
+        "repeated-p", "repeated-poly", "inseparable", "missing-m", "non-integer-m",
+        "kummer-unknown"])
 def test_bad_config_keys_exit_3(tmp_path, field, ext, needle):
     """Each exits 3 with one error[extension] line: no traceback, and no
     table of another field or cover than the one written."""

@@ -1,6 +1,7 @@
 """Extension specs, splitting types, discriminants, and config parsing."""
 
 import itertools
+import os
 import re
 
 import pytest
@@ -10,12 +11,15 @@ from gosslift.extension import (PRIME_DEGREE_BOUND, ExtensionSpec,
                                 SplittingType, builtin_extension,
                                 discriminant, parse_extension,
                                 parse_extension_file, splitting_type,
-                                trivial_extension)
+                                splitting_types, trivial_extension)
 from gosslift.field import ResidueField, gf_create
 from gosslift import poly
 from gosslift.poly import enumerate_monic_irreducibles
 from gosslift.textforms import (MAX_TEXT_DEGREE, parse_monic, parse_tpoly,
                                 parse_xt_poly)
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def primes_through(K, bound):
@@ -206,6 +210,25 @@ def test_artin_schreier_split_iff_trace_zero():
             else:
                 assert st.pairs == ((1, p),)
         assert len(seen) == 2
+
+
+@pytest.mark.parametrize("ext, m, bound", [
+    (lambda: parse_extension_file(os.path.join(CONFIGS, "as_cubic.cfg")), 1, 10),
+    (lambda: builtin_extension(gf_create(3), "artin_schreier", m=5), 5, 10),
+    (lambda: builtin_extension(gf_create(2, 2), "artin_schreier", m=3), 3, 7),
+], ids=["as_cubic", "F3-m5", "F4-m3"])
+def test_artin_schreier_split_share_is_one_over_p(ext, m, bound):
+    """Chebotarev for X^p - X - f, deg f = m prime to p: of the pi_d primes
+    of degree d, S_d split completely, and |S_d - pi_d / p| is at most
+    (m + 2) q^(d/2) / d.  That is Weil's bound (m - 1) q^(d/2) on the
+    trace character sum over F_(q^d), plus at most 2 q^(d/2) elements of
+    its proper subfields, divided among the d roots of each prime."""
+    ext = ext()
+    q, p = ext.field.q, ext.field.p
+    for d in range(1, bound + 1):
+        types = [st.pairs for _, st in splitting_types(ext, d)]
+        split = types.count(((1, 1),) * p)
+        assert abs(split - len(types) / p) <= (m + 2) * q ** (d / 2) / d, d
 
 
 def test_splitting_rejects_bad_input():

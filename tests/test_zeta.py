@@ -255,6 +255,28 @@ def test_goss_at_s_le_0_raises_no_polynomial_to_a_power(monkeypatch):
     assert (goss_eval(table, -1, 12), goss_eval(table, -2, 12)) == want
 
 
+def test_goss_at_s_0_folds_no_moments(monkeypatch):
+    """goss_eval at s = 0 reads the block sums, as the lifted value does:
+    with zeta._moment refused it gives the same values over F_3 and F_4,
+    and refuses a sum that has not stopped with the same error."""
+    configs = os.path.dirname(K_SQRT)
+    tables = [dirichlet_table(parse_extension_file(os.path.join(configs, name)), D)
+              for name, D in (("K_sqrt.cfg", 8), ("as_g_f4.cfg", 6))]
+    want = [goss_eval(table, 0, 12) for table in tables]
+    ks8 = dirichlet_table(parse_extension_file(os.path.join(configs, "ks8_f3.cfg")), 6)
+    with pytest.raises(ZetaError) as refused:
+        goss_eval(ks8, 0, 12)
+
+    def refuse(*args):
+        raise AssertionError("the s = 0 value folded coefficient moments")
+
+    monkeypatch.setattr(zeta, "_moment", refuse)
+    assert [goss_eval(table, 0, 12) for table in tables] == want
+    with pytest.raises(ZetaError) as again:
+        goss_eval(ks8, 0, 12)
+    assert str(again.value) == str(refused.value)
+
+
 def test_goss_eval_stops_only_when_the_top_blocks_vanish():
     """The s = -2 sum of AS m=1 stops at degree 3: at D=5 block 3 is among
     the top three and the value is refused, at D=6 blocks 4..6 vanish and

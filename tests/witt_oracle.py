@@ -23,7 +23,11 @@ to the smaller of the two precisions, a product additionally loses
 whatever a negative valuation amplifies.
 
 `FieldRing` and `LaurentRing` add ring arithmetic to the package's
-coordinate rings.  `witt_add`, `witt_mul`, `witt_neg` and `witt_sub`
+coordinate rings.  The package holds a Witt vector as the tuple of its
+coordinates; the arithmetic here works on `WittVector`, a record that
+also carries p and the length N, so mismatched vectors are refused, and
+`int_vector` wraps the package's `int_to_witt` digits in it.
+`witt_add`, `witt_mul`, `witt_neg` and `witt_sub`
 evaluate the structure polynomials with `skip_eval_terms`, which skips
 terms that vanish at the working precision (see its docstring); that is
 the Witt arithmetic gosslift.witt used to run.  `eval_terms` is the
@@ -39,12 +43,14 @@ summed the counts of each coefficient-prefix class: one unranked
 polynomial and one series for every entry that is nonzero mod p^j.
 """
 
+from collections import namedtuple
+
 import sympy
 
 from gosslift import poly
 from gosslift.errors import GossliftError, WittError
 from gosslift.witt import (FieldOps, GaloisRing, LaurentOps, LaurentSeries,
-                           WittPolys, WittVector, laurent,
+                           WittPolys, int_to_witt, laurent,
                            witt_structure_polys)
 from gosslift.zeta import unrank
 
@@ -249,6 +255,7 @@ class FieldRing(FieldOps):
 
     def __init__(self, field):
         super().__init__(field)
+        self.p = field.p
         self.zero = field.zero
         self.one = field.one
 
@@ -281,6 +288,7 @@ class LaurentRing(LaurentOps):
 
     def __init__(self, field, precision):
         super().__init__(field, precision)
+        self.p = field.p
         self.zero = series(field, 0, (), precision)
         self.one = series(field, 0, (field.one,), precision)
 
@@ -313,6 +321,22 @@ class LaurentRing(LaurentOps):
 
 
 # --- Witt arithmetic through the structure polynomials ---
+
+
+class WittVector(namedtuple("WittVector", "p N coords")):
+    """A length-N Witt vector in characteristic p, by its coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, p, N, coords):
+        if len(coords) != N:
+            raise WittError("coordinate count does not match the length")
+        return super().__new__(cls, p, N, coords)
+
+
+def int_vector(ops, k, N):
+    """The integer k in W_N over the field of ops, from int_to_witt."""
+    return WittVector(ops.p, N, int_to_witt(ops.field, k, N))
 
 
 def witt_zero(ops, N):
