@@ -24,8 +24,8 @@ of f(alpha, X) gives the type when f has X-degree at most 3 or
 A = X^p - X.  That count is read off the trace of -c0(alpha) when
 A = X^p - X, off log c0(alpha) when A = X^n, and off one sweep of the
 model, which counts the roots of A(X) = v for every v, for any other A.
-Every other cover reads the factor degrees of f(alpha, X), as for one
-prime.
+A quadratic, p odd, is separated once its square is completed; any other
+cover reads the factor degrees of f(alpha, X), as for one prime.
 
 Config files are sectioned key=value text,
 
@@ -33,12 +33,12 @@ Config files are sectioned key=value text,
     [extension]  name=K  poly=X^2 - T
     [override]   prime=T  type=(2,1)
 
-with as many [override] sections as needed, and builtin=NAME:k=v,... as an
-alternative to poly.  Those are the only sections and keys; any other, or
-a key given twice in one section, is refused.  Values may contain spaces
-(continuation tokens without '=' are appended), and '#' starts a comment.
-A poly= of X-degree above 1 must pass an irreducibility test at small
-primes, or the config is rejected.
+with as many [override] sections as needed (poly= only: a builtin supplies
+its own ramified types), or builtin=NAME:k=v,... in place of poly.  Any
+other section or key, or a key given twice in a section, is refused.
+Values may contain spaces (continuation tokens without '=' are appended),
+and '#' starts a comment.  A poly= of X-degree above 1 must pass an
+irreducibility test at small primes, or the config is rejected.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class ExtensionSpec:
         self.degree = len(xt_coeffs) - 1
         self.overrides = dict(overrides or {})
         for p, st in self.overrides.items():
-            _require_prime(base, p)
             if st.degree != self.degree:
                 raise ExtensionError(
                     f"override at {textforms.format_tpoly(base, p)} has total "
@@ -118,7 +117,8 @@ class ExtensionSpec:
 
 
 def _require_prime(base, p):
-    """Refuse anything but a monic irreducible coefficient tuple over base."""
+    """Refuse a prime given from outside unless it is a monic irreducible
+    coefficient tuple over base; _validate_cover checks the overrides."""
     if not (isinstance(p, tuple) and p and p[-1] == base.one
             and all(isinstance(c, int) and 0 <= c < base.q for c in p)):
         raise ExtensionError(
@@ -338,10 +338,14 @@ def _unramified_types(ext, F):
     means (1,1)^n, r = 1 in a cubic means (1,1)(1,2), and r = 0 means
     (1,n).  For A = X^n and v != 0, r = g = gcd(n, q^d - 1) when g divides
     log v and 0 otherwise; any other A of degree n <= 3 takes N[v] from
-    one sweep N = F.value_counts(A).  Every other cover factors
-    f(alpha, X) by _reduced_type.
+    one sweep N = F.value_counts(A).  For p odd, X^2 + bX + c is read as
+    X^2 - (b^2/4 - c), its roots moved by -b/2, so with the same types.
+    Every other cover factors f(alpha, X) by _reduced_type.
     """
     K, n, cols = ext.field, ext.degree, ext.xt_coeffs
+    if n == 2 and K.p != 2 and cols[1]:
+        b2 = poly.pscale(K, K.inv(K.from_int(4)), poly.pmul(K, cols[1], cols[1]))
+        cols = (poly.psub(K, cols[0], b2), (), cols[2])
     a = (0,) + tuple(c[0] if c else 0 for c in cols[1:])
     if all(len(c) <= 1 for c in cols[1:]):
         types = {n: SplittingType(((1, 1),) * n)}
@@ -395,6 +399,9 @@ def parse_extension(text):
     has_builtin = "builtin" in extsec
     if has_poly == has_builtin:
         raise ExtensionError("[extension] needs exactly one of poly= or builtin=")
+    if has_builtin and override_sections:
+        raise ExtensionError("[override] goes with poly= only: a builtin "
+                             "supplies its own ramified types")
     overrides = {}
     for osec in override_sections:
         try:
@@ -407,10 +414,7 @@ def parse_extension(text):
                                  + textforms.format_tpoly(base, prime))
         overrides[prime] = st
     if has_builtin:
-        _, cols, builtin_overrides = _builtin_cover(
-            base, *_parse_builtin(extsec["builtin"]))
-        # the config's own overrides win
-        overrides = {**builtin_overrides, **overrides}
+        _, cols, overrides = _builtin_cover(base, *_parse_builtin(extsec["builtin"]))
     else:
         cols = textforms.parse_xt_poly(base, extsec["poly"])
     ext = ExtensionSpec(name, base, cols, overrides)

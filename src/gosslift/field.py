@@ -320,7 +320,6 @@ class ZechField:
             zech += array('i', [log_plus_one[x] for x in exp[i:i + _CHUNK]])
         self._exp, self._log, self._zech = exp, log, zech
         self._irreducibles = None
-        self._trace_tables = None
 
     def add(self, a, b):
         if not a:
@@ -412,22 +411,20 @@ class ZechField:
         exactly when the two lookups agree.  The tables are built from Tr
         of the single-digit elements p^j, each a sum of md conjugates.
         """
-        if self._trace_tables is None:
-            p, n = self.p, self._n
-            digits = self.deg * self.base.m
-            conjugates = [p ** j % n for j in range(digits)]
-            traces = []
-            for j in range(digits):
-                lg = self._log[p ** j]
-                t = 0
-                for e in conjugates:
-                    t = self.add(t, self._exp[lg * e % n])
-                traces.append(t)
-            h = digits // 2
-            lo = _digit_table(p, h, lambda i, a: a * traces[i])
-            hi = _digit_table(p, digits - h, lambda i, a: a * traces[h + i])
-            self._trace_tables = ([t % p for t in lo], [-t % p for t in hi], p ** h)
-        lo, minus_hi, place = self._trace_tables
+        p, n = self.p, self._n
+        digits = self.deg * self.base.m
+        conjugates = [p ** j % n for j in range(digits)]
+        traces = []
+        for j in range(digits):
+            lg = self._log[p ** j]
+            t = 0
+            for e in conjugates:
+                t = self.add(t, self._exp[lg * e % n])
+            traces.append(t)
+        h = digits // 2
+        lo = _digit_table(p, h, lambda i, a: a * traces[i])
+        hi = _digit_table(p, digits - h, lambda i, a: a * traces[h + i])
+        lo, minus_hi, place = [t % p for t in lo], [-t % p for t in hi], p ** h
         return [lo[v % place] == minus_hi[v // place] for v in values]
 
     def irreducibles(self):

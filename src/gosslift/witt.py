@@ -58,14 +58,12 @@ WITT_LEN_BOUND = 64  # the longest Witt vectors a lifted zeta may use
 PREC_BOUND = 2 ** 18
 
 
-class WittPolys(namedtuple("WittPolys", "p N add mul add_tail")):
+class WittPolys(namedtuple("WittPolys", "add mul")):
     """Frozen structure polynomials for W_N in characteristic p.
 
-    add[n], mul[n], add_tail[n] are tuples of (coeff, exponents) terms in
-    the 2N variables x_0..x_{N-1}, y_0..y_{N-1}, sorted by exponent tuple
-    in descending order, with no zero coefficients; add_tail[n] is add[n]
-    minus its two linear leading terms x_n + y_n, and only involves
-    variables of index below n.
+    add[n] and mul[n] are tuples of (coeff, exponents) terms in the 2N
+    variables x_0..x_{N-1}, y_0..y_{N-1}, sorted by exponent tuple in
+    descending order, with no zero coefficients.
     """
 
     __slots__ = ()
@@ -128,11 +126,8 @@ def witt_structure_polys(p, N):
 
     add_polys = solve([_padd(ghost(xs, n), ghost(ys, n)) for n in range(N)])
     mul_polys = solve([_pmul(ghost(xs, n), ghost(ys, n)) for n in range(N)])
-    tails = [_padd(_padd(add_polys[n], xs[n], -1), ys[n], -1)
-             for n in range(N)]
-    return WittPolys(p, N, tuple(_freeze(a) for a in add_polys),
-                     tuple(_freeze(m) for m in mul_polys),
-                     tuple(_freeze(t) for t in tails))
+    return WittPolys(tuple(_freeze(a) for a in add_polys),
+                     tuple(_freeze(m) for m in mul_polys))
 
 
 # --- coordinate rings and vectors ---

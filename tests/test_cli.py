@@ -450,13 +450,25 @@ def test_override_off_the_discriminant_exits_3(tmp_path, args):
     error[extension] line, not used in every table of the cover."""
     cfg = write_cfg(tmp_path, "bad3.cfg",
                     "[field]\np=3\nm=1\n[extension]\nname=bad3\n"
-                    "builtin=kummer_sqrt:c=T\n"
+                    "poly=X^2 - T\n[override]\nprime=T\ntype=(2,1)\n"
                     "[override]\nprime=T + 1\ntype=(1,1),(1,1)\n")
     res = run_child([args[0], "--ext", cfg, *args[1:]], timeout=20)
     assert res.returncode == 3
     assert res.stdout.splitlines() == NOTHING_LOADED
     assert res.stderr == ("error[extension]: override at T + 1, which does not "
                           "divide the discriminant of bad3\n")
+
+
+def test_override_beside_a_builtin_exits_3(tmp_path):
+    """A builtin supplies its own ramified types, so an [override] beside
+    builtin= exits 3 with one error[extension] line, not a merged type."""
+    cfg = write_cfg(tmp_path, "kb.cfg", "[field]\np=3\n[extension]\nname=KB\n"
+                    "builtin=kummer_sqrt:c=T\n[override]\nprime=T\ntype=(1,1),(1,1)\n")
+    res = run_child(["splitting", "--ext", cfg, "--prime", "T"], timeout=20)
+    assert res.returncode == 3
+    assert res.stdout.splitlines() == NOTHING_LOADED
+    assert res.stderr == ("error[extension]: [override] goes with poly= only: a "
+                          "builtin supplies its own ramified types\n")
 
 
 @pytest.mark.parametrize("text", ["x(2,1)(0", "(2,1)(1,1x)junk",

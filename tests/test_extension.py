@@ -1,6 +1,7 @@
 """Extension specs, splitting types, discriminants, and config parsing."""
 
 import itertools
+import random
 import os
 import re
 
@@ -13,10 +14,11 @@ from gosslift.extension import (PRIME_DEGREE_BOUND, ExtensionSpec,
                                 parse_extension_file, splitting_type,
                                 splitting_types, trivial_extension)
 from gosslift.field import ResidueField, gf_create
-from gosslift import poly
+from gosslift import extension, poly
 from gosslift.poly import enumerate_monic_irreducibles
 from gosslift.textforms import (MAX_TEXT_DEGREE, parse_monic, parse_tpoly,
                                 parse_xt_poly)
+from gosslift.zeta import dirichlet_table
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "configs")
@@ -216,19 +218,26 @@ def test_artin_schreier_split_iff_trace_zero():
     (lambda: parse_extension_file(os.path.join(CONFIGS, "as_cubic.cfg")), 1, 10),
     (lambda: builtin_extension(gf_create(3), "artin_schreier", m=5), 5, 10),
     (lambda: builtin_extension(gf_create(2, 2), "artin_schreier", m=3), 3, 7),
-], ids=["as_cubic", "F3-m5", "F4-m3"])
+    (lambda: parse_extension_file(os.path.join(CONFIGS, "K_sqrt.cfg")), 1, 10),
+    (lambda: parse_extension_file(os.path.join(CONFIGS, "ks8_f3.cfg")), 8, 9),
+    (lambda: builtin_extension(gf_create(5), "kummer_sqrt", c="T^3 + T + 1"), 3, 7),
+    (lambda: builtin_extension(gf_create(7), "kummer_sqrt", c="T^3 + 2"), 3, 6),
+    (lambda: builtin_extension(gf_create(3, 2), "kummer_sqrt", c="T^3 + T"), 3, 5),
+], ids=["as_cubic", "F3-m5", "F4-m3", "K_sqrt", "ks8_f3", "F5-c3", "F7-c3", "F9-c3"])
 def test_artin_schreier_split_share_is_one_over_p(ext, m, bound):
-    """Chebotarev for X^p - X - f, deg f = m prime to p: of the pi_d primes
-    of degree d, S_d split completely, and |S_d - pi_d / p| is at most
-    (m + 2) q^(d/2) / d.  That is Weil's bound (m - 1) q^(d/2) on the
-    trace character sum over F_(q^d), plus at most 2 q^(d/2) elements of
-    its proper subfields, divided among the d roots of each prime."""
+    """Chebotarev for a cyclic cover of degree n: X^p - X - f with
+    deg f = m prime to p (n = p), or X^2 - c with deg c = m, c squarefree
+    (n = 2).  Of the pi_d primes of degree d, S_d split completely, and
+    |S_d - pi_d / n| is at most (m + 2) q^(d/2) / d.  That is Weil's bound
+    (m - 1) q^(d/2) on the character sum over F_(q^d) (the trace character,
+    or the quadratic one of c), plus at most 2 q^(d/2) elements of its
+    proper subfields, divided among the d roots of each prime."""
     ext = ext()
-    q, p = ext.field.q, ext.field.p
+    q, n = ext.field.q, ext.degree
     for d in range(1, bound + 1):
         types = [st.pairs for _, st in splitting_types(ext, d)]
-        split = types.count(((1, 1),) * p)
-        assert abs(split - len(types) / p) <= (m + 2) * q ** (d / 2) / d, d
+        split = types.count(((1, 1),) * n)
+        assert abs(split - len(types) / n) <= (m + 2) * q ** (d / 2) / d, d
 
 
 def test_splitting_rejects_bad_input():
@@ -261,7 +270,10 @@ p=3
 m=1
 [extension]
 name=bad3
-builtin=kummer_sqrt:c=T
+poly=X^2 - T
+[override]
+prime=T
+type=(2,1)
 [override]
 prime=T + 1
 type=(1,1),(1,1)
@@ -276,8 +288,8 @@ def test_override_off_the_discriminant_is_refused():
         parse_extension(BAD3)
     assert str(err.value) == ("override at T + 1, which does not divide the "
                               "discriminant of bad3")
-    # without the override, T + 1 is inert, as in K_sqrt
-    ext = parse_extension(BAD3.split("[override]")[0])
+    # without the stray override, T + 1 is inert, as in K_sqrt
+    ext = parse_extension(BAD3.rsplit("[override]", 1)[0])
     assert splitting_type(ext, (1, 1)).pairs == ((1, 2),)
     K = gf_create(3)
     # a missing override is named before a stray one
@@ -285,6 +297,13 @@ def test_override_off_the_discriminant_is_refused():
                        match="^prime T divides the discriminant of K but has no override$"):
         ExtensionSpec("K", K, parse_xt_poly(K, "X^2 - T"),
                       overrides={(1, 1): SplittingType(((2, 1),))})
+    # a reducible override is no prime factor of the discriminant either
+    with pytest.raises(ExtensionError,
+                       match="^override at T\\^2 \\+ 2\\*T, which does not "
+                             "divide the discriminant of K$"):
+        ExtensionSpec("K", K, parse_xt_poly(K, "X^2 - T"),
+                      overrides={(0, 1): SplittingType(((2, 1),)),
+                                 (0, 2, 1): SplittingType(((2, 1),))})
     # of several strays, the first in enumeration order is named: T + 2
     # before T^2 + 1, though (1, 0, 1) < (2, 1) as tuples
     inert = SplittingType(((1, 3),))
@@ -296,8 +315,8 @@ def test_override_off_the_discriminant_is_refused():
 
 
 def test_prime_degree_bound_comes_before_rabin(monkeypatch):
-    """A prime of degree above PRIME_DEGREE_BOUND is refused, given as a
-    query or as an override, before Rabin's test runs."""
+    """A prime of degree above PRIME_DEGREE_BOUND is refused before Rabin's
+    test runs: a query by the bound, an override as off the discriminant."""
     K = gf_create(3)
     ext = builtin_extension(K, "artin_schreier", m=1)
     big = (2, 1) + (0,) * (PRIME_DEGREE_BOUND - 1) + (1,)
@@ -308,9 +327,24 @@ def test_prime_degree_bound_comes_before_rabin(monkeypatch):
     monkeypatch.setattr(poly, "is_irreducible", no_rabin)
     with pytest.raises(ExtensionError, match=f"exceeds bound {PRIME_DEGREE_BOUND}"):
         splitting_type(ext, big)
-    with pytest.raises(ExtensionError, match=f"exceeds bound {PRIME_DEGREE_BOUND}"):
-        parse_extension(_poly_cfg(3, "X^2 - T", "[override]\nprime=T^1000 + T + 2\n"
+    with pytest.raises(ExtensionError,
+                       match="^override at T\\^1000 \\+ T \\+ 2, which does not "
+                             "divide the discriminant of K$"):
+        parse_extension(_poly_cfg(3, "X^2 - T", "[override]\nprime=T\ntype=(2,1)\n"
+                                                "[override]\nprime=T^1000 + T + 2\n"
                                                 "type=(2,1)\n"))
+
+
+def test_overrides_are_not_tested_as_primes(monkeypatch):
+    """An override is checked once, by _validate_cover against the
+    discriminant's factors, and never by _require_prime: the shipped
+    configs with overrides parse with it patched to raise."""
+    def refuse(base, p):
+        raise AssertionError("_require_prime ran on an override")
+    monkeypatch.setattr(extension, "_require_prime", refuse)
+    for name, primes in (("K_sqrt.cfg", 1), ("c3_f5.cfg", 1), ("factor_f5.cfg", 2)):
+        ext = parse_extension_file(os.path.join(CONFIGS, name))
+        assert len(ext.overrides) == primes
 
 
 CONFIG_POLY = """
@@ -348,11 +382,16 @@ def test_parse_extension_poly():
     assert splitting_type(ext, (1, 1)).degree == 2
 
 
-def test_parse_extension_builtin_merge():
-    # config override wins over the builtin's own override at T
-    ext = parse_extension(CONFIG_BUILTIN)
-    t = (0, 1)
-    assert splitting_type(ext, t).pairs == ((1, 1), (1, 1))
+def test_parse_extension_builtin_refuses_overrides():
+    """A builtin's ramified types are its own: an [override] beside
+    builtin= is refused, whether it contradicts them or repeats them."""
+    for text in (CONFIG_BUILTIN, CONFIG_BUILTIN.replace("(1,1),(1,1)", "(2,1)")):
+        with pytest.raises(ExtensionError,
+                           match=r"^\[override\] goes with poly= only: a "
+                                 "builtin supplies its own ramified types$"):
+            parse_extension(text)
+    ext = parse_extension(CONFIG_BUILTIN.split("[override]")[0])
+    assert splitting_type(ext, (0, 1)).pairs == ((2, 1),)
 
 
 def test_parse_extension_file_round_trip(tmp_path):
@@ -543,3 +582,63 @@ def test_certification_stops_at_the_first_deciding_prime(monkeypatch):
             "[override]\nprime=T\ntype=(2,1)\n")
     assert parse_extension(text).degree == 2
     assert 0 < len(calls) <= 3
+
+
+def test_quadratic_covers_take_the_square_rule(monkeypatch):
+    """X^2 + T*X + 1 over F_5 is X^2 - (T^2/4 - 1) with its square
+    completed, so a table reads its types off logs, with no factoring."""
+    ext = parse_extension_file(os.path.join(CONFIGS, "factor_f5.cfg"))
+    want = {d: list(splitting_types(ext, d)) for d in range(1, 7)}
+
+    def refuse(F, fbar):
+        raise AssertionError("factored a prime of a quadratic cover")
+    monkeypatch.setattr(extension, "_reduced_type", refuse)
+    for d in range(1, 7):
+        assert [(pr, st.pairs) for pr, st in splitting_types(ext, d)] == \
+            [(pr, st.pairs) for pr, st in want[d]], d
+
+
+@pytest.mark.parametrize("p, m, bound", [(3, 1, 4), (5, 1, 3), (7, 1, 3), (3, 2, 2)],
+                         ids=["F3", "F5", "F7", "F9"])
+def test_quadratic_cover_types_match_residue_factoring(p, m, bound):
+    """Random X^2 + b(T) X + c(T), b nonzero, with (2,1) at each prime of
+    the discriminant: every unramified prime of degree <= bound has the
+    type that factoring f mod the prime over its residue field gives."""
+    K = gf_create(p, m)
+    rng = random.Random(1000 * p + m)
+    covers = primes = 0
+    while covers < 8:
+        b = poly.ptrim(K, tuple(rng.randrange(K.q) for _ in range(rng.randint(1, 3))))
+        c = poly.ptrim(K, tuple(rng.randrange(K.q) for _ in range(rng.randint(1, 4))))
+        disc = poly.psub(K, poly.pmul(K, b, b), poly.pscale(K, K.from_int(4), c))
+        if not b or not disc:
+            continue
+        ramified = poly.factor_monic(K, poly.pmonic(K, disc))
+        ext = ExtensionSpec("Q", K, (c, b, (K.one,)),
+                            {pr: SplittingType(((2, 1),)) for pr, _ in ramified})
+        covers += 1
+        for d in range(1, bound + 1):
+            for pr, st in splitting_types(ext, d):
+                if pr not in ext.overrides:
+                    assert st.pairs == splitting_type(ext, pr).pairs, (b, c, pr)
+                    primes += 1
+    assert primes > 100, primes
+
+
+def test_cubic_f3_factors_every_unramified_prime(monkeypatch):
+    """configs/cubic_f3.cfg, X^3 + T*X^2 + 1 over F_3, is neither separated
+    nor quadratic, so its table factors f(alpha, X) at each of the 195
+    unramified primes of degree <= 6, after one factoring certifies it."""
+    calls = []
+    reduced_type = extension._reduced_type
+
+    def counting(F, fbar):
+        calls.append(fbar)
+        return reduced_type(F, fbar)
+    monkeypatch.setattr(extension, "_reduced_type", counting)
+    ext = parse_extension_file(os.path.join(CONFIGS, "cubic_f3.cfg"))
+    assert discriminant(ext) == (0, 0, 0, 1)
+    table = dirichlet_table(ext, 6)
+    assert len(calls) == 196
+    # a genus-0 curve: 2 * 3^(d-1) ideals of each degree d >= 1
+    assert table.block_sums() == [1] + [2 * 3 ** (d - 1) for d in range(1, 7)]

@@ -16,8 +16,8 @@ from gosslift.witt import (WITT_LEN_BOUND, FieldOps, LaurentOps, WittPolys,
                            check_lifted_args, int_to_witt, lifted_goss_eval,
                            witt_structure_polys, witt_text)
 from gosslift.zeta import DirichletTable, dirichlet_table, goss_eval, rank
-from witt_oracle import (FieldRing, LaurentRing, WittVector, int_vector,
-                         oracle_add, oracle_ghost_sum,
+from witt_oracle import (FieldRing, LaurentRing, WittVector, add_tails,
+                         int_vector, oracle_add, oracle_ghost_sum,
                          oracle_lifted_goss_eval, oracle_mul, oracle_neg,
                          series, series_mul, sympy_structure_polys,
                          teichmuller, witt_add, witt_mul, witt_neg,
@@ -73,15 +73,16 @@ SUPPORTED = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
 def test_structure_polys_match_sympy_oracle(p, N):
     """The int-dict derivation reproduces the sympy one term for term."""
     ref = sympy_structure_polys(p, N)
+    assert witt_structure_polys(p, N) == WittPolys(ref.add, ref.mul)
     # sympy freezes the zero polynomial (add_tail[0]) as one zero term
-    tails = tuple(tuple(t for t in terms if t[0]) for terms in ref.add_tail)
-    assert witt_structure_polys(p, N) == WittPolys(p, N, ref.add, ref.mul,
-                                                   tails)
+    assert add_tails(p, N) == tuple(tuple(t for t in terms if t[0])
+                                    for terms in ref.add_tail)
 
 
 def test_structure_polys_cached_and_ranged():
     assert witt_structure_polys(3, 2) is witt_structure_polys(3, 2)
-    assert witt_structure_polys(2, 4).N == 4
+    assert len(witt_structure_polys(2, 4).add) == 4
+    assert add_tails(3, 2) is add_tails(3, 2)
     with pytest.raises(WittError):
         witt_structure_polys(3, 0)
     with pytest.raises(WittError):

@@ -9,8 +9,10 @@ it was, as the oracle the ghost route must match.
 through sympy, kept as it was: it solves the ghost recursion with sympy
 expansion and freezes each component with sympy's `Poly.terms()`.  The
 package solves the same recursion with plain int dicts, so the two must
-agree term for term.  `witt_structure_exprs` turns the package's frozen
-polynomials back into sympy expressions for the ghost-identity checks.
+agree term for term.  `add_tails` derives from the package's addition
+polynomials the tails that negation solves against.  `witt_structure_exprs`
+turns the package's frozen polynomials back into sympy expressions for the
+ghost-identity checks.
 
 `series_add`, `series_mul`, `series_pow`, `laurent_inv_pow` and their
 neighbours are the Laurent series arithmetic the package used to carry,
@@ -44,14 +46,14 @@ polynomial and one series for every entry that is nonzero mod p^j.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 
 import sympy
 
 from gosslift import poly
 from gosslift.errors import GossliftError, WittError
 from gosslift.witt import (FieldOps, GaloisRing, LaurentOps, LaurentSeries,
-                           WittPolys, int_to_witt, laurent,
-                           witt_structure_polys)
+                           int_to_witt, laurent, witt_structure_polys)
 from gosslift.zeta import unrank
 
 
@@ -63,6 +65,9 @@ def _freeze(expr, gens):
             raise WittError("structure polynomial has a fractional coefficient")
         out.append((int(coeff), tuple(int(e) for e in exps)))
     return tuple(out)
+
+
+SympyPolys = namedtuple("SympyPolys", "add mul add_tail")
 
 
 def sympy_structure_polys(p, N):
@@ -89,7 +94,18 @@ def sympy_structure_polys(p, N):
     mul = tuple(_freeze(e, gens) for e in mul_exprs)
     tails = tuple(_freeze(add_exprs[n] - xs[n] - ys[n], gens)
                   for n in range(N))
-    return WittPolys(p, N, add, mul, tails)
+    return SympyPolys(add, mul, tails)
+
+
+@lru_cache(maxsize=None)
+def add_tails(p, N):
+    """add[n] of witt_structure_polys(p, N) less its two linear terms
+    x_n + y_n: the rest involves only variables of index below n."""
+    def linear(i):
+        return (1, tuple(int(j == i) for j in range(2 * N)))
+    add = witt_structure_polys(p, N).add
+    return tuple(tuple(t for t in add[n] if t not in (linear(n), linear(N + n)))
+                 for n in range(N))
 
 
 def witt_structure_exprs(p, N):
@@ -425,11 +441,11 @@ def witt_neg(ops, a):
     so each y_n is forced once y_0 .. y_{n-1} are known.  Coordinatewise
     negation would do for odd p, but this route is uniform in p.
     """
-    polys = witt_structure_polys(a.p, a.N)
+    tails = add_tails(a.p, a.N)
     ys = []
     for n in range(a.N):
         vals = a.coords + tuple(ys) + (ops.zero,) * (a.N - n)
-        t = skip_eval_terms(ops, polys.add_tail[n], vals)
+        t = skip_eval_terms(ops, tails[n], vals)
         ys.append(ops.neg(ops.add(a.coords[n], t)))
     return WittVector(a.p, a.N, tuple(ys))
 
@@ -476,11 +492,11 @@ def oracle_mul(ops, a, b):
 
 
 def oracle_neg(ops, a):
-    polys = witt_structure_polys(a.p, a.N)
+    tails = add_tails(a.p, a.N)
     ys = []
     for n in range(a.N):
         vals = a.coords + tuple(ys) + (ops.zero,) * (a.N - n)
-        t = eval_terms(ops, polys.add_tail[n], vals)
+        t = eval_terms(ops, tails[n], vals)
         ys.append(ops.neg(ops.add(a.coords[n], t)))
     return WittVector(a.p, a.N, tuple(ys))
 
