@@ -5,234 +5,288 @@ Verbs: splitting, table, zeta, compare, gassmann, demo.  Exit codes:
 3 data or validation error, a request that ran out of memory, or output
 that could not be written, 4 failed demo assertion.
 
+Each verb is one row of VERBS, which _parse reads argv against: `--opt
+value` or `--opt=value` in any order among the positionals, negative
+integers as values, the last of a repeated option, and no abbreviations.
+-h/--help prints the verb's usage and raises SystemExit(0); a usage error
+prints a usage line and an error line to stderr and raises SystemExit(2).
+A handler imports only what it calls, and returns its exit code (None
+for 0).
+
 main(argv) runs one request in process and returns its exit code.  run()
 is the program's entry point (`gosslift` and `python -m gosslift.cli`): it
 calls main, flushes, and ends the process without interpreter teardown.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
 
-from .demos import DEMOS, run_demo
 from .errors import GossliftError, ZetaError
-from .extension import parse_extension_file, splitting_type
-from .gassmann import (cayley_komatsu, gassmann_by_cycle_type,
-                       gassmann_check, klein4_pair, parse_group_file,
-                       psl27_pair, psl211_pair)
-from .textforms import format_tpoly, parse_monic
-from .witt import (FieldOps, LaurentOps, check_args, check_lifted_args,
-                   lifted_goss_eval, witt_text)
-from .zeta import (check_same_field, compare_zeta, dirichlet_table,
-                   dump_blocks, goss_eval, weil_series)
 
 
-def _cmd_splitting(args):
-    ext = parse_extension_file(args.ext)
-    prime = parse_monic(ext.field, args.prime)
-    st = splitting_type(ext, prime)
-    print(f"{format_tpoly(ext.field, prime)} in {ext.name}: {st}")
-    return 0
+def _cmd_splitting(ext, prime):
+    from .extension import parse_extension_file, splitting_type
+    from .textforms import format_tpoly, parse_monic
+    spec = parse_extension_file(ext)
+    p = parse_monic(spec.field, prime)
+    st = splitting_type(spec, p)
+    print(f"{format_tpoly(spec.field, p)} in {spec.name}: {st}")
 
 
-def _cmd_table(args):
-    ext = parse_extension_file(args.ext)
-    table = dirichlet_table(ext, args.max_degree)
-    if args.dump:
+def _cmd_table(ext, max_degree, dump):
+    from .extension import parse_extension_file
+    from .zeta import dirichlet_table, dump_blocks
+    table = dirichlet_table(parse_extension_file(ext), max_degree)
+    if dump:
         try:
-            with open(args.dump, "w", encoding="utf-8") as fh:
+            with open(dump, "w", encoding="utf-8") as fh:
                 fh.writelines(dump_blocks(table))
         except OSError as e:
-            raise ZetaError(f"cannot write table to {args.dump}: {e}") from None
-        print(f"wrote {len(table.counts)} entries to {args.dump}")
+            raise ZetaError(f"cannot write table to {dump}: {e}") from None
+        print(f"wrote {len(table.counts)} entries to {dump}")
     else:
         sys.stdout.writelines(dump_blocks(table))
-    return 0
 
 
-def _cmd_zeta(args):
-    if args.kind != "weil" and args.prec < 0:
-        raise ZetaError(f"--prec {args.prec} must be nonnegative")
-    ext = parse_extension_file(args.ext)
+def _cmd_zeta(kind, ext, max_degree, s, prec, witt_len):
+    from . import witt, zeta
+    from .extension import parse_extension_file
+    if kind != "weil" and prec < 0:
+        raise ZetaError(f"--prec {prec} must be nonnegative")
+    spec = parse_extension_file(ext)
     # fail before building the table; a negative bound is the table's own
     # error
-    if args.kind == "lifted" and args.max_degree >= 0:
-        check_lifted_args(args.max_degree, args.s, args.prec, args.witt_len)
-    elif args.kind == "goss" and args.max_degree >= 0:
-        check_args(args.max_degree, args.s, args.prec, ZetaError)
-    table = dirichlet_table(ext, args.max_degree)
-    if args.kind == "weil":
-        print(weil_series(table))
-    elif args.kind == "goss":
-        print(goss_eval(table, args.s, args.prec))
+    if kind == "lifted" and max_degree >= 0:
+        witt.check_lifted_args(max_degree, s, prec, witt_len)
+    elif kind == "goss" and max_degree >= 0:
+        witt.check_args(max_degree, s, prec, ZetaError)
+    table = zeta.dirichlet_table(spec, max_degree)
+    if kind == "weil":
+        print(zeta.weil_series(table))
+    elif kind == "goss":
+        print(zeta.goss_eval(table, s, prec))
     else:
-        value = lifted_goss_eval(table, args.s, args.prec, args.witt_len)
-        ops = (FieldOps(table.field) if args.s == 0
-               else LaurentOps(table.field, args.prec))
-        print(witt_text(ops, value))
-    return 0
+        value = witt.lifted_goss_eval(table, s, prec, witt_len)
+        ops = (witt.FieldOps(table.field) if s == 0
+               else witt.LaurentOps(table.field, prec))
+        print(witt.witt_text(ops, value))
 
 
-def _cmd_compare(args):
-    ext_a = parse_extension_file(args.cfg_a)
-    ext_b = parse_extension_file(args.cfg_b)
+def _cmd_compare(kind, cfg_a, cfg_b, max_degree):
+    from .extension import parse_extension_file
+    from .zeta import check_same_field, compare_zeta, dirichlet_table
+    ext_a = parse_extension_file(cfg_a)
+    ext_b = parse_extension_file(cfg_b)
     check_same_field(ext_a.field, ext_b.field)
-    table_a = dirichlet_table(ext_a, args.max_degree)
-    table_b = dirichlet_table(ext_b, args.max_degree)
-    verdict = compare_zeta(table_a, table_b, args.kind)
+    table_a = dirichlet_table(ext_a, max_degree)
+    table_b = dirichlet_table(ext_b, max_degree)
+    verdict = compare_zeta(table_a, table_b, kind)
     print(verdict.text())
-    return 0
 
 
-_PAIRS = {"psl27": psl27_pair, "psl211": psl211_pair, "klein4": klein4_pair}
-
-
-def _komatsu_text():
-    ab, heis = cayley_komatsu(3)
-    ok, stats_ab, _ = gassmann_by_cycle_type(ab, heis)
-    lines = [
-        f"group {ab.name} and {heis.name} as regular subgroups of Sym(27)",
-        f"cycle types: identity x1, 3^9 x{stats_ab[(3,) * 9]} in both",
-        f"GASSMANN: {'yes' if ok else 'no'}",
-        f"CONJUGATE: {'no' if ab.is_abelian() != heis.is_abelian() else '?'}",
-    ]
-    return "\n".join(lines)
-
-
-def _cmd_gassmann(args):
-    if args.builtin == "komatsu3":
-        print(_komatsu_text())
-        return 0
-    if args.builtin:
-        print(gassmann_check(*_PAIRS[args.builtin]()).text())
-        return 0
-    if not (args.group and args.h1 and args.h2):
+def _cmd_gassmann(builtin, group, h1, h2):
+    from . import gassmann as gm
+    if builtin == "komatsu3":
+        ab, heis = gm.cayley_komatsu(3)
+        ok, stats_ab, _ = gm.gassmann_by_cycle_type(ab, heis)
+        lines = [
+            f"group {ab.name} and {heis.name} as regular subgroups of Sym(27)",
+            f"cycle types: identity x1, 3^9 x{stats_ab[(3,) * 9]} in both",
+            f"GASSMANN: {'yes' if ok else 'no'}",
+            f"CONJUGATE: {'no' if ab.is_abelian() != heis.is_abelian() else '?'}",
+        ]
+        print("\n".join(lines))
+    elif builtin:
+        pair = {"psl27": gm.psl27_pair, "psl211": gm.psl211_pair,
+                "klein4": gm.klein4_pair}[builtin]
+        print(gm.gassmann_check(*pair()).text())
+    elif group and h1 and h2:
+        G = gm.parse_group_file(group)
+        H1 = gm.parse_group_file(h1, n=G.n)
+        H2 = gm.parse_group_file(h2, n=G.n)
+        print(gm.gassmann_check(G, H1, H2).text())
+    else:
         raise GossliftError(
             "gassmann needs --builtin NAME, or --group, --h1 and --h2 files")
-    G = parse_group_file(args.group)
-    h1 = parse_group_file(args.h1, n=G.n)
-    h2 = parse_group_file(args.h2, n=G.n)
-    print(gassmann_check(G, h1, h2).text())
-    return 0
 
 
-def _cmd_demo(args):
-    report = run_demo(args.name)
+def _cmd_demo(name):
+    from .demos import run_demo
+    report = run_demo(name)
     print(report.text())
     return 0 if report.ok else 4
 
 
-VERBS = ("splitting", "table", "zeta", "compare", "gassmann", "demo")
+def _demos():
+    from .demos import DEMOS
+    return DEMOS
 
 
-def _build_parser(argv):
-    """The parser for argv: only its verb's subparser when argv starts with
-    a verb, all six otherwise (no verb, an unknown one, or -h)."""
-    parser = argparse.ArgumentParser(
-        prog="gosslift",
-        description="splitting types, ideal-count tables, and zeta "
-                    "functions for extensions of F_q(T)")
-    if argv and argv[0] in VERBS:
-        verbs = argv[:1]
-        # the top-level usage line, which errors such as "unrecognized
-        # arguments" print, then still lists every verb
-        metavar = "{" + ",".join(VERBS) + "}"
-    else:
-        verbs, metavar = VERBS, None
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+# verb: (help line, handler, arguments).  An argument is (name, kind,
+# metavar, default, required), an option if its name starts with --.  A
+# kind is int, str, a tuple of choices, or a function that returns them as
+# a dict of functions, whose first doc lines help lists.  The handler takes
+# each name as a keyword: --max-degree as max_degree.
+KIND = ("--kind", ("weil", "goss", "lifted"), None, None, True)
+EXT = ("--ext", str, "FILE", None, True)
+MAX_DEGREE = ("--max-degree", int, "D", 6, False)
+VERBS = {
+    "splitting": ("splitting type of one prime", _cmd_splitting,
+                  (EXT, ("--prime", str, "P", None, True))),
+    "table": ("ideal-count table B(n)", _cmd_table,
+              (EXT, MAX_DEGREE, ("--dump", str, "PATH", None, False))),
+    "zeta": ("weil, goss, or lifted zeta values", _cmd_zeta,
+             (KIND, EXT, MAX_DEGREE, ("--s", int, "J", 1, False),
+              ("--prec", int, "M", 12, False),
+              ("--witt-len", int, "N", 2, False))),
+    "compare": ("compare two extensions' zeta data", _cmd_compare,
+                (KIND, ("cfg_a", str, "A.cfg", None, True),
+                 ("cfg_b", str, "B.cfg", None, True), MAX_DEGREE)),
+    "gassmann": ("Gassmann equivalence reports", _cmd_gassmann,
+                 (("--builtin", ("psl27", "psl211", "klein4", "komatsu3"),
+                   None, None, False), ("--group", str, "FILE", None, False),
+                  ("--h1", str, "FILE", None, False),
+                  ("--h2", str, "FILE", None, False))),
+    "demo": ("run a scripted scenario: one PASS or FAIL line per check, "
+             "exit 4 if any check fails", _cmd_demo,
+             (("name", _demos, "NAME", None, True),)),
+}
 
-    if "splitting" in verbs:
-        p = sub.add_parser("splitting", help="splitting type of one prime")
-        p.add_argument("--ext", required=True, metavar="FILE")
-        p.add_argument("--prime", required=True, metavar="P")
-        p.set_defaults(func=_cmd_splitting)
 
-    if "table" in verbs:
-        p = sub.add_parser("table", help="ideal-count table B(n)")
-        p.add_argument("--ext", required=True, metavar="FILE")
-        p.add_argument("--max-degree", type=int, default=6, metavar="D")
-        p.add_argument("--dump", metavar="PATH")
-        p.set_defaults(func=_cmd_table)
+def _name(arg):
+    """arg as usage and errors name it: --s, or a positional's metavar."""
+    return arg[0] if arg[0][:2] == "--" else arg[2]
 
-    if "zeta" in verbs:
-        p = sub.add_parser("zeta", help="weil, goss, or lifted zeta values")
-        p.add_argument("--kind", required=True,
-                       choices=("weil", "goss", "lifted"))
-        p.add_argument("--ext", required=True, metavar="FILE")
-        p.add_argument("--max-degree", type=int, default=6, metavar="D")
-        p.add_argument("--s", type=int, default=1, metavar="J")
-        p.add_argument("--prec", type=int, default=12, metavar="M")
-        p.add_argument("--witt-len", type=int, default=2, metavar="N")
-        p.set_defaults(func=_cmd_zeta)
 
-    if "compare" in verbs:
-        p = sub.add_parser("compare", help="compare two extensions' zeta data")
-        p.add_argument("--kind", required=True,
-                       choices=("weil", "goss", "lifted"))
-        p.add_argument("cfg_a", metavar="A.cfg")
-        p.add_argument("cfg_b", metavar="B.cfg")
-        p.add_argument("--max-degree", type=int, default=6, metavar="D")
-        p.set_defaults(func=_cmd_compare)
+def _usage(verb):
+    """The usage line: every argument of verb, as --s J, A.cfg or
+    --kind {weil,goss,lifted}, optional ones in brackets."""
+    if verb is None:
+        return "usage: gosslift {" + ",".join(VERBS) + "} ..."
+    words = ["usage: gosslift", verb, "[-h]"]
+    for arg in VERBS[verb][2]:
+        metavar = arg[2] or "{" + ",".join(arg[1]) + "}"
+        shown = f"{arg[0]} {metavar}" if arg[0][:2] == "--" else metavar
+        words.append(shown if arg[4] else f"[{shown}]")
+    return " ".join(words)
 
-    if "gassmann" in verbs:
-        p = sub.add_parser("gassmann", help="Gassmann equivalence reports")
-        p.add_argument("--builtin",
-                       choices=("psl27", "psl211", "klein4", "komatsu3"))
-        p.add_argument("--group", metavar="FILE")
-        p.add_argument("--h1", metavar="FILE")
-        p.add_argument("--h2", metavar="FILE")
-        p.set_defaults(func=_cmd_gassmann)
 
-    if "demo" in verbs:
-        stories = [f"  {name:<12} " + (fn.__doc__ or "").partition("\n")[0]
-                   for name, fn in sorted(DEMOS.items())]
-        p = sub.add_parser(
-            "demo", help="run a scripted scenario",
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-            description="Run a scripted scenario. It prints one PASS or FAIL "
-                        "line per check\nand exits 4 if any check fails.\n\n"
-                        + "\n".join(stories))
-        p.add_argument("name", choices=sorted(DEMOS))
-        p.set_defaults(func=_cmd_demo)
+def _help(verb):
+    """The usage line and what the verb does, with the choices a function
+    gives; the top level lists the verbs."""
+    if verb is None:
+        return "\n".join([_usage(None), "", "verbs (`gosslift VERB -h` "
+                          "for one):"] + [f"  {name:<11} {row[0]}"
+                                          for name, row in VERBS.items()])
+    text, _, args = VERBS[verb]
+    lines = [_usage(verb), "", text]
+    for arg in args:
+        if not isinstance(arg[1], (tuple, type)):
+            lines += [f"  {name:<12} " + (fn.__doc__ or "").partition("\n")[0]
+                      for name, fn in sorted(arg[1]().items())]
+    return "\n".join(lines)
 
-    return parser
+
+def _usage_error(verb, message):
+    """Print the usage line and one error line to stderr, then exit 2."""
+    prog = "gosslift" if verb is None else f"gosslift {verb}"
+    raise SystemExit(_say(sys.stderr, f"{_usage(verb)}\n{prog}: error: "
+                                      f"{message}", 2))
+
+
+def _is_flag(word):
+    """An option name, not a value: -2 and - are values."""
+    return word[:1] == "-" and len(word) > 1 and not word[1:].isdecimal()
+
+
+def _value(verb, arg, text):
+    """text read as arg's kind, else a usage error."""
+    kind, name = arg[1], _name(arg)
+    if kind is str:
+        return text
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            _usage_error(verb, f"argument {name}: invalid int value: {text!r}")
+    choices = kind if isinstance(kind, tuple) else sorted(kind())
+    if text not in choices:
+        _usage_error(verb, f"argument {name}: invalid choice: {text!r} "
+                           f"(choose from {', '.join(map(repr, choices))})")
+    return text
+
+
+def _parse(argv):
+    """(verb, handler, keyword arguments) of argv, read against its verb's
+    row of VERBS."""
+    if argv[:1] in (["-h"], ["--help"]):
+        raise SystemExit(_say(sys.stdout, _help(None), 0))
+    if not argv:
+        _usage_error(None, "the following arguments are required: verb")
+    verb = _value(None, ("verb", tuple(VERBS), "verb", None, True), argv[0])
+    words = iter(argv[1:])
+    _, handler, args = VERBS[verb]
+    options = {arg[0]: arg for arg in args if arg[0][:2] == "--"}
+    positionals = [arg for arg in args if arg[0] not in options]
+    values = {arg[0]: arg[3] for arg in args}
+    for word in words:
+        if word in ("-h", "--help"):
+            raise SystemExit(_say(sys.stdout, _help(verb), 0))
+        flag, eq, text = word.partition("=")
+        if not _is_flag(word) and positionals:
+            arg, text = positionals.pop(0), word
+        elif flag in options:
+            arg = options[flag]
+            if not eq:
+                text = next(words, None)
+                if text is None or _is_flag(text):
+                    _usage_error(verb, f"argument {flag}: expected one "
+                                       "argument")
+        else:
+            _usage_error(verb, f"unrecognized argument: {word}")
+        values[arg[0]] = _value(verb, arg, text)
+    missing = [_name(arg) for arg in args
+               if arg[4] and values[arg[0]] is None]
+    if missing:
+        _usage_error(verb, "the following arguments are required: "
+                           + ", ".join(missing))
+    return verb, handler, {name.lstrip("-").replace("-", "_"): value
+                           for name, value in values.items()}
 
 
 def main(argv=None):
     """Run one request and return its exit code.  Never exits, except that
-    usage errors and --help raise argparse's SystemExit."""
+    usage errors and --help raise SystemExit (codes 2 and 0)."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    verb, handler, values = _parse(argv)
     try:
-        code = args.func(args)
+        code = handler(**values) or 0
         if sys.stdout is not None:  # None when the process has no fd 1
             sys.stdout.flush()
         return code
     except GossliftError as exc:
-        return _error(f"error[{exc.tag}]: {exc}")
+        return _say(sys.stderr, f"error[{exc.tag}]: {exc}", 3)
     except MemoryError:
         # the request's own objects are gone by now, so printing works
-        return _error(f"error[memory]: {args.verb} ran out of memory")
+        return _say(sys.stderr, f"error[memory]: {verb} ran out of memory", 3)
     except OSError as exc:
         # the verbs turn every OSError of a file they read, or of the
         # --dump file, into a GossliftError: this one is a write to stdout,
         # mid-stream or in the flush above
-        return _error(f"error[io]: {args.verb} cannot write its output: "
-                      f"{exc.strerror or exc}")
+        return _say(sys.stderr, f"error[io]: {verb} cannot write its output: "
+                                f"{exc.strerror or exc}", 3)
 
 
-def _error(line):
-    """Print one error line to stderr and return exit code 3.  A stderr
-    that cannot be written loses the line, not the code."""
-    if sys.stderr is not None:
+def _say(stream, text, code):
+    """Print text to stream and return the exit code.  A stream that is
+    None or cannot be written loses the text, not the code."""
+    if stream is not None:
         try:
-            print(line, file=sys.stderr)
+            print(text, file=stream)
         except OSError:
             pass
-    return 3
+    return code
 
 
 def run():

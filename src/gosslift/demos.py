@@ -6,8 +6,6 @@ acceptance suite's backbone and as documentation of what the package is
 for; every run is deterministic, so two runs produce identical text.
 """
 
-from __future__ import annotations
-
 from . import textforms
 from .extension import (ExtensionSpec, SplittingType, builtin_extension,
                         splitting_types, trivial_extension)

@@ -41,8 +41,6 @@ and '#' starts a comment.  A poly= of X-degree above 1 must pass an
 irreducibility test at small primes, or the config is rejected.
 """
 
-from __future__ import annotations
-
 import math
 import re
 
@@ -103,6 +101,7 @@ class ExtensionSpec:
         self.degree = len(xt_coeffs) - 1
         self.overrides = dict(overrides or {})
         for p, st in self.overrides.items():
+            _require_monic(base, p)
             if st.degree != self.degree:
                 raise ExtensionError(
                     f"override at {textforms.format_tpoly(base, p)} has total "
@@ -116,13 +115,19 @@ class ExtensionSpec:
         return textforms.format_xt_poly(self.field, self.xt_coeffs)
 
 
-def _require_prime(base, p):
-    """Refuse a prime given from outside unless it is a monic irreducible
-    coefficient tuple over base; _validate_cover checks the overrides."""
+def _require_monic(base, p):
+    """Refuse p unless it is a trimmed monic coefficient tuple over base:
+    an override key passes this check, then _validate_cover's."""
     if not (isinstance(p, tuple) and p and p[-1] == base.one
             and all(isinstance(c, int) and 0 <= c < base.q for c in p)):
         raise ExtensionError(
             "primes must be monic coefficient tuples over the base field")
+
+
+def _require_prime(base, p):
+    """Refuse a prime given from outside unless it is a monic irreducible
+    coefficient tuple over base."""
+    _require_monic(base, p)
     if len(p) > PRIME_DEGREE_BOUND + 1:
         raise ExtensionError(
             f"prime degree {len(p) - 1} exceeds bound {PRIME_DEGREE_BOUND}")

@@ -39,8 +39,6 @@ back along a = sum a_i g^i, for g the root of the modulus that the model
 keeps.  Every power is poly.power.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import operator

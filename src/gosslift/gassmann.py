@@ -21,8 +21,6 @@ conjugation orbit of subgroups is walked once per group and a coset
 table is built once per subgroup.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import re

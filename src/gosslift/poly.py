@@ -25,8 +25,6 @@ discriminant, a table.  Its enumeration order is by degree, then by
 coefficients read low to high, the sort key (len(f), f).
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 

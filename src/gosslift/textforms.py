@@ -17,8 +17,6 @@ Printing is canonical: terms in decreasing (X, T, g) exponent order,
 coefficients as residues 0..p-1, joined with ' + '.
 """
 
-from __future__ import annotations
-
 import re
 
 from . import poly

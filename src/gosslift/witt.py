@@ -41,8 +41,6 @@ read mod p) enters W_N by its Teichmuller digits: k = sum p^i [a_i],
 so on.  A lifted value is the tuple of its N coordinates, as it prints.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 from functools import lru_cache

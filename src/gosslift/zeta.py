@@ -27,11 +27,10 @@ so the whole text of a large table is never held at once.  Readers find
 n by rank; only unrank and the entries view build n, a coefficient tuple.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
+import operator
 from types import MappingProxyType
 
 from . import poly, textforms
@@ -320,32 +319,49 @@ def goss_eval(table, s, M):
 
 
 def _power_blocks(table, k):
-    """Block sums of B(n) * n^k mod p for degrees 0..bound, k >= 0."""
-    K, p, counts, s = table.field, table.field.p, table.counts, table.starts
-    return [_moment(K, d, k, {r: K.from_int(b) for r, b in
-                              enumerate(counts[s[d]:s[d + 1]]) if b % p})
+    """Block sums of B(n) * n^k mod p for degrees 0..bound, k >= 0, each
+    block read from counts mod p."""
+    K, counts, s = table.field, table.counts, table.starts
+    return [_moment(K, d, k, list(map(K.p.__rmod__,
+                                      itertools.islice(counts, s[d], s[d + 1]))))
             for d in range(table.bound + 1)]
 
 
 def _moment(K, d, k, w):
-    """Sum of w(n) * n^k over the monic n of degree d, where w maps ranks in
-    the block (see rank) to nonzero elements.  With n = c_0 + T*n', c_0 the
-    top digit of the rank, n^k = sum_j C(k, j) c_0^(k-j) T^j n'^j: for each
-    j with C(k, j) nonzero mod p, the q slices of the block fold, weighted
-    by c_0^(k-j), into one block of degree d - 1 that recurses with j."""
-    if not w or k == 0 or d == 0:
-        return poly.ptrim(K, [functools.reduce(K.add, w.values(), K.zero)])
+    """Sum of w(n) * n^k over the monic n of degree d, where w holds the
+    element of every rank in the block (see rank) as a list, or of the
+    nonzero ones as a dict.  With n = c + T*n', c the top digit of the
+    rank, n^k = sum_j C(k, j) c^(k-j) T^j n'^j: for each j with C(k, j)
+    nonzero mod p, the q slices of the block fold, weighted by c^(k-j),
+    into one block of degree d - 1, of w's kind, that recurses with j.  A
+    list with fewer than 1/8 of its entries nonzero folds as a dict: each
+    read is the faster one on its side of that share."""
+    values = w.values() if isinstance(w, dict) else w
+    if not any(values):
+        return ()
+    if k == 0 or d == 0:
+        return poly.ptrim(K, [functools.reduce(K.add, values, K.zero)])
     add, mul, size, out = K._add, K._mul, K.q ** (d - 1), [0] * (d * k + 1)
+    if isinstance(w, list) and w.count(0) * 8 > len(w) * 7:
+        w = {r: w[r] for r in itertools.compress(range(len(w)), w)}
     for j in range(k + 1):
         binom = K.from_int(math.comb(k, j))
         if not binom:
             continue
         by = [mul[K.pow_(c, k - j)] for c in K.elements()]  # v -> c^(k-j) * v
-        fold = {}
-        for r, v in w.items():
-            c, rest = divmod(r, size)
-            fold[rest] = add[fold.get(rest, 0)][by[c][v]]
-        fold = {r: v for r, v in fold.items() if v}
+        if isinstance(w, dict):
+            fold = {}
+            for r, v in w.items():
+                c, rest = divmod(r, size)
+                fold[rest] = add[fold.get(rest, 0)][by[c][v]]
+            fold = {r: v for r, v in fold.items() if v}
+        else:
+            fold = [0] * size
+            for c in K.elements():
+                if any(by[c]):
+                    fold = list(map(operator.getitem, map(add.__getitem__, fold),
+                                    map(by[c].__getitem__,
+                                        w[c * size:(c + 1) * size])))
         for i, c in enumerate(_moment(K, d - 1, j, fold), j):
             out[i] = add[out[i]][mul[binom][c]]
     return poly.ptrim(K, out)

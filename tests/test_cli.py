@@ -5,7 +5,6 @@ code exactly: in process, or in a fresh interpreter where a test needs
 one (a timeout, or a clean sys.modules).
 """
 
-import argparse
 import errno
 import hashlib
 import io
@@ -67,13 +66,23 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 CONFIGS = os.path.join(os.path.dirname(SRC), "configs")
 
-# runs main in a fresh interpreter, then reports which of sympy (a test-only
-# oracle), dataclasses and inspect (slow imports) got loaded
-CHILD = ("import sys; from gosslift.cli import main; rc = main(sys.argv[1:]); "
-         "[print(m, 'loaded:', m in sys.modules) "
-         "for m in ('sympy', 'dataclasses', 'inspect')]; sys.exit(rc)")
-NOTHING_LOADED = ["sympy loaded: False", "dataclasses loaded: False",
-                  "inspect loaded: False"]
+# modules a request must not load: sympy (a test-only oracle), slow
+# imports of the standard library, and the other verbs' modules
+SLOW = ("sympy", "dataclasses", "inspect", "argparse", "gettext", "__future__")
+WATCHED = SLOW + ("gosslift.gassmann", "gosslift.demos")
+GROUPS_WATCHED = SLOW + ("gosslift.zeta", "gosslift.field", "gosslift.witt")
+
+
+def child_code(watched):
+    """Code that runs main in a fresh interpreter, then reports which of
+    the watched modules got loaded."""
+    return ("import sys; from gosslift.cli import main; rc = main(sys.argv[1:]); "
+            f"[print(m, 'loaded:', m in sys.modules) for m in {watched!r}]; "
+            "sys.exit(rc)")
+
+
+CHILD = child_code(WATCHED)
+NOTHING_LOADED = [f"{m} loaded: False" for m in WATCHED]
 
 
 def write_cfg(tmp_path, name, text):
@@ -82,9 +91,9 @@ def write_cfg(tmp_path, name, text):
     return str(path)
 
 
-def run_child(args, timeout=60):
+def run_child(args, timeout=60, code=CHILD):
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, "-c", CHILD, *args], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -199,9 +208,8 @@ def test_compare_refuses_different_fields_before_any_table(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("compare built a table")
 
-    # the CLI calls the name it imported, so both are patched
+    # the CLI imports the name when the verb runs, so it meets the patch
     monkeypatch.setattr("gosslift.zeta.dirichlet_table", refuse)
-    monkeypatch.setattr(cli, "dirichlet_table", refuse)
     assert main(["compare", "--kind", "goss", os.path.join(CONFIGS, "K_sqrt.cfg"),
                  os.path.join(CONFIGS, "as_f4.cfg"), "--max-degree", "10"]) == 3
     captured = capsys.readouterr()
@@ -378,11 +386,24 @@ def test_lifted_zeta_does_not_load_sympy(tmp_path, cfg, N):
 
 
 def test_gassmann_loads_no_dataclasses():
-    res = run_child(["gassmann", "--builtin", "psl27"])
+    res = run_child(["gassmann", "--builtin", "psl27"],
+                    code=child_code(GROUPS_WATCHED))
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert "GASSMANN: yes" in lines
-    assert lines[-3:] == NOTHING_LOADED
+    assert lines[-len(GROUPS_WATCHED):] == [f"{m} loaded: False"
+                                            for m in GROUPS_WATCHED]
+
+
+@pytest.mark.parametrize("args", [
+    ["table", "--ext", os.path.join(CONFIGS, "K_sqrt.cfg"), "--max-degree", "3"],
+    ["zeta", "--kind", "goss", "--ext", os.path.join(CONFIGS, "K_sqrt.cfg"),
+     "--max-degree", "6", "--s", "1", "--prec", "6"],
+], ids=["table", "goss"])
+def test_table_and_zeta_load_no_parser_or_other_verb(args):
+    res = run_child(args)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-len(WATCHED):] == NOTHING_LOADED
 
 
 @pytest.mark.parametrize("field, ext, needle", [
@@ -583,7 +604,7 @@ def test_goss_bound_fails_before_the_table(tmp_path):
 def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, verb):
     def exhausted(ext, bound):
         raise MemoryError
-    monkeypatch.setattr(cli, "dirichlet_table", exhausted)
+    monkeypatch.setattr("gosslift.zeta.dirichlet_table", exhausted)
     k = write_cfg(tmp_path, "K.cfg", CFG_K)
     assert main(verb[:1] + ["--ext", k] + verb[1:]) == 3
     captured = capsys.readouterr()
@@ -599,7 +620,7 @@ def test_table_stdout_is_the_dump_text(tmp_path, capsys):
 
 
 # one bad option per verb, with every required argument present, so that
-# the top-level parser reports it under its own usage line
+# the verb's own parser reports it under the verb's usage line
 BAD_OPTIONS = [
     ["splitting", "--ext", "K.cfg", "--prime", "T", "--bogus"],
     ["table", "--ext", "K.cfg", "--bogus"],
@@ -609,33 +630,138 @@ BAD_OPTIONS = [
     ["demo", "genus", "--bogus"],
 ]
 
+ZETA_DEFAULTS = {"max_degree": 6, "s": 1, "prec": 12, "witt_len": 2}
+PARSED = [
+    (["splitting", "--prime=T + 1", "--ext", "K.cfg"],
+     {"ext": "K.cfg", "prime": "T + 1"}),
+    (["table", "--ext=K.cfg"], {"ext": "K.cfg", "max_degree": 6, "dump": None}),
+    (["table", "--max-degree", "-1", "--ext", "K.cfg", "--dump=out.txt"],
+     {"ext": "K.cfg", "max_degree": -1, "dump": "out.txt"}),
+    (["zeta", "--kind=goss", "--ext", "K.cfg", "--s", "-2"],
+     {**ZETA_DEFAULTS, "kind": "goss", "ext": "K.cfg", "s": -2}),
+    (["zeta", "--s=-2", "--prec", "-3", "--kind", "lifted", "--ext=K.cfg",
+      "--witt-len=3", "--max-degree", "8"],
+     {"kind": "lifted", "ext": "K.cfg", "max_degree": 8, "s": -2, "prec": -3,
+      "witt_len": 3}),
+    # a repeated option keeps its last value
+    (["zeta", "--kind", "weil", "--s", "3", "--ext", "K.cfg", "--kind=goss",
+      "--s", "-1"],
+     {**ZETA_DEFAULTS, "kind": "goss", "ext": "K.cfg", "s": -1}),
+    (["compare", "A.cfg", "--kind=weil", "B.cfg"],
+     {"kind": "weil", "cfg_a": "A.cfg", "cfg_b": "B.cfg", "max_degree": 6}),
+    (["compare", "--max-degree=-2", "--kind", "lifted", "A.cfg", "B.cfg"],
+     {"kind": "lifted", "cfg_a": "A.cfg", "cfg_b": "B.cfg", "max_degree": -2}),
+    (["gassmann"], {"builtin": None, "group": None, "h1": None, "h2": None}),
+    (["gassmann", "--builtin=psl211"],
+     {"builtin": "psl211", "group": None, "h1": None, "h2": None}),
+    (["gassmann", "--h2", "H2", "--group", "G", "--h1=H1"],
+     {"builtin": None, "group": "G", "h1": "H1", "h2": "H2"}),
+    (["demo", "genus"], {"name": "genus"}),
+]
+
+
+@pytest.mark.parametrize("argv,values", PARSED,
+                         ids=[" ".join(argv) for argv, _ in PARSED])
+def test_parse_argv(argv, values):
+    """Each verb's argv, with --opt=value and negative integers, maps to
+    its handler and its values, defaults included."""
+    verb, handler, got = cli._parse(argv)
+    assert (verb, handler) == (argv[0], cli.VERBS[argv[0]][1])
+    assert got == values
+
 
 @pytest.mark.parametrize("argv", [
-    [], ["-h"], ["nosuch"],
-    *([verb, "-h"] for verb in cli.VERBS),
-    *BAD_OPTIONS,
-], ids=lambda argv: " ".join(argv) or "no-verb")
-def test_one_verb_parser_prints_what_the_full_parser_prints(argv, capsys):
-    def outcome(parser):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        captured = capsys.readouterr()
-        return exc.value.code, captured.out, captured.err
-
-    parser = cli._build_parser(argv)
-    verbs, = (a.choices for a in parser._actions
-              if isinstance(a, argparse._SubParsersAction))
-    assert list(verbs) == (argv[:1] if argv and argv[0] in cli.VERBS
-                           else list(cli.VERBS))
-    assert outcome(parser) == outcome(cli._build_parser([]))
+    *([verb, flag] for verb in cli.VERBS for flag in ("-h", "--help")),
+    # help comes before the check for required options
+    ["zeta", "--ext", "K.cfg", "-h"],
+], ids=" ".join)
+def test_help_names_every_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    usage = captured.out.splitlines()[0]
+    assert usage.startswith(f"usage: gosslift {argv[0]} [-h] ")
+    words = usage.replace("[", " ").replace("]", " ").split()
+    for name, _, metavar, *_ in cli.VERBS[argv[0]][2]:
+        assert (name if name.startswith("--") else metavar) in words
 
 
-def test_one_verb_parser_parses_what_the_full_parser_parses():
-    for argv in (["table", "--ext", "K.cfg", "--max-degree", "3"],
-                 ["compare", "--kind", "goss", "A.cfg", "B.cfg"],
-                 ["demo", "genus"]):
-        assert (vars(cli._build_parser(argv).parse_args(argv))
-                == vars(cli._build_parser([]).parse_args(argv)))
+def test_help_is_the_usage_line_and_the_help_line(capsys):
+    with pytest.raises(SystemExit):
+        main(["zeta", "--help"])
+    assert capsys.readouterr().out == (
+        "usage: gosslift zeta [-h] --kind {weil,goss,lifted} --ext FILE "
+        "[--max-degree D] [--s J] [--prec M] [--witt-len N]\n\n"
+        "weil, goss, or lifted zeta values\n")
+
+
+def test_top_help_lists_every_verb_and_demo_help_every_demo(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for verb, (text, *_) in cli.VERBS.items():
+        assert f"\n  {verb:<11} {text}\n" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, fn in demos.DEMOS.items():
+        assert f"\n  {name:<12} {fn.__doc__.splitlines()[0]}\n" in out
+
+
+USAGE_ERRORS = [
+    *((argv, "unrecognized argument: --bogus") for argv in BAD_OPTIONS),
+    ([], "the following arguments are required: verb"),
+    (["nosuch"], "argument verb: invalid choice: 'nosuch' (choose from "
+                 "'splitting', 'table', 'zeta', 'compare', 'gassmann', 'demo')"),
+    (["zeta", "--kind", "bogus", "--ext", "K.cfg"],
+     "argument --kind: invalid choice: 'bogus' (choose from 'weil', 'goss', "
+     "'lifted')"),
+    (["demo", "nosuch"], "argument NAME: invalid choice: 'nosuch' (choose from "
+                         "'genus', 'gossrem', 'komatsu', 'malakie', 'pgalois', "
+                         "'psl27', 'reconstruct')"),
+    (["table", "--ext", "K.cfg", "--max-degree", "x"],
+     "argument --max-degree: invalid int value: 'x'"),
+    (["zeta", "--kind", "goss", "--ext", "K.cfg", "--s=1.5"],
+     "argument --s: invalid int value: '1.5'"),
+    # argparse took a unique prefix of an option name; this parser does not
+    (["table", "--ext", "K.cfg", "--max-deg", "3"],
+     "unrecognized argument: --max-deg"),
+    (["zeta", "--kind=weil", "--ex=K.cfg"], "unrecognized argument: --ex=K.cfg"),
+    (["table", "--ext"], "argument --ext: expected one argument"),
+    (["table", "--ext", "--max-degree", "3"],
+     "argument --ext: expected one argument"),
+    (["zeta", "--ext", "K.cfg"], "the following arguments are required: --kind"),
+    (["compare", "A.cfg"],
+     "the following arguments are required: --kind, B.cfg"),
+    (["compare", "--kind", "weil", "A.cfg", "B.cfg", "C.cfg"],
+     "unrecognized argument: C.cfg"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "no-verb"
+                              for argv, _ in USAGE_ERRORS])
+def test_usage_error_shape(argv, message, capsys):
+    """A usage line and one error line on stderr, nothing on stdout, and
+    SystemExit(2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    if argv and argv[0] in cli.VERBS:
+        assert usage == cli._usage(argv[0])
+        assert usage.startswith(f"usage: gosslift {argv[0]} [-h]")
+        assert error == f"gosslift {argv[0]}: error: {message}"
+    else:
+        assert usage == ("usage: gosslift {splitting,table,zeta,compare,"
+                         "gassmann,demo} ...")
+        assert error == f"gosslift: error: {message}"
 
 
 class FullStream(io.StringIO):

@@ -314,6 +314,19 @@ def test_override_off_the_discriminant_is_refused():
                       overrides={(1, 0, 1): inert, (2, 1): inert})
 
 
+@pytest.mark.parametrize("key", [(0, 1, 0), "T"], ids=["untrimmed", "text"])
+def test_override_key_must_be_a_monic_tuple(key):
+    """A key that is not a trimmed monic tuple over the base is refused as
+    such, not by the stray check, whose text would name it as the prime T
+    (which divides the discriminant)."""
+    K = gf_create(3)
+    ramified = SplittingType(((2, 1),))
+    with pytest.raises(ExtensionError, match="^primes must be monic coefficient "
+                                             "tuples over the base field$"):
+        ExtensionSpec("K", K, parse_xt_poly(K, "X^2 - T"),
+                      overrides={(0, 1): ramified, key: ramified})
+
+
 def test_prime_degree_bound_comes_before_rabin(monkeypatch):
     """A prime of degree above PRIME_DEGREE_BOUND is refused before Rabin's
     test runs: a query by the bound, an override as off the discriminant."""

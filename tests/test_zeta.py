@@ -241,6 +241,28 @@ def test_power_blocks_match_the_entries(p, m, D):
             assert zeta._power_blocks(table, k) == want
 
 
+@pytest.mark.parametrize("share,kinds", [(0.02, {list, dict}), (0.6, {list})],
+                         ids=["sparse", "dense"])
+def test_moment_folds_a_sparse_block_as_a_dict(monkeypatch, share, kinds):
+    """_moment folds a block with under 1/8 of its entries nonzero as a dict
+    of those entries, and a denser one as a list: a random F_3 table with 2%
+    of its counts nonzero mod p reaches some fold as a dict, one with 60%
+    never does (test_power_blocks_match_the_entries checks the values)."""
+    rng = random.Random(7)
+    counts = [rng.randrange(1, 3) if rng.random() < share else 0
+              for _ in range(zeta.block_start(3, 8))]
+    table = DirichletTable("random", gf_create(3), 7, counts)
+    seen, moment = set(), zeta._moment
+
+    def spy(K, d, k, w):
+        seen.add(type(w))
+        return moment(K, d, k, w)
+
+    monkeypatch.setattr(zeta, "_moment", spy)
+    zeta._power_blocks(table, 4)
+    assert seen == kinds
+
+
 def test_goss_at_s_le_0_raises_no_polynomial_to_a_power(monkeypatch):
     """goss_eval at s = -1 and s = -2 folds coefficient moments: with
     poly.ppow and the entries view refused it gives the same values."""
